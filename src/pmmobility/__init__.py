@@ -26,11 +26,9 @@ from .poc import (
     Policy,
     intersect_rotation,
     intersect_translation,
-    loop_rank,
     normalize,
     poc_or,
-    union_rotation_dim,
-    union_translation_dim,
+    union_dim,
 )
 from .relations import (
     AxisRef,
@@ -105,7 +103,6 @@ __all__ = [
     "instantiate_geometry",
     "intersect_rotation",
     "intersect_translation",
-    "loop_rank",
     "normalize",
     "numeric_loop_and_platform",
     "parse_mechanism_file",
@@ -114,8 +111,7 @@ __all__ = [
     "render_human",
     "render_structured",
     "subchain_poc",
-    "union_rotation_dim",
-    "union_translation_dim",
+    "union_dim",
     "validate_mechanism",
     "verify_mechanism",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -54,9 +53,9 @@ def _analyze_file(
     outcome = _FileOutcome(path=path)
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         outcome.code = PARSE_ERROR
-        outcome.messages.append(f"{path}: {err.strerror or err}")
+        outcome.messages.append(f"{path}: {getattr(err, 'strerror', None) or err}")
         return outcome
     try:
         mech = parse_mechanism_text(
@@ -141,15 +140,10 @@ def analyze(
     """Analyze mechanism topology FILES."""
     chosen_policy = Policy.STRICT if policy == "strict" else Policy.GENERAL
     base_seed = 0 if seed is None else seed
-    with ThreadPoolExecutor(max_workers=min(8, len(files))) as pool:
-        outcomes = list(
-            pool.map(
-                lambda path: _analyze_file(
-                    path, fmt, trace, chosen_policy, oracle, base_seed, seeds
-                ),
-                files,
-            )
-        )
+    outcomes = [
+        _analyze_file(path, fmt, trace, chosen_policy, oracle, base_seed, seeds)
+        for path in files
+    ]
     for outcome in outcomes:
         for message in outcome.messages:
             click.echo(message, err=True)

@@ -29,8 +29,7 @@ from .poc import (
     intersect_translation,
     rotation_view,
     translation_view,
-    union_rotation_dim,
-    union_translation_dim,
+    union_dim,
 )
 from .relations import AxisRef, RelationGraph, build_relation_graph
 from .topology import InvalidMechanism, MechanismTopology, validate_mechanism
@@ -119,7 +118,7 @@ def _joint_labels(g: RelationGraph, row: tuple[int, ...], owner: int | None) -> 
     return tuple(labels)
 
 
-def _fmt_row(row: tuple[int, ...]) -> str:
+def fmt_row(row: tuple[int, ...]) -> str:
     return "[" + " ".join(str(v) for v in row) + "]"
 
 
@@ -155,7 +154,7 @@ def analyze_mechanism(
     for lp in leg_pocs:
         seg_names = " + ".join(s.kind.value for s in lp.segments)
         leg_data[f"leg {lp.leg.label}"] = (
-            f"{seg_names}; t={_fmt_row(lp.matrix.t)} r={_fmt_row(lp.matrix.r)}"
+            f"{seg_names}; t={fmt_row(lp.matrix.t)} r={fmt_row(lp.matrix.r)}"
         )
     trace.append(TraceStep(2, "leg POC matrices", leg_data))
 
@@ -172,8 +171,8 @@ def analyze_mechanism(
         leg_r = rotation_view(lp.matrix, g)
         try:
             rank = LoopRank(
-                union_translation_dim(state_t, leg_t, g, policy),
-                union_rotation_dim(state_r, leg_r, g, policy),
+                union_dim(state_t, leg_t, g, policy),
+                union_dim(state_r, leg_r, g, policy),
             )
             state_t = intersect_translation(state_t, leg_t, g, policy)
             state_r = intersect_rotation(state_r, leg_r, g, policy)
@@ -191,8 +190,8 @@ def analyze_mechanism(
                     "xi_t": rank.xi_t,
                     "xi_r": rank.xi_r,
                     "xi": rank.xi,
-                    "sub-PM t": _fmt_row(state_matrix.t),
-                    "sub-PM r": _fmt_row(state_matrix.r),
+                    "sub-PM t": fmt_row(state_matrix.t),
+                    "sub-PM r": fmt_row(state_matrix.r),
                 },
             )
         )
@@ -212,8 +211,8 @@ def analyze_mechanism(
             5 + len(loops),
             "moving platform POC",
             {
-                "t": _fmt_row(state_matrix.t),
-                "r": _fmt_row(state_matrix.r),
+                "t": fmt_row(state_matrix.t),
+                "r": fmt_row(state_matrix.r),
                 "class": classification,
             },
         )

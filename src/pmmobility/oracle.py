@@ -120,9 +120,7 @@ def instantiate_geometry(
     direction = {a: class_dir[g.parallel_class(a)] for a in axes}
 
     # anchor points: one per coaxial line, then positional constraints
-    coax_root: dict[AxisRef, AxisRef] = {}
-    for a in axes:
-        coax_root[a] = min(b for b in axes if g.same_axis(a, b))
+    coax_root = {a: g.coaxial_class(a) for a in axes}
     anchor = {root: rng.uniform(size=3) for root in sorted(set(coax_root.values()))}
 
     # common-point groups: connected components share one point

@@ -497,18 +497,10 @@ def intersect_rotation(
     Rotations are line bound: two chains share a rank 1 rotation only when
     the axes are the same line.  Rotations about distinct parallel axes do
     not compose to a common rotation, so parallel but not coaxial lines
-    intersect to rank 0.  Higher rank cases follow the direction subspace
-    analysis.
+    intersect to rank 0.  Every other case is the direction subspace
+    analysis of intersect_translation.
     """
-    if a.rank == 0 or b.rank == 0:
-        return EMPTY_DIRECTION
-    if a.rank == 3:
-        return b
-    if b.rank == 3:
-        return a
-    if a == b:
-        return a
-    if a.rank == 1 and b.rank == 1:
+    if a.rank == 1 and b.rank == 1 and a != b:
         if (
             isinstance(a.line, AlongAxis)
             and isinstance(b.line, AlongAxis)
@@ -516,23 +508,24 @@ def intersect_rotation(
         ):
             return a
         return EMPTY_DIRECTION
-    if a.rank == 1 and b.rank == 2:
-        if _resolve(line_in_plane(g, a.line, b.plane), policy, f"{a.line} lies in {b.plane}"):
-            return a
-        return EMPTY_DIRECTION
-    if a.rank == 2 and b.rank == 1:
-        return intersect_rotation(b, a, g, policy)
-    if _resolve(planes_parallel(g, a.plane, b.plane), policy, f"{a.plane} equals {b.plane}"):
-        return a
-    return DirectionDescriptor(1, line=_plane_meet_line(g, a.plane, b.plane))
+    return intersect_translation(a, b, g, policy)
 
 
-def _union_dim(
+def union_dim(
     a: DirectionDescriptor,
     b: DirectionDescriptor,
     g: RelationGraph,
-    policy: Policy,
+    policy: Policy = Policy.GENERAL,
 ) -> int:
+    """Dimension of the union of two translation or two rotation outputs.
+
+    One rule serves both rows, because the r row counts rotation
+    directions (the angular part of a twist), not axis lines.  Rotations
+    about parallel axes share one angular direction, so parallel rotation
+    axes count once, exactly like parallel translations.  The relative
+    translation two parallel axes of one leg give is booked in the t row
+    by normalize.
+    """
     if a.rank == 0:
         return b.rank
     if b.rank == 0:
@@ -548,33 +541,9 @@ def _union_dim(
         inside = line_in_plane(g, a.line, b.plane)
         return 2 if _resolve(inside, policy, f"{a.line} lies in {b.plane}") else 3
     if a.rank == 2 and b.rank == 1:
-        return _union_dim(b, a, g, policy)
+        return union_dim(b, a, g, policy)
     same = planes_parallel(g, a.plane, b.plane)
     return 2 if _resolve(same, policy, f"{a.plane} equals {b.plane}") else 3
-
-
-def union_translation_dim(
-    a: DirectionDescriptor,
-    b: DirectionDescriptor,
-    g: RelationGraph,
-    policy: Policy = Policy.GENERAL,
-) -> int:
-    """Dimension of the union of two translation outputs."""
-    return _union_dim(a, b, g, policy)
-
-
-def union_rotation_dim(
-    a: DirectionDescriptor,
-    b: DirectionDescriptor,
-    g: RelationGraph,
-    policy: Policy = Policy.GENERAL,
-) -> int:
-    """Dimension of the union of two rotation outputs.
-
-    Parallel axes contribute one independent rotation direction, so the
-    union counts direction classes, not axis lines.
-    """
-    return _union_dim(a, b, g, policy)
 
 
 @dataclass(frozen=True)
@@ -587,22 +556,6 @@ class LoopRank:
     @property
     def xi(self) -> int:
         return self.xi_t + self.xi_r
-
-
-def loop_rank(
-    sub_pm: PocMatrix,
-    next_leg: PocMatrix,
-    g: RelationGraph,
-    policy: Policy = Policy.GENERAL,
-) -> LoopRank:
-    """Rank of the loop closed by adding next_leg to the sub-mechanism."""
-    xi_t = union_translation_dim(
-        translation_view(sub_pm, g), translation_view(next_leg, g), g, policy
-    )
-    xi_r = union_rotation_dim(
-        rotation_view(sub_pm, g), rotation_view(next_leg, g), g, policy
-    )
-    return LoopRank(xi_t, xi_r)
 
 
 # --------------------------------------------------------------------------

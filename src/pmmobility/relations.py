@@ -38,11 +38,8 @@ class InconsistentRelations(ValueError):
 
 
 class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[AxisRef, AxisRef] = {}
-
-    def add(self, x: AxisRef) -> None:
-        self.parent.setdefault(x, x)
+    def __init__(self, items) -> None:
+        self.parent: dict[AxisRef, AxisRef] = {x: x for x in items}
 
     def find(self, x: AxisRef) -> AxisRef:
         root = x
@@ -55,14 +52,11 @@ class _UnionFind:
     def union(self, a: AxisRef, b: AxisRef) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            # keep the smaller ref as root so results do not depend on order
+            # keep the smaller ref as root, so every root is the minimum of
+            # its class and results do not depend on order
             if rb < ra:
                 ra, rb = rb, ra
             self.parent[rb] = ra
-
-    def compress(self) -> None:
-        for x in list(self.parent):
-            self.find(x)
 
 
 class RelationGraph:
@@ -71,13 +65,15 @@ class RelationGraph:
     Use build_relation_graph to construct.  relation_between returns the
     strongest derivable relation for a pair; same_axis tells whether two
     refs name the same line (identical ref or seeded coaxial chain).
+    parallel and coaxial map every axis to the root of its class, which is
+    the smallest AxisRef of that class.
     """
 
     def __init__(
         self,
         kinds: dict[AxisRef, JointKind],
-        parallel: _UnionFind,
-        coaxial: _UnionFind,
+        parallel: dict[AxisRef, AxisRef],
+        coaxial: dict[AxisRef, AxisRef],
         perp_pairs: frozenset[frozenset[AxisRef]],
         seeded: dict[frozenset[AxisRef], RelationCode],
     ) -> None:
@@ -111,25 +107,30 @@ class RelationGraph:
         """True when a and b are the same line: equal refs or coaxial."""
         self._require(a)
         self._require(b)
-        return a == b or self._coaxial.find(a) == self._coaxial.find(b)
+        return a == b or self._coaxial[a] == self._coaxial[b]
 
     def parallel(self, a: AxisRef, b: AxisRef) -> bool:
         """True when the directions of a and b are known parallel."""
         self._require(a)
         self._require(b)
-        return self._parallel.find(a) == self._parallel.find(b)
+        return self._parallel[a] == self._parallel[b]
 
     def perpendicular(self, a: AxisRef, b: AxisRef) -> bool:
         """True when the directions of a and b are known perpendicular."""
         self._require(a)
         self._require(b)
-        pair = frozenset((self._parallel.find(a), self._parallel.find(b)))
+        pair = frozenset((self._parallel[a], self._parallel[b]))
         return len(pair) == 2 and pair in self._perp_pairs
 
     def parallel_class(self, axis: AxisRef) -> AxisRef:
-        """Canonical representative of the axis' parallel class."""
+        """Smallest axis parallel to the given one."""
         self._require(axis)
-        return self._parallel.find(axis)
+        return self._parallel[axis]
+
+    def coaxial_class(self, axis: AxisRef) -> AxisRef:
+        """Smallest axis on the same line as the given one."""
+        self._require(axis)
+        return self._coaxial[axis]
 
     def relation_between(self, a: AxisRef, b: AxisRef) -> RelationCode:
         """Strongest derivable relation between two axes.
@@ -142,9 +143,9 @@ class RelationGraph:
         self._require(b)
         if a == b:
             return RelationCode.PARALLEL
-        if self._coaxial.find(a) == self._coaxial.find(b):
+        if self._coaxial[a] == self._coaxial[b]:
             return RelationCode.COAXIAL
-        if self._parallel.find(a) == self._parallel.find(b):
+        if self._parallel[a] == self._parallel[b]:
             return RelationCode.PARALLEL
         if self.perpendicular(a, b):
             return RelationCode.PERPENDICULAR
@@ -222,31 +223,28 @@ def build_relation_graph(mech: MechanismTopology) -> RelationGraph:
         elif code != RelationCode.ARBITRARY:
             seeds[pair] = code
 
-    parallel = _UnionFind()
-    coaxial = _UnionFind()
-    for axis in kinds:
-        parallel.add(axis)
-        coaxial.add(axis)
+    parallel = _UnionFind(kinds)
+    coaxial = _UnionFind(kinds)
     for pair, code in seeds.items():
         a, b = sorted(pair)
         if code in (RelationCode.PARALLEL, RelationCode.COAXIAL):
             parallel.union(a, b)
         if code == RelationCode.COAXIAL:
             coaxial.union(a, b)
-    parallel.compress()
-    coaxial.compress()
+    parallel_root = {axis: parallel.find(axis) for axis in kinds}
+    coaxial_root = {axis: coaxial.find(axis) for axis in kinds}
 
     perp_pairs: set[frozenset[AxisRef]] = set()
     for pair, code in seeds.items():
         if code is not RelationCode.PERPENDICULAR:
             continue
         a, b = sorted(pair)
-        ra, rb = parallel.find(a), parallel.find(b)
+        ra, rb = parallel_root[a], parallel_root[b]
         if ra == rb:
             raise InconsistentRelations(_describe_cycle(a, b, seeds))
         perp_pairs.add(frozenset((ra, rb)))
 
-    return RelationGraph(kinds, parallel, coaxial, frozenset(perp_pairs), dict(seeds))
+    return RelationGraph(kinds, parallel_root, coaxial_root, frozenset(perp_pairs), dict(seeds))
 
 
 def _describe_cycle(a: AxisRef, b: AxisRef, seeds) -> str:

@@ -9,15 +9,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from .mobility import MobilityReport, classify
+from .mobility import MobilityReport, classify, fmt_row
 from .oracle import OracleResult
 from .poc import PocMatrix
 
 FORMAT_VERSION = 1
-
-
-def _fmt_row(row: tuple[int, ...]) -> str:
-    return "[" + " ".join(str(v) for v in row) + "]"
 
 
 def _join_names(labels: tuple[str, ...]) -> str:
@@ -79,7 +75,7 @@ def render_human(
     for lp in report.legs:
         lines.append(
             f"  leg {lp.leg.label}  {lp.leg.signature:<6}  f={lp.leg.f}"
-            f"  t={_fmt_row(lp.matrix.t)}  r={_fmt_row(lp.matrix.r)}"
+            f"  t={fmt_row(lp.matrix.t)}  r={fmt_row(lp.matrix.r)}"
             f"  {classify(lp.matrix)}"
         )
     lines.append("")
@@ -96,11 +92,11 @@ def render_human(
     lines.append("")
     lines.append("moving platform POC")
     lines.append(
-        f"  t={_fmt_row(report.poc.t)}  "
+        f"  t={fmt_row(report.poc.t)}  "
         + _describe_translation(report.poc, report.translation_joints)
     )
     lines.append(
-        f"  r={_fmt_row(report.poc.r)}  "
+        f"  r={fmt_row(report.poc.r)}  "
         + _describe_rotation(report.poc, report.rotation_joints)
     )
     lines.append(f"  class = {report.classification}")

@@ -98,6 +98,17 @@ def test_batch_exit_code_is_the_worst(runner, fixtures_dir, tmp_path):
     assert "mechanism tricept" in result.output
 
 
+def test_non_utf8_file_is_a_parse_error_in_a_batch(runner, fixtures_dir, tmp_path):
+    bad = tmp_path / "bad.mech"
+    bad.write_bytes(b"mechanism x\n\xff\xfe\n")
+    result = runner.invoke(
+        main, ["analyze", str(bad), str(fixtures_dir / "tricept.mech")]
+    )
+    assert result.exit_code == 2
+    assert f"{bad}: " in result.stderr
+    assert "mechanism tricept" in result.stdout
+
+
 def test_missing_file_exit_code(runner, tmp_path):
     result = runner.invoke(main, ["analyze", str(tmp_path / "absent.mech")])
     assert result.exit_code == 2

@@ -13,14 +13,13 @@ from pmmobility import (
     PocMatrix,
     Policy,
     analyze_leg,
+    analyze_mechanism,
     build_relation_graph,
     intersect_rotation,
     intersect_translation,
-    loop_rank,
     normalize,
     poc_or,
-    union_rotation_dim,
-    union_translation_dim,
+    union_dim,
 )
 from pmmobility.oracle import Unsatisfiable, instantiate_geometry
 from pmmobility.poc import (
@@ -210,16 +209,8 @@ def test_full_and_empty_views():
 
 
 def test_loop_rank_of_leg_pairs():
-    leg, g = leg_and_graph(RRC_MATRIX)
-    mech = pair_mechanism(RRC_MATRIX)
-    m1 = analyze_leg(mech.legs[0], g).matrix
-    m2 = analyze_leg(mech.legs[1], g).matrix
-    assert loop_rank(m1, m2, g) == LoopRank(3, 2)
-    leg_u, g_u = leg_and_graph(UPS_MATRIX)
-    mech_u = pair_mechanism(UPS_MATRIX)
-    u1 = analyze_leg(mech_u.legs[0], g_u).matrix
-    u2 = analyze_leg(mech_u.legs[1], g_u).matrix
-    assert loop_rank(u1, u2, g_u) == LoopRank(3, 3)
+    assert analyze_mechanism(pair_mechanism(RRC_MATRIX)).loop_ranks == (LoopRank(3, 2),)
+    assert analyze_mechanism(pair_mechanism(UPS_MATRIX)).loop_ranks == (LoopRank(3, 3),)
 
 
 # --------------------------------------------------------------------------
@@ -338,8 +329,8 @@ def test_translation_table_cell(cells_graph, a_name, b_name, int_rank, uni_dim):
     b = _resolve_name(forms, b_name)
     assert intersect_translation(a, b, cells_graph).rank == int_rank
     assert intersect_translation(b, a, cells_graph).rank == int_rank
-    assert union_translation_dim(a, b, cells_graph) == uni_dim
-    assert union_translation_dim(b, a, cells_graph) == uni_dim
+    assert union_dim(a, b, cells_graph) == uni_dim
+    assert union_dim(b, a, cells_graph) == uni_dim
     # the modular identity ties the two tables together
     assert int_rank + uni_dim == a.rank + b.rank
 
@@ -351,8 +342,8 @@ def test_rotation_table_cell(cells_graph, a_name, b_name, int_rank, uni_dim):
     b = _resolve_name(forms, b_name)
     assert intersect_rotation(a, b, cells_graph).rank == int_rank
     assert intersect_rotation(b, a, cells_graph).rank == int_rank
-    assert union_rotation_dim(a, b, cells_graph) == uni_dim
-    assert union_rotation_dim(b, a, cells_graph) == uni_dim
+    assert union_dim(a, b, cells_graph) == uni_dim
+    assert union_dim(b, a, cells_graph) == uni_dim
 
 
 def test_rotation_parallel_axes_share_only_the_direction(cells_graph):
@@ -362,7 +353,7 @@ def test_rotation_parallel_axes_share_only_the_direction(cells_graph):
     forms = _cells_forms()
     a, b = forms["Rz"], forms["Rz2"]
     assert intersect_rotation(a, b, cells_graph).rank == 0
-    assert union_rotation_dim(a, b, cells_graph) == 1
+    assert union_dim(a, b, cells_graph) == 1
 
 
 def test_table_cells_against_numeric_subspaces(cells_graph):
@@ -400,13 +391,13 @@ def test_strict_policy_raises_on_open_questions(cells_graph):
     with pytest.raises(IndeterminateRelation, match="cannot decide"):
         intersect_translation(forms["Lw"], forms["Pyz"], cells_graph, Policy.STRICT)
     with pytest.raises(IndeterminateRelation):
-        union_translation_dim(forms["Lw"], forms["Ly"], cells_graph, Policy.STRICT)
+        union_dim(forms["Lw"], forms["Ly"], cells_graph, Policy.STRICT)
 
 
 def test_strict_policy_passes_on_decided_questions(cells_graph):
     forms = _cells_forms()
     assert intersect_translation(forms["Lx"], forms["Ly"], cells_graph, Policy.STRICT).rank == 0
-    assert union_translation_dim(forms["Lx"], forms["Lx2"], cells_graph, Policy.STRICT) == 1
+    assert union_dim(forms["Lx"], forms["Lx2"], cells_graph, Policy.STRICT) == 1
     assert intersect_rotation(forms["Rx"], forms["Rx2"], cells_graph, Policy.STRICT).rank == 1
 
 
@@ -479,9 +470,9 @@ def check_algebra_against_numeric(case_target: int, seed: int = 20240815):
         except Unsatisfiable:
             continue
         pool_t, pool_r = _descriptor_pools(mech, g)
-        for pool, intersect, union_dim, rotation in (
-            (pool_t, intersect_translation, union_translation_dim, False),
-            (pool_r, intersect_rotation, union_rotation_dim, True),
+        for pool, intersect, rotation in (
+            (pool_t, intersect_translation, False),
+            (pool_r, intersect_rotation, True),
         ):
             picks = [(rng.choice(pool), rng.choice(pool)) for _ in range(6)]
             # line against line is where the semantics differ the most, so

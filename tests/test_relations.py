@@ -17,6 +17,7 @@ from helpers import (
     PRRRR_MATRIX,
     RRC_MATRIX,
     UPS_MATRIX,
+    labeled_random_mechanism,
     leg_from_relations,
     make_mechanism,
     pair_mechanism,
@@ -257,6 +258,24 @@ def test_parallel_class_representative():
     root = g.parallel_class(AxisRef(1, 4))
     assert root == AxisRef(1, 1)
     assert all(g.parallel_class(AxisRef(1, j)) == root for j in range(1, 5))
+
+
+@pytest.mark.parametrize("generator", [random_mechanism, labeled_random_mechanism])
+def test_class_roots_are_the_smallest_member(generator):
+    # the oracle draws one direction per parallel root and one point per
+    # coaxial root in sorted order, so the roots pin its random stream
+    rng = random.Random(5)
+    checked = 0
+    while checked < 40:
+        try:
+            g = build_relation_graph(generator(rng))
+        except InconsistentRelations:
+            continue
+        axes = g.axes()
+        for a in axes:
+            assert g.coaxial_class(a) == min(b for b in axes if g.same_axis(a, b))
+            assert g.parallel_class(a) == min(b for b in axes if g.parallel(a, b))
+        checked += 1
 
 
 def test_seeded_pairs_sorted_and_nontrivial(three_rrc):
