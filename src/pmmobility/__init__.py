@@ -7,7 +7,7 @@ oracle provides an independent cross-check on sampled geometries.
 """
 
 from .legs import LegPoc, analyze_leg
-from .mobility import MobilityReport, TraceStep, analyze_mechanism, classify
+from .mobility import MobilityReport, analyze_mechanism, classify
 from .oracle import (
     GeometricInstance,
     NumericMobility,
@@ -89,7 +89,6 @@ __all__ = [
     "SubchainFamily",
     "SubchainKind",
     "TopologyError",
-    "TraceStep",
     "UnknownAxis",
     "Unsatisfiable",
     "analyze_leg",

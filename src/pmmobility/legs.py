@@ -19,16 +19,13 @@ from .topology import LegTopology
 class LegPoc:
     """Result of analyzing one leg.
 
-    matrix is the normalized POC matrix padded to width 6.  trace records
-    the recognized segments with their padded POC matrices, then the
-    combined matrix before normalization.
+    matrix is the normalized POC matrix padded to width 6; segments are the
+    recognized sub-chains it was combined from.
     """
 
     leg: LegTopology
     matrix: PocMatrix
     segments: tuple[Segment, ...]
-    trace: tuple[tuple[Segment, PocMatrix], ...]
-    combined: PocMatrix
 
     @property
     def xi_t(self) -> int:
@@ -45,19 +42,9 @@ def analyze_leg(leg: LegTopology, g: RelationGraph, policy: Policy = Policy.GENE
     The output rank never exceeds the leg's joint count or six.
     """
     segments = extract_subchains(leg, g)
-    parts = []
-    trace = []
-    for segment in segments:
-        part = subchain_poc(segment.kind, segment.start, leg.f).with_owner(leg.label)
-        parts.append(part)
-        trace.append((segment, part))
-    combined = poc_or(parts)
+    combined = poc_or(
+        [subchain_poc(s.kind, s.start, leg.f).with_owner(leg.label) for s in segments]
+    )
     matrix = normalize(combined, g, policy).widen(6)
     assert matrix.rank <= min(leg.f, 6)
-    return LegPoc(
-        leg=leg,
-        matrix=matrix,
-        segments=segments,
-        trace=tuple(trace),
-        combined=combined,
-    )
+    return LegPoc(leg, matrix, segments)

@@ -11,7 +11,6 @@ moving platform's POC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from .legs import LegPoc, analyze_leg
 from .poc import (
@@ -36,17 +35,12 @@ from .topology import InvalidMechanism, MechanismTopology, validate_mechanism
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One step of the analysis walkthrough."""
-
-    step: int
-    title: str
-    data: dict[str, Any]
-
-
-@dataclass(frozen=True)
 class MobilityReport:
-    """Full analysis result for one mechanism."""
+    """Full analysis result for one mechanism.
+
+    sub_pocs[i] is the sub-mechanism POC after loop i + 1 closes; the last
+    entry is the moving platform's POC.
+    """
 
     mechanism: str
     dof: int
@@ -58,7 +52,7 @@ class MobilityReport:
     legs: tuple[LegPoc, ...]
     translation_joints: tuple[str, ...]
     rotation_joints: tuple[str, ...]
-    trace: tuple[TraceStep, ...]
+    sub_pocs: tuple[PocMatrix, ...]
 
 
 def classify(poc: PocMatrix) -> str:
@@ -118,10 +112,6 @@ def _joint_labels(g: RelationGraph, row: tuple[int, ...], owner: int | None) -> 
     return tuple(labels)
 
 
-def fmt_row(row: tuple[int, ...]) -> str:
-    return "[" + " ".join(str(v) for v in row) + "]"
-
-
 def analyze_mechanism(
     mech: MechanismTopology, policy: Policy = Policy.GENERAL
 ) -> MobilityReport:
@@ -135,38 +125,13 @@ def analyze_mechanism(
     if problems:
         raise InvalidMechanism(problems)
     g = build_relation_graph(mech)
-
-    trace: list[TraceStep] = []
-    trace.append(
-        TraceStep(
-            1,
-            "topology",
-            {
-                "legs": {
-                    f"leg {leg.label}": f"{leg.signature} (f={leg.f})" for leg in mech.legs
-                }
-            },
-        )
-    )
-
     leg_pocs = tuple(analyze_leg(leg, g, policy) for leg in mech.legs)
-    leg_data: dict[str, Any] = {}
-    for lp in leg_pocs:
-        seg_names = " + ".join(s.kind.value for s in lp.segments)
-        leg_data[f"leg {lp.leg.label}"] = (
-            f"{seg_names}; t={fmt_row(lp.matrix.t)} r={fmt_row(lp.matrix.r)}"
-        )
-    trace.append(TraceStep(2, "leg POC matrices", leg_data))
-
-    total = mech.total_joint_dof
-    trace.append(TraceStep(3, "joint DOF total", {"sum": total}))
 
     state_t = translation_view(leg_pocs[0].matrix, g)
     state_r = rotation_view(leg_pocs[0].matrix, g)
-    state_matrix = leg_pocs[0].matrix
     loops: list[LoopRank] = []
+    sub_pocs: list[PocMatrix] = []
     for idx, lp in enumerate(leg_pocs[1:], start=2):
-        step_no = 4 + len(loops)
         leg_t = translation_view(lp.matrix, g)
         leg_r = rotation_view(lp.matrix, g)
         try:
@@ -180,54 +145,22 @@ def analyze_mechanism(
             raise IndeterminateRelation(
                 f"loop {idx - 1} (adding leg {lp.leg.label}): {err}", step=idx - 1
             ) from err
-        state_matrix = _matrix_from_descriptors(state_t, state_r)
         loops.append(rank)
-        trace.append(
-            TraceStep(
-                step_no,
-                f"loop {idx - 1}: legs 1..{idx - 1} with leg {idx}",
-                {
-                    "xi_t": rank.xi_t,
-                    "xi_r": rank.xi_r,
-                    "xi": rank.xi,
-                    "sub-PM t": fmt_row(state_matrix.t),
-                    "sub-PM r": fmt_row(state_matrix.r),
-                },
-            )
-        )
+        sub_pocs.append(_matrix_from_descriptors(state_t, state_r))
 
-    xi_sum = sum(rank.xi for rank in loops)
-    dof = total - xi_sum
-    trace.append(
-        TraceStep(
-            4 + len(loops),
-            "DOF",
-            {"F": f"{total} - {xi_sum} = {dof}"},
-        )
-    )
-    classification = classify(state_matrix)
-    trace.append(
-        TraceStep(
-            5 + len(loops),
-            "moving platform POC",
-            {
-                "t": fmt_row(state_matrix.t),
-                "r": fmt_row(state_matrix.r),
-                "class": classification,
-            },
-        )
-    )
-
+    total = mech.total_joint_dof
+    dof = total - sum(rank.xi for rank in loops)
+    poc = sub_pocs[-1]
     return MobilityReport(
         mechanism=mech.name,
         dof=dof,
         total_joint_dof=total,
         loop_ranks=tuple(loops),
-        poc=state_matrix,
-        classification=classification,
+        poc=poc,
+        classification=classify(poc),
         rigid=dof <= 0,
         legs=leg_pocs,
-        translation_joints=_joint_labels(g, state_matrix.t, state_matrix.owners[0]),
-        rotation_joints=_joint_labels(g, state_matrix.r, state_matrix.owners[1]),
-        trace=tuple(trace),
+        translation_joints=_joint_labels(g, poc.t, poc.owners[0]),
+        rotation_joints=_joint_labels(g, poc.r, poc.owners[1]),
+        sub_pocs=tuple(sub_pocs),
     )

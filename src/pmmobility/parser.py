@@ -128,15 +128,11 @@ class _LegDraft:
         self.header = header
         self.kinds: list[JointKind] = []
         self.pairs: dict[tuple[int, int], RelationCode] = {}
-        self.explicit: set[tuple[int, int]] = set()
         self.from_matrix = False
         self.rows: list[list[_Token]] = []
 
-    def set_pair(self, i: int, j: int, code: RelationCode, explicit: bool) -> None:
-        key = (min(i, j), max(i, j))
-        self.pairs[key] = code
-        if explicit:
-            self.explicit.add(key)
+    def set_pair(self, i: int, j: int, code: RelationCode) -> None:
+        self.pairs[(min(i, j), max(i, j))] = code
 
     def build(self, on_warning: Callable[[str], None]) -> LegTopology:
         f = len(self.kinds)
@@ -242,7 +238,7 @@ class _Parser:
                         rows[i][j].line,
                         rows[i][j].col,
                     )
-                draft.set_pair(key[0], key[1], code, explicit=True)
+                draft.set_pair(key[0], key[1], code)
         draft.from_matrix = True
         self.legs.append(draft.build(self.on_warning))
 
@@ -355,7 +351,7 @@ class _Parser:
                     )
                 draft.kinds.append(JointKind.from_letter(tok.text))
                 if pending_rel is not None:
-                    draft.set_pair(len(draft.kinds) - 1, len(draft.kinds), pending_rel, explicit=True)
+                    draft.set_pair(len(draft.kinds) - 1, len(draft.kinds), pending_rel)
                     pending_rel = None
                 expect_joint = False
             else:
@@ -403,7 +399,7 @@ class _Parser:
         i, j = indices
         if i == j:
             raise ParseError("rel needs two different joints", tokens[1].line, tokens[1].col)
-        draft.set_pair(i, j, _relation_cell(tokens[3]), explicit=True)
+        draft.set_pair(i, j, _relation_cell(tokens[3]))
 
     def _stmt_platform(self, tokens: list[_Token]) -> None:
         self._finish_open_block()

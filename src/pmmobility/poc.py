@@ -637,19 +637,19 @@ def normalize(m: PocMatrix, g: RelationGraph, policy: Policy = Policy.GENERAL) -
         rotation_full = True
     else:
         classes: dict[AxisRef, int] = {}
-        seen_axes: list[AxisRef] = []
+        seen_lines: set[AxisRef] = set()
         kept_cols: list[int] = []
         converted: list[int] = []
         for col, value in enumerate(m.r):
             if not value:
                 continue
             axis = _row_axis(r_owner, col)
-            if any(g.same_axis(axis, prev) for prev in seen_axes):
+            line = g.coaxial_class(axis)
+            if line in seen_lines:
                 # a rotation about an already counted line adds nothing,
                 # not even the relative translation a parallel pair gives
-                seen_axes.append(axis)
                 continue
-            seen_axes.append(axis)
+            seen_lines.add(line)
             root = g.parallel_class(axis)
             if root in classes:
                 converted.append(col)

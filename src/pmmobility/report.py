@@ -9,11 +9,15 @@ from __future__ import annotations
 
 from typing import Any
 
-from .mobility import MobilityReport, classify, fmt_row
+from .mobility import MobilityReport, classify
 from .oracle import OracleResult
 from .poc import PocMatrix
 
 FORMAT_VERSION = 1
+
+
+def _fmt_row(row: tuple[int, ...]) -> str:
+    return "[" + " ".join(str(v) for v in row) + "]"
 
 
 def _join_names(labels: tuple[str, ...]) -> str:
@@ -47,11 +51,40 @@ def _describe_rotation(poc: PocMatrix, labels: tuple[str, ...]) -> str:
     return "rotation about " + _join_names(labels)
 
 
+def _trace_steps(report: MobilityReport) -> list[dict[str, Any]]:
+    """The analysis walkthrough, rebuilt from the report's results."""
+    topology = {f"leg {lp.leg.label}": f"{lp.leg.signature} (f={lp.leg.f})" for lp in report.legs}
+    leg_pocs = {
+        f"leg {lp.leg.label}": " + ".join(s.kind.value for s in lp.segments)
+        + f"; t={_fmt_row(lp.matrix.t)} r={_fmt_row(lp.matrix.r)}"
+        for lp in report.legs
+    }
+    sections: list[tuple[str, dict[str, Any]]] = [
+        ("topology", {"legs": topology}),
+        ("leg POC matrices", leg_pocs),
+        ("joint DOF total", {"sum": report.total_joint_dof}),
+    ]
+    for i, (rank, sub) in enumerate(zip(report.loop_ranks, report.sub_pocs), start=1):
+        loop = {
+            "xi_t": rank.xi_t,
+            "xi_r": rank.xi_r,
+            "xi": rank.xi,
+            "sub-PM t": _fmt_row(sub.t),
+            "sub-PM r": _fmt_row(sub.r),
+        }
+        sections.append((f"loop {i}: legs 1..{i} with leg {i + 1}", loop))
+    xi_sum = sum(rank.xi for rank in report.loop_ranks)
+    poc = {"t": _fmt_row(report.poc.t), "r": _fmt_row(report.poc.r), "class": report.classification}
+    sections.append(("DOF", {"F": f"{report.total_joint_dof} - {xi_sum} = {report.dof}"}))
+    sections.append(("moving platform POC", poc))
+    return [{"step": n, "title": t, "data": d} for n, (t, d) in enumerate(sections, start=1)]
+
+
 def _trace_lines(report: MobilityReport) -> list[str]:
     lines = ["trace"]
-    for step in report.trace:
-        lines.append(f"  {step.step}. {step.title}")
-        for key, value in step.data.items():
+    for step in _trace_steps(report):
+        lines.append(f"  {step['step']}. {step['title']}")
+        for key, value in step["data"].items():
             if isinstance(value, dict):
                 for sub_key, sub_value in value.items():
                     lines.append(f"     {sub_key}: {sub_value}")
@@ -75,7 +108,7 @@ def render_human(
     for lp in report.legs:
         lines.append(
             f"  leg {lp.leg.label}  {lp.leg.signature:<6}  f={lp.leg.f}"
-            f"  t={fmt_row(lp.matrix.t)}  r={fmt_row(lp.matrix.r)}"
+            f"  t={_fmt_row(lp.matrix.t)}  r={_fmt_row(lp.matrix.r)}"
             f"  {classify(lp.matrix)}"
         )
     lines.append("")
@@ -92,11 +125,11 @@ def render_human(
     lines.append("")
     lines.append("moving platform POC")
     lines.append(
-        f"  t={fmt_row(report.poc.t)}  "
+        f"  t={_fmt_row(report.poc.t)}  "
         + _describe_translation(report.poc, report.translation_joints)
     )
     lines.append(
-        f"  r={fmt_row(report.poc.r)}  "
+        f"  r={_fmt_row(report.poc.r)}  "
         + _describe_rotation(report.poc, report.rotation_joints)
     )
     lines.append(f"  class = {report.classification}")
@@ -154,10 +187,7 @@ def render_structured(
         ],
     }
     if trace:
-        out["trace"] = [
-            {"step": step.step, "title": step.title, "data": step.data}
-            for step in report.trace
-        ]
+        out["trace"] = _trace_steps(report)
     if oracle is not None:
         out["oracle"] = {
             "seeds": list(oracle.seeds),

@@ -42,11 +42,22 @@ def test_analyze_tricept_success(runner, fixtures_dir):
     assert "rotation about R41 and R42" in result.output
 
 
-@pytest.mark.parametrize("name", ["tricept", "three_rrc"])
-def test_trace_report_matches_golden(runner, fixtures_dir, golden_dir, name):
-    result = runner.invoke(main, ["analyze", "--trace", str(fixtures_dir / f"{name}.mech")])
+@pytest.mark.parametrize(
+    "name, fmt",
+    [
+        # human cases keep the bare fixture name as their test id
+        pytest.param(name, fmt, id=name if fmt == "human" else f"{name}-{fmt}")
+        for name in ("tricept", "three_rrc")
+        for fmt in ("human", "structured")
+    ],
+)
+def test_trace_report_matches_golden(runner, fixtures_dir, golden_dir, name, fmt):
+    suffix = "txt" if fmt == "human" else "json"
+    result = runner.invoke(
+        main, ["analyze", "--format", fmt, "--trace", str(fixtures_dir / f"{name}.mech")]
+    )
     assert result.exit_code == 0
-    assert result.output == (golden_dir / f"{name}.txt").read_text(encoding="utf-8")
+    assert result.output == (golden_dir / f"{name}.{suffix}").read_text(encoding="utf-8")
 
 
 def test_structured_output_round_trips(runner, fixtures_dir):

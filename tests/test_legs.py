@@ -9,7 +9,7 @@ from pmmobility.oracle import (
     instantiate_geometry,
     leg_twist_space,
 )
-from pmmobility.subchains import extract_subchains
+from pmmobility.subchains import extract_subchains, subchain_poc
 
 from helpers import (
     REFERENCE_LEGS,
@@ -42,10 +42,9 @@ def test_trace_matches_segments_and_combined():
     leg, g = leg_and_graph(matrix)
     result = analyze_leg(leg, g)
     assert result.segments == extract_subchains(leg, g)
-    assert tuple(seg for seg, _ in result.trace) == result.segments
-    assert poc_or([part for _, part in result.trace]) == result.combined
-    assert result.matrix == normalize(result.combined, g).widen(6)
-    assert all(part.owners[0] == 1 or part.owners[1] == 1 for _, part in result.trace)
+    parts = [subchain_poc(s.kind, s.start, leg.f).with_owner(1) for s in result.segments]
+    assert result.matrix == normalize(poc_or(parts), g).widen(6)
+    assert all(part.owners[0] == 1 or part.owners[1] == 1 for part in parts)
 
 
 def test_coaxial_revolute_pair_adds_nothing():

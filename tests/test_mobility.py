@@ -11,6 +11,7 @@ from pmmobility import analyze_mechanism, decode_leg, parse_mechanism_file
 from pmmobility.mobility import classify
 from pmmobility.poc import IndeterminateRelation, PocMatrix, Policy, normalize
 from pmmobility.relations import InconsistentRelations, build_relation_graph
+from pmmobility.report import render_structured
 from pmmobility.topology import InvalidMechanism, MechanismTopology
 
 # fixture name -> (dof, classification, loop xi values, total joint dof)
@@ -80,12 +81,18 @@ def test_platform_poc_bounded_by_legs(reports):
         assert report.poc.xi_r <= min(lp.xi_r for lp in report.legs)
 
 
+def test_sub_pocs_follow_the_loops(reports):
+    for report in reports.values():
+        assert len(report.sub_pocs) == len(report.loop_ranks)
+        assert report.sub_pocs[-1] == report.poc
+
+
 def test_trace_steps_are_sequential(tricept_report):
-    trace = tricept_report.trace
-    assert [s.step for s in trace] == list(range(1, len(trace) + 1))
-    assert trace[0].title == "topology"
-    assert trace[-1].title == "moving platform POC"
-    loop_titles = [s.title for s in trace if s.title.startswith("loop")]
+    trace = render_structured(tricept_report, trace=True)["trace"]
+    assert [s["step"] for s in trace] == list(range(1, len(trace) + 1))
+    assert trace[0]["title"] == "topology"
+    assert trace[-1]["title"] == "moving platform POC"
+    loop_titles = [s["title"] for s in trace if s["title"].startswith("loop")]
     assert len(loop_titles) == 3
 
 
