@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relations import AxisRef, RelationGraph, build_relation_graph
+from .relations import AxisRef, RelationGraph, _UnionFind, build_relation_graph
 from .topology import JointKind, MechanismTopology, RelationCode
 
 RANK_RTOL = 1e-8
@@ -27,10 +27,6 @@ NEAR_FACTOR = 10.0
 
 class Unsatisfiable(ValueError):
     """The seeded relations admit no generic geometric instance."""
-
-
-class RankTolerance(RuntimeWarning):
-    """A singular value fell close to the rank threshold."""
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -123,32 +119,19 @@ def instantiate_geometry(
     coax_root = {a: g.coaxial_class(a) for a in axes}
     anchor = {root: rng.uniform(size=3) for root in sorted(set(coax_root.values()))}
 
-    # common-point groups: connected components share one point
-    cpt_adj: dict[AxisRef, set[AxisRef]] = {}
+    # common-point groups: linked coaxial lines share one point.  A group's
+    # root is its smallest line, so the sorted walk draws its point first
+    groups = _UnionFind(anchor)
+    pinned: set[AxisRef] = set()
     for a, b, code in g.seeded_pairs():
         if code is RelationCode.COMMON_POINT:
-            cpt_adj.setdefault(coax_root[a], set()).add(coax_root[b])
-            cpt_adj.setdefault(coax_root[b], set()).add(coax_root[a])
-    seen: set[AxisRef] = set()
-    for start in sorted(cpt_adj):
-        if start in seen:
-            continue
-        component = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            node = queue.pop()
-            for nxt in sorted(cpt_adj[node]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    component.append(nxt)
-                    queue.append(nxt)
-        shared = rng.uniform(size=3)
-        for root in component:
-            anchor[root] = shared
+            pinned.update((coax_root[a], coax_root[b]))
+            groups.union(coax_root[a], coax_root[b])
+    for root in sorted(pinned):
+        group = groups.find(root)
+        anchor[root] = rng.uniform(size=3) if root == group else anchor[group]
 
     # coplanar pairs: move one free line so the two lines intersect
-    pinned: set[AxisRef] = set(cpt_adj)
     for a, b, code in g.seeded_pairs():
         if code is not RelationCode.COPLANAR:
             continue
@@ -174,12 +157,23 @@ def instantiate_geometry(
 
 @dataclass
 class TwistBasis:
-    """Row-stacked twists (k x 6) with their numeric rank."""
+    """Row-stacked twists (k x 6), their numeric rank and an orthonormal
+    basis (rank x 6) of their span."""
 
     screws: np.ndarray
     rank: int
-    singular_values: np.ndarray
+    basis: np.ndarray
     near_threshold: bool
+
+
+def _cutoff(s: np.ndarray, reference: float) -> tuple[int, bool]:
+    """Rank of singular values s against RANK_RTOL * reference, and whether
+    any of them lies within NEAR_FACTOR of that threshold on either side."""
+    if s.size == 0 or reference < 1e-300:
+        return 0, False
+    threshold = RANK_RTOL * reference
+    near = (s > threshold / NEAR_FACTOR) & (s <= NEAR_FACTOR * threshold)
+    return int(np.sum(s > threshold)), bool(np.any(near))
 
 
 def _rank(matrix: np.ndarray, scale: float | None = None) -> tuple[int, np.ndarray, bool]:
@@ -191,21 +185,8 @@ def _rank(matrix: np.ndarray, scale: float | None = None) -> tuple[int, np.ndarr
     if matrix.size == 0:
         return 0, np.zeros(0), False
     s = np.linalg.svd(matrix, compute_uv=False)
-    reference = s[0] if scale is None else scale
-    if s.size == 0 or reference < 1e-300:
-        return 0, s, False
-    threshold = RANK_RTOL * reference
-    rank = int(np.sum(s > threshold))
-    near = bool(np.any((s > threshold) & (s <= NEAR_FACTOR * threshold))) or bool(
-        np.any((s <= threshold) & (s > threshold / NEAR_FACTOR))
-    )
+    rank, near = _cutoff(s, s[0] if scale is None else scale)
     return rank, s, near
-
-
-def joint_twist(kind: JointKind, direction: np.ndarray, point: np.ndarray) -> np.ndarray:
-    if kind is JointKind.REVOLUTE:
-        return np.concatenate([direction, np.cross(point, direction)])
-    return np.concatenate([np.zeros(3), direction])
 
 
 def leg_twist_space(
@@ -213,39 +194,35 @@ def leg_twist_space(
 ) -> TwistBasis:
     """Twist basis of one leg (leg_index is 0-based)."""
     leg = mech.legs[leg_index]
-    rows = []
-    for j, kind in enumerate(leg.joints, start=1):
-        axis = AxisRef(leg.label, j)
-        rows.append(joint_twist(kind, inst.direction[axis], inst.point[axis]))
-    screws = np.vstack(rows)
-    rank, s, near = _rank(screws)
-    return TwistBasis(screws=screws, rank=rank, singular_values=s, near_threshold=near)
+    axes = [AxisRef(leg.label, j) for j in range(1, len(leg.joints) + 1)]
+    d = np.array([inst.direction[axis] for axis in axes])
+    p = np.array([inst.point[axis] for axis in axes])
+    revolute = np.array([kind is JointKind.REVOLUTE for kind in leg.joints])[:, None]
+    screws = np.where(
+        revolute, np.hstack([d, np.cross(p, d)]), np.hstack([np.zeros_like(d), d])
+    )
+    _, s, vh = np.linalg.svd(screws, full_matrices=False)
+    rank, near = _cutoff(s, s[0])
+    return TwistBasis(screws=screws, rank=rank, basis=vh[:rank], near_threshold=near)
 
 
-def _orthonormal_rows(matrix: np.ndarray, rank: int) -> np.ndarray:
-    if rank == 0:
-        return np.zeros((0, 6))
-    _, _, vh = np.linalg.svd(matrix, full_matrices=False)
-    return vh[:rank]
+def union_and_intersection(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[int, np.ndarray, bool]:
+    """Union rank and intersection basis of two row-orthonormal subspaces.
 
-
-def _complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement in R^6."""
-    if basis.shape[0] == 0:
-        return np.eye(6)
-    _, _, vh = np.linalg.svd(basis, full_matrices=True)
-    return vh[basis.shape[0]:]
-
-def subspace_intersection(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Orthonormal basis of the intersection of two row-space subspaces.
-
-    The intersection is the null space of the stacked orthogonal
-    complements.
+    One full SVD of the stacked rows [a; b] = u s vh answers both.  Its
+    rank is the dimension of the union.  Each left null vector (x, y), a
+    column of u past the rank, gives x a = -y b, a vector in both spaces;
+    because the rows of a and of b are orthonormal, |x|^2 = |y|^2 = 1/2 and
+    distinct null vectors give orthogonal images, so sqrt(2) x a are
+    orthonormal rows spanning the intersection, of dimension
+    len(a) + len(b) - rank.  Both answers come from the same singular
+    values, so one near-threshold flag covers them.
     """
-    stacked = np.vstack([_complement(a), _complement(b)])
-    rank, _, near = _rank(stacked)
-    _, _, vh = np.linalg.svd(stacked, full_matrices=True)
-    return vh[rank:], near
+    u, s, _ = np.linalg.svd(np.vstack([a, b]), full_matrices=True)
+    rank, near = _cutoff(s, s[0])
+    return rank, np.sqrt(2.0) * (u[: a.shape[0], rank:].T @ a), near
 
 
 @dataclass
@@ -272,15 +249,14 @@ def numeric_loop_and_platform(mech: MechanismTopology, inst: GeometricInstance) 
     for i in range(mech.leg_count):
         tb = leg_twist_space(mech, i, inst)
         near = near or tb.near_threshold
-        spaces.append(_orthonormal_rows(tb.screws, tb.rank))
+        spaces.append(tb.basis)
 
     loops: list[int] = []
     current = spaces[0]
     for nxt in spaces[1:]:
-        rank, _, near_union = _rank(np.vstack([current, nxt]))
+        rank, current, near_loop = union_and_intersection(current, nxt)
         loops.append(rank)
-        current, near_int = subspace_intersection(current, nxt)
-        near = near or near_union or near_int
+        near = near or near_loop
 
     dim = current.shape[0]
     if dim:

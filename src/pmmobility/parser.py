@@ -189,7 +189,7 @@ class _Parser:
         if self.current_leg is not None:
             draft = self.current_leg
             self.current_leg = None
-            if draft.from_matrix or draft.rows:
+            if draft.rows:
                 self._finish_matrix_leg(draft)
             elif not draft.kinds:
                 raise ParseError(
@@ -206,10 +206,6 @@ class _Parser:
 
     def _finish_matrix_leg(self, draft: _LegDraft) -> None:
         rows = draft.rows
-        if not rows:
-            raise ParseError(
-                f"leg {draft.label} has no matrix rows", draft.header.line, draft.header.col
-            )
         f = len(rows)
         for row in rows:
             if len(row) != f:
@@ -374,12 +370,8 @@ class _Parser:
             )
 
     def _stmt_rel(self, tokens: list[_Token]) -> None:
-        if self.current_leg is None or self.current_leg.rows:
-            raise ParseError(
-                "rel lines must follow a joint-string leg header", tokens[0].line, tokens[0].col
-            )
         draft = self.current_leg
-        if not draft.kinds:
+        if draft is None or draft.rows or not draft.kinds:
             raise ParseError(
                 "rel lines must follow a joint-string leg header", tokens[0].line, tokens[0].col
             )

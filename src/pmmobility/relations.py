@@ -88,9 +88,6 @@ class RelationGraph:
     def axes(self) -> tuple[AxisRef, ...]:
         return tuple(sorted(self._kinds))
 
-    def has_axis(self, axis: AxisRef) -> bool:
-        return axis in self._kinds
-
     def _require(self, axis: AxisRef) -> None:
         if axis not in self._kinds:
             raise UnknownAxis(f"axis {axis} is not a joint of this mechanism")

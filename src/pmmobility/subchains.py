@@ -23,6 +23,15 @@ from .topology import JointKind, LegTopology, RelationCode
 R = JointKind.REVOLUTE
 P = JointKind.PRISMATIC
 
+# relations the catalogue requires between two joints of a pattern.
+# PAR excludes coaxial pairs: the composite of rotations about one shared
+# line gains no relative translation, so the parallel-pair patterns would
+# overstate the output
+PAR = RelationCode.PARALLEL
+PERP = RelationCode.PERPENDICULAR
+ARB = RelationCode.ARBITRARY
+CPT = RelationCode.COMMON_POINT
+
 
 class SubchainFamily(Enum):
     G3 = "G3"
@@ -54,81 +63,61 @@ class SubchainKind(Enum):
     SINGLE_P = "P"
 
 
-# relation tests used by the catalogue
-def _par(rel: RelationCode) -> bool:
-    # coaxial pairs are excluded: the composite of rotations about one
-    # shared line gains no relative translation, so the parallel-pair
-    # patterns would overstate the output
-    return rel is RelationCode.PARALLEL
-
-
-def _perp(rel: RelationCode) -> bool:
-    return rel is RelationCode.PERPENDICULAR
-
-
-def _arb(rel: RelationCode) -> bool:
-    return rel is RelationCode.ARBITRARY
-
-
-def _cpt(rel: RelationCode) -> bool:
-    return rel is RelationCode.COMMON_POINT
-
-
 @dataclass(frozen=True)
 class _Pattern:
     kind: SubchainKind
     family: SubchainFamily
     joints: tuple[JointKind, ...]
-    tests: tuple[tuple[int, int, object], ...]  # (i, j, predicate), 1-based
+    tests: tuple[tuple[int, int, RelationCode], ...]  # (i, j, relation), 1-based
     t_cells: tuple[tuple[int, int], ...]  # (relative column, value)
     r_cells: tuple[tuple[int, int], ...]
 
 
 _CATALOG: tuple[_Pattern, ...] = (
     _Pattern(SubchainKind.G3_RRR_PARALLEL, SubchainFamily.G3, (R, R, R),
-             ((1, 2, _par), (1, 3, _par), (2, 3, _par)),
+             ((1, 2, PAR), (1, 3, PAR), (2, 3, PAR)),
              ((1, 2),), ((1, 1),)),
     _Pattern(SubchainKind.G3_RRP, SubchainFamily.G3, (R, R, P),
-             ((1, 2, _par), (1, 3, _perp), (2, 3, _perp)),
+             ((1, 2, PAR), (1, 3, PERP), (2, 3, PERP)),
              ((1, 2),), ((1, 1),)),
     _Pattern(SubchainKind.G3_PRR, SubchainFamily.G3, (P, R, R),
-             ((1, 2, _perp), (1, 3, _perp), (2, 3, _par)),
+             ((1, 2, PERP), (1, 3, PERP), (2, 3, PAR)),
              ((2, 2),), ((2, 1),)),
     _Pattern(SubchainKind.G3_RPR, SubchainFamily.G3, (R, P, R),
-             ((1, 2, _perp), (1, 3, _par), (2, 3, _perp)),
+             ((1, 2, PERP), (1, 3, PAR), (2, 3, PERP)),
              ((1, 2),), ((1, 1),)),
     _Pattern(SubchainKind.G3_RPP, SubchainFamily.G3, (R, P, P),
-             ((1, 2, _perp), (1, 3, _perp), (2, 3, _perp)),
+             ((1, 2, PERP), (1, 3, PERP), (2, 3, PERP)),
              ((1, 2),), ((1, 1),)),
     _Pattern(SubchainKind.G3_PPR, SubchainFamily.G3, (P, P, R),
-             ((1, 2, _perp), (1, 3, _perp), (2, 3, _perp)),
+             ((1, 2, PERP), (1, 3, PERP), (2, 3, PERP)),
              ((3, 2),), ((3, 1),)),
     _Pattern(SubchainKind.G3_PRP, SubchainFamily.G3, (P, R, P),
-             ((1, 2, _perp), (1, 3, _perp), (2, 3, _perp)),
+             ((1, 2, PERP), (1, 3, PERP), (2, 3, PERP)),
              ((2, 2),), ((2, 1),)),
     _Pattern(SubchainKind.S3_RRR_SKEW, SubchainFamily.S3, (R, R, R),
-             ((1, 2, _arb), (1, 3, _arb), (2, 3, _arb)),
+             ((1, 2, ARB), (1, 3, ARB), (2, 3, ARB)),
              (), ((1, 1), (2, 1), (3, 1))),
     _Pattern(SubchainKind.S3_RRR_CONCURRENT, SubchainFamily.S3, (R, R, R),
-             ((1, 2, _cpt), (1, 3, _cpt), (2, 3, _cpt)),
+             ((1, 2, CPT), (1, 3, CPT), (2, 3, CPT)),
              (), ((1, 1), (2, 1), (3, 1))),
     _Pattern(SubchainKind.S3_RRR_PERP, SubchainFamily.S3, (R, R, R),
-             ((1, 2, _perp), (1, 3, _perp), (2, 3, _perp)),
+             ((1, 2, PERP), (1, 3, PERP), (2, 3, PERP)),
              (), ((1, 1), (2, 1), (3, 1))),
     _Pattern(SubchainKind.G2_RR_PARALLEL, SubchainFamily.G2, (R, R),
-             ((1, 2, _par),),
+             ((1, 2, PAR),),
              ((1, 1),), ((1, 1),)),
     _Pattern(SubchainKind.G2_RP_PERP, SubchainFamily.G2, (R, P),
-             ((1, 2, _perp),),
+             ((1, 2, PERP),),
              ((1, 1),), ((1, 1),)),
     _Pattern(SubchainKind.G2_PR_PERP, SubchainFamily.G2, (P, R),
-             ((1, 2, _perp),),
+             ((1, 2, PERP),),
              ((2, 1),), ((2, 1),)),
     _Pattern(SubchainKind.S2_RR_SKEW, SubchainFamily.S2, (R, R),
-             ((1, 2, _arb),),
+             ((1, 2, ARB),),
              (), ((1, 1), (2, 1))),
     _Pattern(SubchainKind.S2_RR_PERP, SubchainFamily.S2, (R, R),
-             ((1, 2, _perp),),
+             ((1, 2, PERP),),
              (), ((1, 1), (2, 1))),
     _Pattern(SubchainKind.SINGLE_R, SubchainFamily.SINGLE, (R,),
              (), (), ((1, 1),)),
@@ -175,10 +164,10 @@ def _matches(leg: LegTopology, g: RelationGraph, pattern: _Pattern, start: int) 
     for offset, kind in enumerate(pattern.joints):
         if leg.joints[start - 1 + offset] is not kind:
             return False
-    for i, j, test in pattern.tests:
+    for i, j, code in pattern.tests:
         a = AxisRef(leg.label, start + i - 1)
         b = AxisRef(leg.label, start + j - 1)
-        if not test(g.relation_between(a, b)):
+        if g.relation_between(a, b) is not code:
             return False
     return True
 

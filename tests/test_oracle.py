@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from helpers import (
     RRC_MATRIX,
     UP_MATRIX,
     UPS_MATRIX,
+    labeled_random_mechanism,
     leg_from_relations,
     make_mechanism,
     pair_mechanism,
@@ -23,7 +27,7 @@ from pmmobility.oracle import (
     instantiate_geometry,
     leg_twist_space,
     numeric_loop_and_platform,
-    subspace_intersection,
+    union_and_intersection,
     verify_mechanism,
 )
 from pmmobility.relations import AxisRef, build_relation_graph
@@ -50,6 +54,29 @@ def test_sampled_geometry_satisfies_relations(fixtures_dir, name):
         inst = instantiate_geometry(mech, g, seed=seed)
         for label, value in inst.residuals(g):
             assert value <= RESIDUAL_TOL, (name, seed, label, value)
+
+
+def test_sampled_geometry_is_frozen():
+    # pins the sampler's draw order, so the oracle's verdicts for a given
+    # --seed stay reproducible across refactors of instantiate_geometry
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    sampled = 0
+    while sampled < 60:
+        mech = labeled_random_mechanism(rng)
+        g = build_relation_graph(mech)
+        try:
+            instances = [instantiate_geometry(mech, g, seed=s) for s in (0, 1, 2)]
+        except Unsatisfiable:
+            continue
+        for inst in instances:
+            for axis in g.axes():
+                digest.update(np.round(inst.direction[axis], 12).tobytes())
+                digest.update(np.round(inst.point[axis], 12).tobytes())
+        sampled += 1
+    assert digest.hexdigest() == (
+        "364d4bfafa8493face7ef37f4fb26d8efd96e96fadb75695e674bd6913793a98"
+    )
 
 
 def test_same_seed_reproduces_geometry(fixtures_dir):
@@ -145,13 +172,31 @@ def test_coplanar_axes_are_anchored_to_meet():
 
 def test_subspace_intersection_units():
     e = np.eye(6)
-    overlap, _ = subspace_intersection(e[:2], e[1:3])
+    _, overlap, _ = union_and_intersection(e[:2], e[1:3])
     assert overlap.shape == (1, 6)
     assert abs(float(overlap[0] @ e[1])) == pytest.approx(1.0)
-    disjoint, _ = subspace_intersection(e[:1], e[1:2])
+    _, disjoint, _ = union_and_intersection(e[:1], e[1:2])
     assert disjoint.shape == (0, 6)
-    same, _ = subspace_intersection(e[:2], e[:2])
+    _, same, _ = union_and_intersection(e[:2], e[:2])
     assert same.shape == (2, 6)
+
+
+def test_union_and_intersection_of_random_subspaces():
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        ka, kb = (int(k) for k in rng.integers(1, 7, size=2))
+        common = rng.normal(size=(int(rng.integers(0, min(ka, kb) + 1)), 6))
+        a, b = (
+            np.linalg.qr(np.vstack([common, rng.normal(size=(k - len(common), 6))]).T)[0].T
+            for k in (ka, kb)
+        )
+        rank, basis, _ = union_and_intersection(a, b)
+        assert rank == _rank(np.vstack([a, b]))[0]
+        assert basis.shape == (ka + kb - rank, 6)
+        assert np.allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-12)
+        for space in (a, b):
+            # a row inside the span equals its projection onto the span
+            assert np.allclose(basis @ space.T @ space, basis, atol=1e-12)
 
 
 def test_case_studies_agree_across_seeds(tricept, tricept_report, three_rrc, three_rrc_report):
