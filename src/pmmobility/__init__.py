@@ -28,7 +28,7 @@ from .poc import (
     intersect_translation,
     normalize,
     poc_or,
-    union_dim,
+    union,
 )
 from .relations import (
     AxisRef,
@@ -110,7 +110,7 @@ __all__ = [
     "render_human",
     "render_structured",
     "subchain_poc",
-    "union_dim",
+    "union",
     "validate_mechanism",
     "verify_mechanism",
 ]

@@ -148,7 +148,7 @@ def analyze(
             click.echo(message, err=True)
     documents = [o.structured for o in outcomes if o.structured is not None]
     if fmt == "structured" and documents:
-        payload = documents[0] if len(documents) == 1 else documents
+        payload = documents[0] if len(files) == 1 else documents
         click.echo(json.dumps(payload, indent=2))
     else:
         texts = [o.stdout for o in outcomes if o.stdout]

@@ -1,11 +1,13 @@
 """Mechanism-level mobility analysis.
 
 Legs are folded into the moving platform one at a time.  Each fold closes
-one independent loop: the loop's rank is the union dimension of the
-sub-mechanism output so far with the next leg's output, and the new
-sub-mechanism output is their intersection.  The DOF is the total joint
-DOF minus the sum of the loop ranks, and the final intersection is the
-moving platform's POC.
+one independent loop and intersects the sub-mechanism output so far with
+the next leg's output, row by row.  The loop's rank is the dimension of
+the union, which the identity dim(A u B) = dim A + dim B - dim(A n B)
+gives from the direction intersection, so a fold asks each direction
+question once.  The new sub-mechanism output is the intersection, with
+rotations line bound.  The DOF is the total joint DOF minus the sum of
+the loop ranks, and the final intersection is the moving platform's POC.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .poc import (
     intersect_translation,
     rotation_view,
     translation_view,
-    union_dim,
 )
 from .relations import AxisRef, RelationGraph, build_relation_graph
 from .topology import InvalidMechanism, MechanismTopology, validate_mechanism
@@ -135,17 +136,22 @@ def analyze_mechanism(
         leg_t = translation_view(lp.matrix, g)
         leg_r = rotation_view(lp.matrix, g)
         try:
-            rank = LoopRank(
-                union_dim(state_t, leg_t, g, policy),
-                union_dim(state_r, leg_r, g, policy),
-            )
-            state_t = intersect_translation(state_t, leg_t, g, policy)
-            state_r = intersect_rotation(state_r, leg_r, g, policy)
+            meet_t = intersect_translation(state_t, leg_t, g, policy)
+            meet_r = intersect_translation(state_r, leg_r, g, policy)
         except IndeterminateRelation as err:
             raise IndeterminateRelation(
                 f"loop {idx - 1} (adding leg {lp.leg.label}): {err}", step=idx - 1
             ) from err
-        loops.append(rank)
+        loops.append(
+            LoopRank(
+                state_t.rank + leg_t.rank - meet_t.rank,
+                state_r.rank + leg_r.rank - meet_r.rank,
+            )
+        )
+        if state_r.rank == leg_r.rank == 1:
+            # two rotation lines: the line-bound rule, which asks no question
+            meet_r = intersect_rotation(state_r, leg_r, g, policy)
+        state_t, state_r = meet_t, meet_r
         sub_pocs.append(_matrix_from_descriptors(state_t, state_r))
 
     total = mech.total_joint_dof

@@ -406,13 +406,13 @@ def _row_axis(owner: int | None, col: int) -> AxisRef:
     return AxisRef(owner, col + 1)
 
 
-def _translation_atom(g: RelationGraph, axis: AxisRef, value: int) -> tuple[int, LineForm | PlaneForm]:
+def _translation_atom(g: RelationGraph, axis: AxisRef, value: int) -> DirectionDescriptor:
     if value == 2:
-        return 2, NormalPlane(axis)
+        return plane_direction(NormalPlane(axis))
     if g.kind(axis) is JointKind.PRISMATIC:
-        return 1, AlongAxis(axis)
+        return line_direction(AlongAxis(axis))
     # translation attributed to a revolute joint lies in its normal plane
-    return 1, NormalLine(axis)
+    return line_direction(NormalLine(axis))
 
 
 def translation_view(m: PocMatrix, g: RelationGraph) -> DirectionDescriptor:
@@ -422,15 +422,14 @@ def translation_view(m: PocMatrix, g: RelationGraph) -> DirectionDescriptor:
         return EMPTY_DIRECTION
     if rank >= 3:
         return FULL_DIRECTION
-    atoms: list[tuple[int, LineForm | PlaneForm]] = []
-    for col, value in enumerate(m.t):
-        if value:
-            atoms.append(_translation_atom(g, _row_axis(m.owners[0], col), value))
-    if rank == 1:
-        return DirectionDescriptor(1, line=atoms[0][1])
+    atoms = [
+        _translation_atom(g, _row_axis(m.owners[0], col), value)
+        for col, value in enumerate(m.t)
+        if value
+    ]
     if len(atoms) == 1:
-        return DirectionDescriptor(2, plane=atoms[0][1])
-    return DirectionDescriptor(2, plane=SpanPlane(atoms[0][1], atoms[1][1]))
+        return atoms[0]
+    return plane_direction(SpanPlane(atoms[0].line, atoms[1].line))
 
 
 def rotation_view(m: PocMatrix, g: RelationGraph) -> DirectionDescriptor:
@@ -450,6 +449,30 @@ def rotation_view(m: PocMatrix, g: RelationGraph) -> DirectionDescriptor:
 # intersection and union over direction descriptors
 
 
+def _inside(
+    a: DirectionDescriptor,
+    b: DirectionDescriptor,
+    g: RelationGraph,
+    policy: Policy,
+) -> bool:
+    """Does the lower-rank operand lie inside the other?
+
+    Both operands have rank 1 or 2; on a tie a is asked about.  This is the
+    one question behind both the union and the intersection: parallel
+    lines, a line in a plane, or equal planes.  It asks about directions
+    only, so rotations about parallel axes count as one direction, exactly
+    like parallel translations; the relative translation two parallel axes
+    of one leg give is booked in the t row by normalize.
+    """
+    if b.rank < a.rank:
+        a, b = b, a
+    if b.rank == 1:
+        return _resolve(lines_parallel(g, a.line, b.line), policy, f"{a.line} is parallel to {b.line}")
+    if a.rank == 1:
+        return _resolve(line_in_plane(g, a.line, b.plane), policy, f"{a.line} lies in {b.plane}")
+    return _resolve(planes_parallel(g, a.plane, b.plane), policy, f"{a.plane} equals {b.plane}")
+
+
 def intersect_translation(
     a: DirectionDescriptor,
     b: DirectionDescriptor,
@@ -466,24 +489,13 @@ def intersect_translation(
         return EMPTY_DIRECTION
     if a.rank == 3:
         return b
-    if b.rank == 3:
+    if b.rank == 3 or a == b:
         return a
-    if a == b:
-        return a
-    if a.rank == 1 and b.rank == 1:
-        if _resolve(lines_parallel(g, a.line, b.line), policy, f"{a.line} is parallel to {b.line}"):
-            return a
-        return EMPTY_DIRECTION
-    if a.rank == 1 and b.rank == 2:
-        if _resolve(line_in_plane(g, a.line, b.plane), policy, f"{a.line} lies in {b.plane}"):
-            return a
-        return EMPTY_DIRECTION
-    if a.rank == 2 and b.rank == 1:
-        return intersect_translation(b, a, g, policy)
-    # both rank 2
-    if _resolve(planes_parallel(g, a.plane, b.plane), policy, f"{a.plane} equals {b.plane}"):
-        return a
-    return DirectionDescriptor(1, line=_plane_meet_line(g, a.plane, b.plane))
+    if _inside(a, b, g, policy):
+        return b if b.rank < a.rank else a
+    if a.rank == b.rank == 2:
+        return line_direction(_plane_meet_line(g, a.plane, b.plane))
+    return EMPTY_DIRECTION
 
 
 def intersect_rotation(
@@ -511,39 +523,29 @@ def intersect_rotation(
     return intersect_translation(a, b, g, policy)
 
 
-def union_dim(
+def union(
     a: DirectionDescriptor,
     b: DirectionDescriptor,
     g: RelationGraph,
     policy: Policy = Policy.GENERAL,
-) -> int:
-    """Dimension of the union of two translation or two rotation outputs.
+) -> DirectionDescriptor:
+    """Union of two translation or two rotation direction subspaces.
 
     One rule serves both rows, because the r row counts rotation
-    directions (the angular part of a twist), not axis lines.  Rotations
-    about parallel axes share one angular direction, so parallel rotation
-    axes count once, exactly like parallel translations.  The relative
-    translation two parallel axes of one leg give is booked in the t row
-    by normalize.
+    directions (the angular part of a twist), not axis lines.  Two
+    independent lines span the plane _pair_plane names.
     """
     if a.rank == 0:
-        return b.rank
-    if b.rank == 0:
-        return a.rank
+        return b
+    if b.rank == 0 or a == b:
+        return a
     if a.rank == 3 or b.rank == 3:
-        return 3
-    if a == b:
-        return a.rank
-    if a.rank == 1 and b.rank == 1:
-        same = lines_parallel(g, a.line, b.line)
-        return 1 if _resolve(same, policy, f"{a.line} is parallel to {b.line}") else 2
-    if a.rank == 1 and b.rank == 2:
-        inside = line_in_plane(g, a.line, b.plane)
-        return 2 if _resolve(inside, policy, f"{a.line} lies in {b.plane}") else 3
-    if a.rank == 2 and b.rank == 1:
-        return union_dim(b, a, g, policy)
-    same = planes_parallel(g, a.plane, b.plane)
-    return 2 if _resolve(same, policy, f"{a.plane} equals {b.plane}") else 3
+        return FULL_DIRECTION
+    if _inside(a, b, g, policy):
+        return b if b.rank > a.rank else a
+    if a.rank == b.rank == 1:
+        return plane_direction(_pair_plane(a.line, b.line, g, policy))
+    return FULL_DIRECTION
 
 
 @dataclass(frozen=True)
@@ -582,37 +584,6 @@ def _pair_plane(a: LineForm, b: LineForm, g: RelationGraph, policy: Policy) -> P
             ):
                 return NormalPlane(line.axis)
     return SpanPlane(a, b)
-
-
-def _span_add(
-    acc: DirectionDescriptor,
-    dim: int,
-    form: LineForm | PlaneForm,
-    g: RelationGraph,
-    policy: Policy,
-) -> DirectionDescriptor:
-    """Union of the accumulated translation span with one new atom."""
-    if acc.rank >= 3:
-        return acc
-    if acc.rank == 0:
-        if dim == 1:
-            return DirectionDescriptor(1, line=form)
-        return DirectionDescriptor(2, plane=form)
-    if dim == 1:
-        if acc.rank == 1:
-            if _resolve(lines_parallel(g, acc.line, form), policy, f"{form} parallel to {acc.line}"):
-                return acc
-            return DirectionDescriptor(2, plane=_pair_plane(acc.line, form, g, policy))
-        if _resolve(line_in_plane(g, form, acc.plane), policy, f"{form} lies in {acc.plane}"):
-            return acc
-        return FULL_DIRECTION
-    if acc.rank == 1:
-        if _resolve(line_in_plane(g, acc.line, form), policy, f"{acc.line} lies in {form}"):
-            return DirectionDescriptor(2, plane=form)
-        return FULL_DIRECTION
-    if _resolve(planes_parallel(g, acc.plane, form), policy, f"{form} equals {acc.plane}"):
-        return acc
-    return FULL_DIRECTION
 
 
 def normalize(m: PocMatrix, g: RelationGraph, policy: Policy = Policy.GENERAL) -> PocMatrix:
@@ -683,10 +654,8 @@ def normalize(m: PocMatrix, g: RelationGraph, policy: Policy = Policy.GENERAL) -
         gains: dict[int, int] = {}
         owner = t_owner if t_owner is not None else r_owner
         for col in sorted(per_col):
-            value = min(per_col[col], 2)
-            axis = _row_axis(owner, col)
-            dim, form = _translation_atom(g, axis, value)
-            grown = _span_add(acc, dim, form, g, policy)
+            atom = _translation_atom(g, _row_axis(owner, col), min(per_col[col], 2))
+            grown = union(acc, atom, g, policy)
             gains[col] = grown.rank - acc.rank
             acc = grown
         if acc.rank >= 3:

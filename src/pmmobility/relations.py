@@ -82,11 +82,16 @@ class RelationGraph:
         self._coaxial = coaxial
         self._perp_pairs = perp_pairs
         self._seeded = seeded
+        # the numeric oracle walks both for every seed; sort them once
+        self._axes = tuple(sorted(kinds))
+        self._seeded_pairs = tuple(
+            sorted((min(pair), max(pair), code) for pair, code in seeded.items())
+        )
 
     # -- lookups ---------------------------------------------------------
 
     def axes(self) -> tuple[AxisRef, ...]:
-        return tuple(sorted(self._kinds))
+        return self._axes
 
     def _require(self, axis: AxisRef) -> None:
         if axis not in self._kinds:
@@ -151,11 +156,7 @@ class RelationGraph:
     # -- constraint enumeration (used by the numeric oracle) -------------
 
     def seeded_pairs(self) -> tuple[tuple[AxisRef, AxisRef, RelationCode], ...]:
-        out = []
-        for pair, code in sorted(self._seeded.items(), key=lambda kv: sorted(kv[0])):
-            a, b = sorted(pair)
-            out.append((a, b, code))
-        return tuple(out)
+        return self._seeded_pairs
 
 
 def _seed_edges(mech: MechanismTopology):

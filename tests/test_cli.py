@@ -98,6 +98,14 @@ def test_batch_structured_is_an_array(runner, fixtures_dir):
     assert [d["mechanism"] for d in docs] == ["tricept", "three-rrc"]
 
 
+def test_batch_structured_stays_an_array_when_one_file_fails(runner, fixtures_dir, tmp_path):
+    files = [str(fixtures_dir / "tricept.mech"), str(tmp_path / "nope.mech")]
+    result = runner.invoke(main, ["analyze", "--format", "structured", *files])
+    assert result.exit_code == 2
+    docs = json.loads(result.stdout)
+    assert [d["mechanism"] for d in docs] == ["tricept"]
+
+
 def test_batch_exit_code_is_the_worst(runner, fixtures_dir, tmp_path):
     missing = tmp_path / "nope.mech"
     result = runner.invoke(

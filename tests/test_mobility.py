@@ -173,3 +173,7 @@ def test_strict_policy_reports_failing_loop(fixtures_dir):
     with pytest.raises(IndeterminateRelation, match=r"^loop 1 \(adding leg 2\):") as err:
         analyze_mechanism(mech, policy=Policy.STRICT)
     assert err.value.step == 1
+    assert str(err.value) == (
+        "loop 1 (adding leg 2): cannot decide whether "
+        "the axis of joint 1.1 is parallel to the axis of joint 2.1"
+    )

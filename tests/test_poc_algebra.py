@@ -19,7 +19,7 @@ from pmmobility import (
     intersect_translation,
     normalize,
     poc_or,
-    union_dim,
+    union,
 )
 from pmmobility.oracle import Unsatisfiable, instantiate_geometry
 from pmmobility.poc import (
@@ -329,8 +329,8 @@ def test_translation_table_cell(cells_graph, a_name, b_name, int_rank, uni_dim):
     b = _resolve_name(forms, b_name)
     assert intersect_translation(a, b, cells_graph).rank == int_rank
     assert intersect_translation(b, a, cells_graph).rank == int_rank
-    assert union_dim(a, b, cells_graph) == uni_dim
-    assert union_dim(b, a, cells_graph) == uni_dim
+    assert union(a, b, cells_graph).rank == uni_dim
+    assert union(b, a, cells_graph).rank == uni_dim
     # the modular identity ties the two tables together
     assert int_rank + uni_dim == a.rank + b.rank
 
@@ -342,8 +342,11 @@ def test_rotation_table_cell(cells_graph, a_name, b_name, int_rank, uni_dim):
     b = _resolve_name(forms, b_name)
     assert intersect_rotation(a, b, cells_graph).rank == int_rank
     assert intersect_rotation(b, a, cells_graph).rank == int_rank
-    assert union_dim(a, b, cells_graph) == uni_dim
-    assert union_dim(b, a, cells_graph) == uni_dim
+    assert union(a, b, cells_graph).rank == uni_dim
+    assert union(b, a, cells_graph).rank == uni_dim
+    # the loop fold takes xi_r from the direction meet by this identity
+    meet = intersect_translation(a, b, cells_graph)
+    assert union(a, b, cells_graph).rank + meet.rank == a.rank + b.rank
 
 
 def test_rotation_parallel_axes_share_only_the_direction(cells_graph):
@@ -353,7 +356,7 @@ def test_rotation_parallel_axes_share_only_the_direction(cells_graph):
     forms = _cells_forms()
     a, b = forms["Rz"], forms["Rz2"]
     assert intersect_rotation(a, b, cells_graph).rank == 0
-    assert union_dim(a, b, cells_graph) == 1
+    assert union(a, b, cells_graph).rank == 1
 
 
 def test_table_cells_against_numeric_subspaces(cells_graph):
@@ -391,13 +394,13 @@ def test_strict_policy_raises_on_open_questions(cells_graph):
     with pytest.raises(IndeterminateRelation, match="cannot decide"):
         intersect_translation(forms["Lw"], forms["Pyz"], cells_graph, Policy.STRICT)
     with pytest.raises(IndeterminateRelation):
-        union_dim(forms["Lw"], forms["Ly"], cells_graph, Policy.STRICT)
+        union(forms["Lw"], forms["Ly"], cells_graph, Policy.STRICT)
 
 
 def test_strict_policy_passes_on_decided_questions(cells_graph):
     forms = _cells_forms()
     assert intersect_translation(forms["Lx"], forms["Ly"], cells_graph, Policy.STRICT).rank == 0
-    assert union_dim(forms["Lx"], forms["Lx2"], cells_graph, Policy.STRICT) == 1
+    assert union(forms["Lx"], forms["Lx2"], cells_graph, Policy.STRICT).rank == 1
     assert intersect_rotation(forms["Rx"], forms["Rx2"], cells_graph, Policy.STRICT).rank == 1
 
 
@@ -485,11 +488,11 @@ def check_algebra_against_numeric(case_target: int, seed: int = 20240815):
             )
             for a, b in picks:
                 sym_int = intersect(a, b, g).rank
-                sym_uni = union_dim(a, b, g)
+                sym_uni = union(a, b, g).rank
                 assert intersect(b, a, g).rank == sym_int
-                assert union_dim(b, a, g) == sym_uni
+                assert union(b, a, g).rank == sym_uni
                 assert intersect(a, a, g).rank == a.rank
-                assert union_dim(a, a, g) == a.rank
+                assert union(a, a, g).rank == a.rank
                 assert sym_int <= min(a.rank, b.rank)
                 assert max(a.rank, b.rank) <= sym_uni <= min(3, a.rank + b.rank)
                 cache: dict = {}
