@@ -151,6 +151,48 @@ def test_strict_policy_analysis_error(runner, fixtures_dir):
     assert "cannot decide whether" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "name, question",
+    [
+        (
+            "tricept",
+            "cannot decide whether the axis of joint 1.3 is parallel to a line normal "
+            "to joint 1.5",
+        ),
+        (
+            "rrc_pair",
+            "loop 1 (adding leg 2): cannot decide whether the axis of joint 1.1 is "
+            "parallel to the axis of joint 2.1",
+        ),
+    ],
+)
+def test_strict_policy_names_the_first_open_question(runner, fixtures_dir, name, question):
+    path = fixtures_dir / f"{name}.mech"
+    result = runner.invoke(main, ["analyze", "--policy", "strict", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr == f"{path}: error: {question}\n"
+    assert result.stdout == ""
+
+
+def test_strict_policy_fails_before_the_oracle(runner, fixtures_dir):
+    path = fixtures_dir / "rrc_pair.mech"
+    result = runner.invoke(main, ["analyze", "--policy", "strict", "--oracle", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"{path}: error: loop 1 (adding leg 2): cannot decide whether the axis of "
+        "joint 1.1 is parallel to the axis of joint 2.1\n"
+    )
+    assert "oracle:" not in result.stdout
+
+
+def test_strict_batch_still_reports_decided_files(runner, fixtures_dir):
+    hinge, tricept = fixtures_dir / "toy_hinge.mech", fixtures_dir / "tricept.mech"
+    result = runner.invoke(main, ["analyze", "--policy", "strict", str(hinge), str(tricept)])
+    assert result.exit_code == 1
+    assert result.stdout == runner.invoke(main, ["analyze", str(hinge)]).stdout
+    assert result.stderr.startswith(f"{tricept}: error: cannot decide whether ")
+
+
 def test_oracle_agreement_line(runner, fixtures_dir):
     result = runner.invoke(
         main, ["analyze", "--oracle", str(fixtures_dir / "three_rrc.mech")]
