@@ -19,11 +19,9 @@ from .oracle import (
 )
 from .parser import ParseError, parse_mechanism_file, parse_mechanism_text
 from .poc import (
-    IndeterminateRelation,
     LoopRank,
     OverlappingSupport,
     PocMatrix,
-    Policy,
     intersect_rotation,
     intersect_translation,
     normalize,
@@ -67,7 +65,6 @@ __all__ = [
     "FORMAT_VERSION",
     "GeometricInstance",
     "InconsistentRelations",
-    "IndeterminateRelation",
     "InvalidMechanism",
     "JointKind",
     "LegPoc",
@@ -82,7 +79,6 @@ __all__ = [
     "PlatformRelations",
     "PlatformSide",
     "PocMatrix",
-    "Policy",
     "RelationCode",
     "RelationGraph",
     "Segment",

@@ -20,7 +20,6 @@ import click
 from .mobility import analyze_mechanism
 from .oracle import Unsatisfiable, verify_mechanism
 from .parser import ParseError, parse_mechanism_text
-from .poc import IndeterminateRelation, Policy
 from .relations import InconsistentRelations
 from .report import render_human, render_structured
 from .topology import TopologyError
@@ -44,7 +43,7 @@ def _analyze_file(
     path: str,
     fmt: str,
     trace: bool,
-    policy: Policy,
+    strict: bool,
     oracle: bool,
     seed: int,
     seeds: int,
@@ -65,11 +64,15 @@ def _analyze_file(
         outcome.messages.append(f"{path}: {err}")
         return outcome
     try:
-        report = analyze_mechanism(mech, policy=policy)
+        report = analyze_mechanism(mech)
+        if strict and report.assumptions:
+            outcome.code = ANALYSIS_ERROR
+            outcome.messages.append(f"{path}: error: {report.assumptions[0]}")
+            return outcome
         result = None
         if oracle:
             result = verify_mechanism(mech, report, range(seed, seed + seeds))
-    except (IndeterminateRelation, InconsistentRelations, Unsatisfiable, TopologyError) as err:
+    except (InconsistentRelations, Unsatisfiable, TopologyError) as err:
         outcome.code = ANALYSIS_ERROR
         outcome.messages.append(f"{path}: error: {err}")
         return outcome
@@ -137,11 +140,10 @@ def analyze(
     seed: int | None,
 ) -> None:
     """Analyze mechanism topology FILES."""
-    chosen_policy = Policy.STRICT if policy == "strict" else Policy.GENERAL
     base_seed = 0 if seed is None else seed
+    strict = policy == "strict"
     outcomes = [
-        _analyze_file(path, fmt, trace, chosen_policy, oracle, base_seed, seeds)
-        for path in files
+        _analyze_file(path, fmt, trace, strict, oracle, base_seed, seeds) for path in files
     ]
     for outcome in outcomes:
         for message in outcome.messages:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poc import PocMatrix, Policy, normalize, poc_or
+from .poc import PocMatrix, normalize, poc_or
 from .relations import RelationGraph
 from .subchains import Segment, extract_subchains, subchain_poc
 from .topology import LegTopology
@@ -36,15 +36,18 @@ class LegPoc:
         return self.matrix.xi_r
 
 
-def analyze_leg(leg: LegTopology, g: RelationGraph, policy: Policy = Policy.GENERAL) -> LegPoc:
+def analyze_leg(
+    leg: LegTopology, g: RelationGraph, ledger: list[str] | None = None
+) -> LegPoc:
     """Compute the POC matrix of a leg.
 
-    The output rank never exceeds the leg's joint count or six.
+    The output rank never exceeds the leg's joint count or six.  Direction
+    questions the relations leave open are appended to ledger when given.
     """
     segments = extract_subchains(leg, g)
     combined = poc_or(
         [subchain_poc(s.kind, s.start, leg.f).with_owner(leg.label) for s in segments]
     )
-    matrix = normalize(combined, g, policy).widen(6)
+    matrix = normalize(combined, g, ledger).widen(6)
     assert matrix.rank <= min(leg.f, 6)
     return LegPoc(leg, matrix, segments)

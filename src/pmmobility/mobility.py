@@ -18,13 +18,11 @@ from .legs import LegPoc, analyze_leg
 from .poc import (
     AlongAxis,
     DirectionDescriptor,
-    IndeterminateRelation,
     LoopRank,
     MeetLine,
     NormalLine,
     NormalPlane,
     PocMatrix,
-    Policy,
     SpanPlane,
     intersect_rotation,
     intersect_translation,
@@ -40,7 +38,10 @@ class MobilityReport:
     """Full analysis result for one mechanism.
 
     sub_pocs[i] is the sub-mechanism POC after loop i + 1 closes; the last
-    entry is the moving platform's POC.
+    entry is the moving platform's POC.  assumptions lists the direction
+    questions the seeded relations left open, in the order asked, each
+    answered no (general position); loop questions carry a
+    "loop i (adding leg n): " prefix.  Empty means all were decided.
     """
 
     mechanism: str
@@ -54,6 +55,7 @@ class MobilityReport:
     translation_joints: tuple[str, ...]
     rotation_joints: tuple[str, ...]
     sub_pocs: tuple[PocMatrix, ...]
+    assumptions: tuple[str, ...]
 
 
 def classify(poc: PocMatrix) -> str:
@@ -113,20 +115,21 @@ def _joint_labels(g: RelationGraph, row: tuple[int, ...], owner: int | None) -> 
     return tuple(labels)
 
 
-def analyze_mechanism(
-    mech: MechanismTopology, policy: Policy = Policy.GENERAL
-) -> MobilityReport:
+def analyze_mechanism(mech: MechanismTopology) -> MobilityReport:
     """Analyze a parallel mechanism topology.
 
     Raises InvalidMechanism when validate_mechanism reports violations and
-    propagates relation graph and POC algebra errors.  The computation is
-    pure: equal inputs give equal reports.
+    propagates relation graph and POC algebra errors.  Direction questions
+    the seeded relations leave open do not raise: they are answered in
+    general position and listed in the report's assumptions.  The
+    computation is pure: equal inputs give equal reports.
     """
     problems = validate_mechanism(mech)
     if problems:
         raise InvalidMechanism(problems)
     g = build_relation_graph(mech)
-    leg_pocs = tuple(analyze_leg(leg, g, policy) for leg in mech.legs)
+    assumptions: list[str] = []
+    leg_pocs = tuple(analyze_leg(leg, g, assumptions) for leg in mech.legs)
 
     state_t = translation_view(leg_pocs[0].matrix, g)
     state_r = rotation_view(leg_pocs[0].matrix, g)
@@ -135,13 +138,10 @@ def analyze_mechanism(
     for idx, lp in enumerate(leg_pocs[1:], start=2):
         leg_t = translation_view(lp.matrix, g)
         leg_r = rotation_view(lp.matrix, g)
-        try:
-            meet_t = intersect_translation(state_t, leg_t, g, policy)
-            meet_r = intersect_translation(state_r, leg_r, g, policy)
-        except IndeterminateRelation as err:
-            raise IndeterminateRelation(
-                f"loop {idx - 1} (adding leg {lp.leg.label}): {err}", step=idx - 1
-            ) from err
+        asked: list[str] = []
+        meet_t = intersect_translation(state_t, leg_t, g, asked)
+        meet_r = intersect_translation(state_r, leg_r, g, asked)
+        assumptions.extend(f"loop {idx - 1} (adding leg {lp.leg.label}): {q}" for q in asked)
         loops.append(
             LoopRank(
                 state_t.rank + leg_t.rank - meet_t.rank,
@@ -150,7 +150,7 @@ def analyze_mechanism(
         )
         if state_r.rank == leg_r.rank == 1:
             # two rotation lines: the line-bound rule, which asks no question
-            meet_r = intersect_rotation(state_r, leg_r, g, policy)
+            meet_r = intersect_rotation(state_r, leg_r, g)
         state_t, state_r = meet_t, meet_r
         sub_pocs.append(_matrix_from_descriptors(state_t, state_r))
 
@@ -169,4 +169,5 @@ def analyze_mechanism(
         translation_joints=_joint_labels(g, poc.t, poc.owners[0]),
         rotation_joints=_joint_labels(g, poc.r, poc.owners[1]),
         sub_pocs=tuple(sub_pocs),
+        assumptions=tuple(assumptions),
     )

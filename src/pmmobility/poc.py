@@ -7,33 +7,18 @@ of 3 means the full three dimensional output with no attributed direction.
 
 Direction bookkeeping is symbolic.  A rank 1 or rank 2 output carries a
 direction form built from joint axis references; the relation graph decides
-parallelism and containment questions.  When a question cannot be decided
-from seeded relations the general position policy assumes the generic
-answer, while the strict policy raises IndeterminateRelation.
+parallelism and containment questions.  A question the seeded relations
+leave open gets the general position answer, no, and is appended to the
+caller's ledger when one is passed, so the caller can tell a decided result
+from one that took assumptions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .relations import AxisRef, RelationGraph
 from .topology import JointKind, RelationCode
-
-
-class Policy(Enum):
-    """How to resolve direction questions the seeded relations leave open."""
-
-    GENERAL = "general"
-    STRICT = "strict"
-
-
-class IndeterminateRelation(ValueError):
-    """A direction question affects the result but is not decidable."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
 
 
 class OverlappingSupport(ValueError):
@@ -295,13 +280,16 @@ def _plane_meet_line(g: RelationGraph, p: PlaneForm, q: PlaneForm) -> LineForm:
     return MeetLine(p, q)
 
 
-def _resolve(value: bool | None, policy: Policy, question: str) -> bool:
-    """Collapse a tri-state answer according to the policy."""
-    if value is not None:
-        return value
-    if policy is Policy.STRICT:
-        raise IndeterminateRelation(f"cannot decide whether {question}")
-    return False
+def _resolve(value: bool | None, ledger: list[str] | None, question: str) -> bool:
+    """Collapse a tri-state answer; an open question counts as no.
+
+    The open question is appended to the ledger when one is given.
+    """
+    if value is None:
+        if ledger is not None:
+            ledger.append(f"cannot decide whether {question}")
+        return False
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -453,7 +441,7 @@ def _inside(
     a: DirectionDescriptor,
     b: DirectionDescriptor,
     g: RelationGraph,
-    policy: Policy,
+    ledger: list[str] | None,
 ) -> bool:
     """Does the lower-rank operand lie inside the other?
 
@@ -467,17 +455,17 @@ def _inside(
     if b.rank < a.rank:
         a, b = b, a
     if b.rank == 1:
-        return _resolve(lines_parallel(g, a.line, b.line), policy, f"{a.line} is parallel to {b.line}")
+        return _resolve(lines_parallel(g, a.line, b.line), ledger, f"{a.line} is parallel to {b.line}")
     if a.rank == 1:
-        return _resolve(line_in_plane(g, a.line, b.plane), policy, f"{a.line} lies in {b.plane}")
-    return _resolve(planes_parallel(g, a.plane, b.plane), policy, f"{a.plane} equals {b.plane}")
+        return _resolve(line_in_plane(g, a.line, b.plane), ledger, f"{a.line} lies in {b.plane}")
+    return _resolve(planes_parallel(g, a.plane, b.plane), ledger, f"{a.plane} equals {b.plane}")
 
 
 def intersect_translation(
     a: DirectionDescriptor,
     b: DirectionDescriptor,
     g: RelationGraph,
-    policy: Policy = Policy.GENERAL,
+    ledger: list[str] | None = None,
 ) -> DirectionDescriptor:
     """Intersection of translation direction subspaces.
 
@@ -491,7 +479,7 @@ def intersect_translation(
         return b
     if b.rank == 3 or a == b:
         return a
-    if _inside(a, b, g, policy):
+    if _inside(a, b, g, ledger):
         return b if b.rank < a.rank else a
     if a.rank == b.rank == 2:
         return line_direction(_plane_meet_line(g, a.plane, b.plane))
@@ -502,7 +490,7 @@ def intersect_rotation(
     a: DirectionDescriptor,
     b: DirectionDescriptor,
     g: RelationGraph,
-    policy: Policy = Policy.GENERAL,
+    ledger: list[str] | None = None,
 ) -> DirectionDescriptor:
     """Intersection of rotation outputs.
 
@@ -520,14 +508,14 @@ def intersect_rotation(
         ):
             return a
         return EMPTY_DIRECTION
-    return intersect_translation(a, b, g, policy)
+    return intersect_translation(a, b, g, ledger)
 
 
 def union(
     a: DirectionDescriptor,
     b: DirectionDescriptor,
     g: RelationGraph,
-    policy: Policy = Policy.GENERAL,
+    ledger: list[str] | None = None,
 ) -> DirectionDescriptor:
     """Union of two translation or two rotation direction subspaces.
 
@@ -541,10 +529,10 @@ def union(
         return a
     if a.rank == 3 or b.rank == 3:
         return FULL_DIRECTION
-    if _inside(a, b, g, policy):
+    if _inside(a, b, g, ledger):
         return b if b.rank > a.rank else a
     if a.rank == b.rank == 1:
-        return plane_direction(_pair_plane(a.line, b.line, g, policy))
+        return plane_direction(_pair_plane(a.line, b.line, g, ledger))
     return FULL_DIRECTION
 
 
@@ -564,7 +552,9 @@ class LoopRank:
 # normalization of a serial chain's combined POC matrix
 
 
-def _pair_plane(a: LineForm, b: LineForm, g: RelationGraph, policy: Policy) -> PlaneForm:
+def _pair_plane(
+    a: LineForm, b: LineForm, g: RelationGraph, ledger: list[str] | None
+) -> PlaneForm:
     """Plane spanned by two independent translation lines.
 
     Two translations in the normal plane of parallel axes fill that plane,
@@ -573,20 +563,20 @@ def _pair_plane(a: LineForm, b: LineForm, g: RelationGraph, policy: Policy) -> P
     plane so later membership tests can recognize it.
     """
     if isinstance(a, NormalLine) and isinstance(b, NormalLine):
-        if _resolve(_axes_parallel(g, a.axis, b.axis), policy, f"{a} and {b} share a plane"):
+        if _resolve(_axes_parallel(g, a.axis, b.axis), ledger, f"{a} and {b} share a plane"):
             return NormalPlane(a.axis)
     for line, other in ((a, b), (b, a)):
         if isinstance(line, NormalLine) and isinstance(other, AlongAxis):
             if _resolve(
                 _axes_perpendicular(g, line.axis, other.axis),
-                policy,
+                ledger,
                 f"{other} lies in the plane of {line}",
             ):
                 return NormalPlane(line.axis)
     return SpanPlane(a, b)
 
 
-def normalize(m: PocMatrix, g: RelationGraph, policy: Policy = Policy.GENERAL) -> PocMatrix:
+def normalize(m: PocMatrix, g: RelationGraph, ledger: list[str] | None = None) -> PocMatrix:
     """Reduce a combined serial-chain POC matrix to independent outputs.
 
     Rotation entries are grouped by parallel class: only the first column
@@ -655,7 +645,7 @@ def normalize(m: PocMatrix, g: RelationGraph, policy: Policy = Policy.GENERAL) -
         owner = t_owner if t_owner is not None else r_owner
         for col in sorted(per_col):
             atom = _translation_atom(g, _row_axis(owner, col), min(per_col[col], 2))
-            grown = union(acc, atom, g, policy)
+            grown = union(acc, atom, g, ledger)
             gains[col] = grown.rank - acc.rank
             acc = grown
         if acc.rank >= 3:

@@ -9,7 +9,7 @@ import pytest
 from helpers import UP_MATRIX, UPS_MATRIX, make_mechanism, random_mechanism
 from pmmobility import analyze_mechanism, decode_leg, parse_mechanism_file
 from pmmobility.mobility import classify
-from pmmobility.poc import IndeterminateRelation, PocMatrix, Policy, normalize
+from pmmobility.poc import PocMatrix, normalize
 from pmmobility.relations import InconsistentRelations, build_relation_graph
 from pmmobility.report import render_structured
 from pmmobility.topology import InvalidMechanism, MechanismTopology
@@ -155,25 +155,32 @@ def test_dof_identity_and_normal_forms():
 
 def test_strict_policy_passes_on_decided_fixtures(fixtures_dir):
     for name in ("toy_hinge", "rigid_perp"):
-        mech = parse_mechanism_file(fixtures_dir / f"{name}.mech")
-        strict = analyze_mechanism(mech, policy=Policy.STRICT)
-        assert strict.dof == GOLDEN_MOBILITY[name][0]
+        report = analyze_mechanism(parse_mechanism_file(fixtures_dir / f"{name}.mech"))
+        assert report.dof == GOLDEN_MOBILITY[name][0]
+        assert report.assumptions == ()
 
 
 def test_strict_policy_raises_inside_leg(tricept):
     # the UPS legs leave the prismatic unrelated to the base pair
-    with pytest.raises(IndeterminateRelation, match="cannot decide whether") as err:
-        analyze_mechanism(tricept, policy=Policy.STRICT)
-    assert err.value.step is None
-    assert not str(err.value).startswith("loop")
+    assert analyze_mechanism(tricept).assumptions[0] == (
+        "cannot decide whether the axis of joint 1.3 is parallel to a line normal to joint 1.5"
+    )
 
 
 def test_strict_policy_reports_failing_loop(fixtures_dir):
-    mech = parse_mechanism_file(fixtures_dir / "rrc_pair.mech")
-    with pytest.raises(IndeterminateRelation, match=r"^loop 1 \(adding leg 2\):") as err:
-        analyze_mechanism(mech, policy=Policy.STRICT)
-    assert err.value.step == 1
-    assert str(err.value) == (
+    report = analyze_mechanism(parse_mechanism_file(fixtures_dir / "rrc_pair.mech"))
+    assert report.assumptions == (
         "loop 1 (adding leg 2): cannot decide whether "
-        "the axis of joint 1.1 is parallel to the axis of joint 2.1"
+        "the axis of joint 1.1 is parallel to the axis of joint 2.1",
+    )
+
+
+def test_assumptions_follow_the_order_of_the_questions(fixtures_dir):
+    report = analyze_mechanism(parse_mechanism_file(fixtures_dir / "prrrr_pair.mech"))
+    assert report.assumptions == (
+        "cannot decide whether a line normal to joint 1.4 lies in the normal plane of joint 1.2",
+        "cannot decide whether a line normal to joint 2.4 lies in the normal plane of joint 2.2",
+        "loop 1 (adding leg 2): cannot decide whether the plane of the axis of joint 1.2 "
+        "and the axis of joint 1.4 equals the plane of the axis of joint 2.2 and the axis "
+        "of joint 2.4",
     )

@@ -7,11 +7,9 @@ import pytest
 
 from pmmobility import (
     AxisRef,
-    IndeterminateRelation,
     LoopRank,
     OverlappingSupport,
     PocMatrix,
-    Policy,
     analyze_leg,
     analyze_mechanism,
     build_relation_graph,
@@ -381,7 +379,7 @@ def test_table_cells_against_numeric_subspaces(cells_graph):
 
 
 # --------------------------------------------------------------------------
-# policy handling
+# open direction questions: answered no, recorded in a ledger when given
 
 
 def test_general_policy_resolves_open_questions_silently(cells_graph):
@@ -390,18 +388,24 @@ def test_general_policy_resolves_open_questions_silently(cells_graph):
 
 
 def test_strict_policy_raises_on_open_questions(cells_graph):
+    # --policy strict fails on the first question a ledger records
     forms = _cells_forms()
-    with pytest.raises(IndeterminateRelation, match="cannot decide"):
-        intersect_translation(forms["Lw"], forms["Pyz"], cells_graph, Policy.STRICT)
-    with pytest.raises(IndeterminateRelation):
-        union(forms["Lw"], forms["Ly"], cells_graph, Policy.STRICT)
+    ledger: list[str] = []
+    assert intersect_translation(forms["Lw"], forms["Pyz"], cells_graph, ledger).rank == 0
+    assert union(forms["Lw"], forms["Ly"], cells_graph, ledger).rank == 2
+    assert ledger == [
+        "cannot decide whether the axis of joint 2.1 lies in the normal plane of joint 1.4",
+        "cannot decide whether the axis of joint 2.1 is parallel to the axis of joint 1.2",
+    ]
 
 
 def test_strict_policy_passes_on_decided_questions(cells_graph):
     forms = _cells_forms()
-    assert intersect_translation(forms["Lx"], forms["Ly"], cells_graph, Policy.STRICT).rank == 0
-    assert union(forms["Lx"], forms["Lx2"], cells_graph, Policy.STRICT).rank == 1
-    assert intersect_rotation(forms["Rx"], forms["Rx2"], cells_graph, Policy.STRICT).rank == 1
+    ledger: list[str] = []
+    assert intersect_translation(forms["Lx"], forms["Ly"], cells_graph, ledger).rank == 0
+    assert union(forms["Lx"], forms["Lx2"], cells_graph, ledger).rank == 1
+    assert intersect_rotation(forms["Rx"], forms["Rx2"], cells_graph, ledger).rank == 1
+    assert ledger == []
 
 
 def test_strict_normalize_raises_when_span_is_open():
@@ -410,8 +414,11 @@ def test_strict_normalize_raises_when_span_is_open():
     g = build_relation_graph(mech)
     combined = PocMatrix((1, 1), (0, 0)).with_owner(1)
     assert normalize(combined, g).xi_t == 2
-    with pytest.raises(IndeterminateRelation):
-        normalize(combined, g, Policy.STRICT)
+    ledger: list[str] = []
+    assert normalize(combined, g, ledger).xi_t == 2
+    assert ledger == [
+        "cannot decide whether the axis of joint 1.1 is parallel to the axis of joint 1.2"
+    ]
 
 
 # --------------------------------------------------------------------------
