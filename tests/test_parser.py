@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 from helpers import RRC_MATRIX, UP_MATRIX, UPS_MATRIX
 from pmmobility import (
+    InconsistentRelations,
     ParseError,
     RelationCode,
+    TopologyError,
+    analyze_mechanism,
     encode_leg,
     parse_mechanism_file,
     parse_mechanism_text,
@@ -235,3 +241,45 @@ def test_reencoded_legs_round_trip(fixtures_dir):
             lines.append("  " + " ".join(cells))
     again = parse_mechanism_text("\n".join(lines) + "\n")
     assert again == mech
+
+
+# tokens of the grammar, plus a few near misses and a line break
+FUZZ_VOCABULARY = (
+    "mechanism", "leg", "platform", "rel", "moving:", "fixed:", ":", "1:", "2:",
+    "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "-1",
+    "R", "P", "-", "||", "_|_", "/", "#", "*", "x", "\n",
+)
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """Replace, delete or insert one to three whitespace-separated tokens."""
+    for _ in range(rng.randint(1, 3)):
+        start, end = rng.choice([m.span() for m in re.finditer(r"\S+", text)])
+        token = rng.choice(FUZZ_VOCABULARY)
+        text = rng.choice(
+            (
+                text[:start] + token + text[end:],
+                text[:start] + text[end:],
+                text[:start] + token + " " + text[start:],
+            )
+        )
+    return text
+
+
+def test_mutated_fixtures_raise_only_input_errors(fixtures_dir):
+    texts = [p.read_text(encoding="utf-8") for p in sorted(fixtures_dir.glob("*.mech"))]
+    rng = random.Random(0)
+    analyzed = 0
+    for _ in range(600):
+        text = _mutate(rng.choice(texts), rng)
+        try:
+            mech = parse_mechanism_text(text, on_warning=lambda message: None)
+        except (ParseError, TopologyError):
+            continue
+        try:
+            analyze_mechanism(mech)
+        except (InconsistentRelations, TopologyError):
+            continue
+        analyzed += 1
+    # enough mutants survive parsing that the analysis is exercised too
+    assert analyzed >= 30
