@@ -36,9 +36,7 @@ class LegPoc:
         return self.matrix.xi_r
 
 
-def analyze_leg(
-    leg: LegTopology, g: RelationGraph, ledger: list[str] | None = None
-) -> LegPoc:
+def analyze_leg(leg: LegTopology, g: RelationGraph, ledger: list[str] | None = None) -> LegPoc:
     """Compute the POC matrix of a leg.
 
     The output rank never exceeds the leg's joint count or six.  Direction

@@ -8,9 +8,8 @@ of 3 means the full three dimensional output with no attributed direction.
 Direction bookkeeping is symbolic.  A rank 1 or rank 2 output carries a
 direction form built from joint axis references; the relation graph decides
 parallelism and containment questions.  A question the seeded relations
-leave open gets the general position answer, no, and is appended to the
-caller's ledger when one is passed, so the caller can tell a decided result
-from one that took assumptions.
+leave open is answered no (general position) and appended to the caller's
+ledger when one is passed.
 """
 
 from __future__ import annotations
@@ -281,10 +280,7 @@ def _plane_meet_line(g: RelationGraph, p: PlaneForm, q: PlaneForm) -> LineForm:
 
 
 def _resolve(value: bool | None, ledger: list[str] | None, question: str) -> bool:
-    """Collapse a tri-state answer; an open question counts as no.
-
-    The open question is appended to the ledger when one is given.
-    """
+    """Collapse a tri-state answer: an open question is no, noted in the ledger."""
     if value is None:
         if ledger is not None:
             ledger.append(f"cannot decide whether {question}")
@@ -552,9 +548,7 @@ class LoopRank:
 # normalization of a serial chain's combined POC matrix
 
 
-def _pair_plane(
-    a: LineForm, b: LineForm, g: RelationGraph, ledger: list[str] | None
-) -> PlaneForm:
+def _pair_plane(a: LineForm, b: LineForm, g: RelationGraph, ledger: list[str] | None) -> PlaneForm:
     """Plane spanned by two independent translation lines.
 
     Two translations in the normal plane of parallel axes fill that plane,
