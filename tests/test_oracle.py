@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from helpers import (
     make_mechanism,
     pair_mechanism,
 )
-from pmmobility import analyze_mechanism, parse_mechanism_file
+from pmmobility import analyze_mechanism, oracle, parse_mechanism_file
 from pmmobility.oracle import (
+    _RESAMPLE_STEP,
     RESIDUAL_TOL,
     Unsatisfiable,
     _line_distance,
@@ -232,3 +234,91 @@ def test_oracle_flags_concurrent_quad_overstatement():
     report = analyze_mechanism(mech)
     result = verify_mechanism(mech, report, seeds=range(5))
     assert not result.all_agree
+
+
+def _batch_corpus(fixtures_dir):
+    mechs = [parse_mechanism_file(fixtures_dir / f"{name}.mech") for name in ALL_FIXTURES]
+    rng = random.Random(5)
+    return mechs + [labeled_random_mechanism(rng) for _ in range(40)]
+
+
+def _one_seed_at_a_time(mech, report, seeds):
+    return tuple(c for s in seeds for c in verify_mechanism(mech, report, [s]).comparisons)
+
+
+def test_batched_seeds_match_one_seed_calls(fixtures_dir):
+    checked = 0
+    for mech in _batch_corpus(fixtures_dir):
+        report = analyze_mechanism(mech)
+        try:
+            expected = _one_seed_at_a_time(mech, report, range(20))
+        except Unsatisfiable:
+            with pytest.raises(Unsatisfiable):
+                verify_mechanism(mech, report, range(20))
+            continue
+        result = verify_mechanism(mech, report, range(20))
+        assert result.seeds == tuple(range(20))
+        assert result.comparisons == expected, mech.name
+        checked += 1
+    assert checked >= 40
+    empty = verify_mechanism(mech, report, range(0))
+    assert (empty.seeds, empty.comparisons) == ((), ())
+
+
+def _numeric_report(mech, g, seed):
+    """A report whose numbers are the oracle's own for one draw."""
+    n = numeric_loop_and_platform(mech, instantiate_geometry(mech, g, seed))
+    return SimpleNamespace(
+        loop_ranks=tuple(SimpleNamespace(xi=r) for r in n.loop_ranks),
+        poc=SimpleNamespace(rank=n.platform_dim, xi_t=n.platform_xi_t, xi_r=n.platform_xi_r),
+        dof=n.dof,
+        graph=g,
+    )
+
+
+def test_flagged_seeds_report_their_third_draw(monkeypatch, fixtures_dir):
+    mech = parse_mechanism_file(fixtures_dir / "three_rrc.mech")
+    g = build_relation_graph(mech)
+    # a coarse threshold makes the ranks depend on the draw, and a huge near
+    # band flags every draw, so each seed ends on its last resample
+    monkeypatch.setattr(oracle, "RANK_RTOL", 0.3)
+    monkeypatch.setattr(oracle, "NEAR_FACTOR", 1e30)
+    moved = 0
+    for seed in range(10):
+        third = _numeric_report(mech, g, seed + 2 * _RESAMPLE_STEP)
+        assert verify_mechanism(mech, third, [seed]).all_agree, seed
+        first = _numeric_report(mech, g, seed)
+        moved += not verify_mechanism(mech, first, [seed]).all_agree
+    assert moved >= 3
+
+
+def test_partly_flagged_batch_matches_one_seed_calls(monkeypatch, fixtures_dir):
+    mech = parse_mechanism_file(fixtures_dir / "tricept.mech")
+    g = build_relation_graph(mech)
+    monkeypatch.setattr(oracle, "RANK_RTOL", 0.3)
+    monkeypatch.setattr(oracle, "NEAR_FACTOR", 1.1)
+
+    def flagged(seeds):
+        return [
+            s for s in seeds
+            if numeric_loop_and_platform(mech, instantiate_geometry(mech, g, s)).near_threshold
+        ]
+
+    # some seeds settle on their first draw, some on their second, some on none
+    first = flagged(range(20))
+    second = flagged([s + _RESAMPLE_STEP for s in first])
+    assert 0 < len(second) < len(first) < 20
+    report = _numeric_report(mech, g, 0)
+    expected = _one_seed_at_a_time(mech, report, range(20))
+    assert verify_mechanism(mech, report, range(20)).comparisons == expected
+    assert any(c.agrees for c in expected) and not all(c.agrees for c in expected)
+
+
+def test_verify_raises_on_four_mutually_perpendicular_axes():
+    legs = [
+        leg_from_relations(1, "RRRR", {p: 2 for p in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]}),
+        leg_from_relations(2, "R", {}),
+    ]
+    mech = make_mechanism("imposs", legs)
+    with pytest.raises(Unsatisfiable):
+        verify_mechanism(mech, analyze_mechanism(mech), range(20))
