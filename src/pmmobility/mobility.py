@@ -12,7 +12,7 @@ the loop ranks, and the final intersection is the moving platform's POC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .legs import LegPoc, analyze_leg
 from .poc import (
@@ -42,6 +42,8 @@ class MobilityReport:
     questions the seeded relations left open, in the order asked, each
     answered no (general position); loop questions carry a
     "loop i (adding leg n): " prefix.  Empty means all were decided.
+    graph is the relation graph the analysis ran on, handed to the numeric
+    oracle so it is built once; it takes no part in equality or repr.
     """
 
     mechanism: str
@@ -56,6 +58,7 @@ class MobilityReport:
     rotation_joints: tuple[str, ...]
     sub_pocs: tuple[PocMatrix, ...]
     assumptions: tuple[str, ...]
+    graph: RelationGraph = field(compare=False, repr=False)
 
 
 def classify(poc: PocMatrix) -> str:
@@ -170,4 +173,5 @@ def analyze_mechanism(mech: MechanismTopology) -> MobilityReport:
         rotation_joints=_joint_labels(g, poc.r, poc.owners[1]),
         sub_pocs=tuple(sub_pocs),
         assumptions=tuple(assumptions),
+        graph=g,
     )

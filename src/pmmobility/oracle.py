@@ -9,10 +9,22 @@ revolute joint at point p with unit direction d contributes the twist
 Ranks use singular values with a relative threshold.  Geometry sampling is
 driven by a seeded PCG64 generator, so results are reproducible across
 platforms.
+
+Everything that does not depend on the seed (the order in which parallel
+classes are drawn and which earlier classes each must be perpendicular to,
+the anchor of every line, the common-point groups, the coplanar moves and
+each leg's axis indices) is compiled once per mechanism into an
+OraclePlan.  Each seed keeps its own PCG64 stream, drawn in the same order
+as a one-seed call, and the seeds are sampled and ranked as one stack.
+verify_mechanism draws again only the seeds whose singular values fell near
+the rank threshold.  instantiate_geometry and numeric_loop_and_platform are
+one-seed calls into the same code, and a stacked seed gives bit for bit the
+result of its one-seed call.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +46,13 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n < 1e-12:
+    """Normalise the last axis of v."""
+    # sqrt(vecdot) rounds like the norm of one vector does, where a stacked
+    # np.linalg.norm(v, axis=-1) can differ in the last bit
+    n = np.sqrt(np.vecdot(v, v))
+    if np.any(n < 1e-12):
         raise Unsatisfiable("degenerate direction while sampling geometry")
-    return v / n
+    return v / n[..., None]
 
 
 @dataclass
@@ -83,72 +98,158 @@ def _line_distance(inst: GeometricInstance, a: AxisRef, b: AxisRef) -> float:
     return float(abs(np.dot(offset, n / norm)))
 
 
+def _revolute_mask(kinds) -> np.ndarray:
+    return np.array([kind is JointKind.REVOLUTE for kind in kinds])[:, None]
+
+
+@dataclass(frozen=True)
+class _PlanLeg:
+    """Parallel-class and anchor index of each joint axis of one leg."""
+
+    classes: np.ndarray
+    anchors: np.ndarray
+    revolute: np.ndarray
+
+
+class OraclePlan:
+    """The seed-independent part of sampling and ranking one mechanism.
+
+    A draw is a pair of stacks: one unit direction per parallel class
+    (seeds x classes x 3) and one anchor point per coaxial line (seeds x
+    lines x 3), both in sorted root order.  Every parallel class receives
+    one direction; perpendicular class pairs are enforced by projection.
+    Coaxial axes share their anchor point, common-point groups share one
+    point, and coplanar pairs are anchored so the two lines intersect.
+    """
+
+    def __init__(self, mech: MechanismTopology, g: RelationGraph) -> None:
+        axes = g.axes()
+        roots = sorted({g.parallel_class(a) for a in axes})
+        # the earlier classes each class must be perpendicular to
+        self._perpendicular = [
+            [j for j, other in enumerate(roots[:i]) if g.perpendicular(root, other)]
+            for i, root in enumerate(roots)
+        ]
+        class_index = {root: i for i, root in enumerate(roots)}
+        self._class_of = {a: class_index[g.parallel_class(a)] for a in axes}
+
+        # anchor points: one uniform draw per coaxial line, then one per
+        # common-point group.  Linked lines share their group's draw; a
+        # group's root is its smallest line, so the sorted walk meets it first
+        coax_root = {a: g.coaxial_class(a) for a in axes}
+        lines = sorted(set(coax_root.values()))
+        line_index = {root: i for i, root in enumerate(lines)}
+        self._anchor_of = {a: line_index[coax_root[a]] for a in axes}
+        groups = _UnionFind(lines)
+        pinned: set[AxisRef] = set()
+        for a, b, code in g.seeded_pairs():
+            if code is RelationCode.COMMON_POINT:
+                pinned.update((coax_root[a], coax_root[b]))
+                groups.union(coax_root[a], coax_root[b])
+        source = list(range(len(lines)))
+        group_draw: dict[AxisRef, int] = {}
+        for root in sorted(pinned):
+            group = groups.find(root)
+            if root == group:
+                group_draw[group] = len(lines) + len(group_draw)
+            source[line_index[root]] = group_draw[group]
+        self._uniform_rows = len(lines) + len(group_draw)
+        self._anchor_source = np.array(source, dtype=np.intp)
+
+        # coplanar pairs: move one free line so the two lines intersect
+        self._moves: list[tuple[int, int, int, int]] = []
+        for a, b, code in g.seeded_pairs():
+            if code is not RelationCode.COPLANAR:
+                continue
+            ra, rb = coax_root[a], coax_root[b]
+            if ra == rb:
+                continue
+            if rb in pinned and ra not in pinned:
+                a, b, ra, rb = b, a, rb, ra
+            if rb in pinned:
+                continue
+            self._moves.append(
+                (line_index[ra], self._class_of[a], line_index[rb], self._class_of[b])
+            )
+            pinned.add(ra)
+            pinned.add(rb)
+
+        self._legs = []
+        for leg in mech.legs:
+            leg_axes = [AxisRef(leg.label, j) for j in range(1, len(leg.joints) + 1)]
+            self._legs.append(
+                _PlanLeg(
+                    classes=np.array([self._class_of[a] for a in leg_axes], dtype=np.intp),
+                    anchors=np.array([self._anchor_of[a] for a in leg_axes], dtype=np.intp),
+                    revolute=_revolute_mask(leg.joints),
+                )
+            )
+        self._total_dof = mech.total_joint_dof
+
+    def sample(self, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """Directions and anchor points for each seed, stacked.
+
+        Raises Unsatisfiable when projection leaves some seed no direction.
+        """
+        seeds = list(seeds)
+        classes, moves = len(self._perpendicular), len(self._moves)
+        normal = np.empty((len(seeds), classes, 3))
+        uniform = np.empty((len(seeds), self._uniform_rows, 3))
+        steps = np.empty((len(seeds), moves, 2))
+        for i, seed in enumerate(seeds):
+            rng = _rng(seed)
+            normal[i] = rng.normal(size=(classes, 3))
+            uniform[i] = rng.uniform(size=(self._uniform_rows, 3))
+            steps[i] = rng.normal(size=(moves, 2))
+
+        direction = np.empty_like(normal)
+        for c, earlier in enumerate(self._perpendicular):
+            d = _unit(normal[:, c])
+            if earlier:
+                basis = np.linalg.qr(direction[:, earlier].mT)[0]
+                # a stacked @ rounds like the one-seed product; einsum does not
+                d = _unit(d - (basis @ (basis.mT @ d[..., None]))[..., 0])
+            direction[:, c] = d
+
+        point = uniform[:, self._anchor_source]
+        for k, (ra, ca, rb, cb) in enumerate(self._moves):
+            meet = point[:, ra] + steps[:, k, :1] * direction[:, ca]
+            point[:, rb] = meet + steps[:, k, 1:] * direction[:, cb]
+        return direction, point
+
+    def instance(
+        self, draw: tuple[np.ndarray, np.ndarray], index: int, seed: int
+    ) -> GeometricInstance:
+        """The geometry of one seed of a stacked draw."""
+        direction, point = draw
+        return GeometricInstance(
+            seed=seed,
+            direction={a: direction[index, c] for a, c in self._class_of.items()},
+            point={a: point[index, k] for a, k in self._anchor_of.items()},
+        )
+
+    def rank(self, draw: tuple[np.ndarray, np.ndarray]) -> list[NumericMobility]:
+        """Numeric mobility of each seed of a stacked draw."""
+        direction, point = draw
+        legs = [
+            (direction[:, leg.classes], point[:, leg.anchors], leg.revolute)
+            for leg in self._legs
+        ]
+        return _numeric_mobility(self._total_dof, legs)
+
+
 def instantiate_geometry(
     mech: MechanismTopology, g: RelationGraph | None = None, seed: int = 0
 ) -> GeometricInstance:
     """Sample axis directions and points satisfying the seeded relations.
 
-    Every parallel class receives one direction; perpendicular class pairs
-    are enforced by projection.  Coaxial axes share their anchor point,
-    common-point groups share one point, and coplanar pairs are anchored so
-    the two lines intersect.  Raises Unsatisfiable when projection leaves
-    no direction.
+    A one-seed call into OraclePlan, which says how the relations are met.
+    Raises Unsatisfiable when projection leaves no direction.
     """
     if g is None:
         g = build_relation_graph(mech)
-    rng = _rng(seed)
-    axes = g.axes()
-
-    roots = sorted({g.parallel_class(a) for a in axes})
-    class_dir: dict[AxisRef, np.ndarray] = {}
-    for root in roots:
-        must_perp = [
-            class_dir[other]
-            for other in roots
-            if other in class_dir and g.perpendicular(root, other)
-        ]
-        d = _unit(rng.normal(size=3))
-        if must_perp:
-            basis = np.linalg.qr(np.column_stack(must_perp))[0]
-            d = d - basis @ (basis.T @ d)
-            d = _unit(d)
-        class_dir[root] = d
-    direction = {a: class_dir[g.parallel_class(a)] for a in axes}
-
-    # anchor points: one per coaxial line, then positional constraints
-    coax_root = {a: g.coaxial_class(a) for a in axes}
-    anchor = {root: rng.uniform(size=3) for root in sorted(set(coax_root.values()))}
-
-    # common-point groups: linked coaxial lines share one point.  A group's
-    # root is its smallest line, so the sorted walk draws its point first
-    groups = _UnionFind(anchor)
-    pinned: set[AxisRef] = set()
-    for a, b, code in g.seeded_pairs():
-        if code is RelationCode.COMMON_POINT:
-            pinned.update((coax_root[a], coax_root[b]))
-            groups.union(coax_root[a], coax_root[b])
-    for root in sorted(pinned):
-        group = groups.find(root)
-        anchor[root] = rng.uniform(size=3) if root == group else anchor[group]
-
-    # coplanar pairs: move one free line so the two lines intersect
-    for a, b, code in g.seeded_pairs():
-        if code is not RelationCode.COPLANAR:
-            continue
-        ra, rb = coax_root[a], coax_root[b]
-        if ra == rb:
-            continue
-        if rb in pinned and ra not in pinned:
-            a, b, ra, rb = b, a, rb, ra
-        if rb in pinned:
-            continue
-        meet = anchor[ra] + rng.normal() * direction[a]
-        anchor[rb] = meet + rng.normal() * direction[b]
-        pinned.add(ra)
-        pinned.add(rb)
-
-    point = {a: anchor[coax_root[a]] for a in axes}
-    return GeometricInstance(seed=seed, direction=direction, point=dict(point))
+    plan = OraclePlan(mech, g)
+    return plan.instance(plan.sample([seed]), 0, seed)
 
 
 # --------------------------------------------------------------------------
@@ -166,50 +267,77 @@ class TwistBasis:
     near_threshold: bool
 
 
-def _cutoff(s: np.ndarray, reference: float) -> tuple[int, bool]:
-    """Rank of singular values s against RANK_RTOL * reference, and whether
-    any of them lies within NEAR_FACTOR of that threshold on either side."""
-    if s.size == 0 or reference < 1e-300:
-        return 0, False
-    threshold = RANK_RTOL * reference
+def _cutoff(s: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of stacked singular values s (..., k) against RANK_RTOL times
+    reference (...), and whether any of them lies within NEAR_FACTOR of that
+    threshold on either side."""
+    reference = np.asarray(reference)
+    threshold = (RANK_RTOL * reference)[..., None]
     near = (s > threshold / NEAR_FACTOR) & (s <= NEAR_FACTOR * threshold)
-    return int(np.sum(s > threshold)), bool(np.any(near))
+    live = reference >= 1e-300
+    return np.where(live, np.sum(s > threshold, axis=-1), 0), live & np.any(near, axis=-1)
+
+
+def _ranks(
+    matrices: np.ndarray, scale: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numeric ranks of a stack of matrices, with the threshold relative to
+    scale (default: each matrix's s_max).
+
+    Pass an explicit scale when the matrices are blocks of larger ones, so a
+    block of rounding noise does not count as full rank against itself.
+    """
+    s = np.linalg.svd(matrices, compute_uv=False)
+    rank, near = _cutoff(s, s[..., 0] if scale is None else np.full(s.shape[:-1], scale))
+    return rank, s, near
 
 
 def _rank(matrix: np.ndarray, scale: float | None = None) -> tuple[int, np.ndarray, bool]:
-    """Numeric rank with the threshold relative to scale (default: s_max).
-
-    Pass an explicit scale when the matrix is a block of a larger one, so a
-    block of rounding noise does not count as full rank against itself.
-    """
+    """Numeric rank of one matrix; see _ranks."""
     if matrix.size == 0:
         return 0, np.zeros(0), False
-    s = np.linalg.svd(matrix, compute_uv=False)
-    rank, near = _cutoff(s, s[0] if scale is None else scale)
-    return rank, s, near
+    rank, s, near = _ranks(matrix, scale)
+    return int(rank), s, bool(near)
+
+
+def _leg_spaces(
+    d: np.ndarray, p: np.ndarray, revolute: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Twists, ranks, right singular vectors and near flags of a stack of
+    legs with joint directions d and points p (seeds x f x 3)."""
+    screws = np.where(
+        revolute,
+        np.concatenate([d, np.cross(p, d)], axis=-1),
+        np.concatenate([np.zeros_like(d), d], axis=-1),
+    )
+    _, s, vh = np.linalg.svd(screws, full_matrices=False)
+    rank, near = _cutoff(s, s[..., 0])
+    return screws, rank, vh, near
+
+
+def _one_seed_leg(leg, inst: GeometricInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A leg's joint directions and points as a stack of one seed, and its
+    revolute mask."""
+    axes = [AxisRef(leg.label, j) for j in range(1, len(leg.joints) + 1)]
+    d = np.array([inst.direction[axis] for axis in axes])
+    p = np.array([inst.point[axis] for axis in axes])
+    return d[None], p[None], _revolute_mask(leg.joints)
 
 
 def leg_twist_space(
     mech: MechanismTopology, leg_index: int, inst: GeometricInstance
 ) -> TwistBasis:
     """Twist basis of one leg (leg_index is 0-based)."""
-    leg = mech.legs[leg_index]
-    axes = [AxisRef(leg.label, j) for j in range(1, len(leg.joints) + 1)]
-    d = np.array([inst.direction[axis] for axis in axes])
-    p = np.array([inst.point[axis] for axis in axes])
-    revolute = np.array([kind is JointKind.REVOLUTE for kind in leg.joints])[:, None]
-    screws = np.where(
-        revolute, np.hstack([d, np.cross(p, d)]), np.hstack([np.zeros_like(d), d])
-    )
-    _, s, vh = np.linalg.svd(screws, full_matrices=False)
-    rank, near = _cutoff(s, s[0])
-    return TwistBasis(screws=screws, rank=rank, basis=vh[:rank], near_threshold=near)
+    screws, rank, vh, near = _leg_spaces(*_one_seed_leg(mech.legs[leg_index], inst))
+    r = int(rank[0])
+    return TwistBasis(screws=screws[0], rank=r, basis=vh[0, :r], near_threshold=bool(near[0]))
 
 
-def union_and_intersection(
+def _unions(
     a: np.ndarray, b: np.ndarray
-) -> tuple[int, np.ndarray, bool]:
-    """Union rank and intersection basis of two row-orthonormal subspaces.
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Union ranks, intersection bases and near flags of stacked pairs of
+    row-orthonormal subspaces a (n x ka x 6) and b (n x kb x 6).
 
     One full SVD of the stacked rows [a; b] = u s vh answers both.  Its
     rank is the dimension of the union.  Each left null vector (x, y), a
@@ -217,12 +345,35 @@ def union_and_intersection(
     because the rows of a and of b are orthonormal, |x|^2 = |y|^2 = 1/2 and
     distinct null vectors give orthogonal images, so sqrt(2) x a are
     orthonormal rows spanning the intersection, of dimension
-    len(a) + len(b) - rank.  Both answers come from the same singular
-    values, so one near-threshold flag covers them.
+    ka + kb - rank.  Both answers come from the same singular values, so
+    one near-threshold flag covers them.
     """
-    u, s, _ = np.linalg.svd(np.vstack([a, b]), full_matrices=True)
-    rank, near = _cutoff(s, s[0])
-    return rank, np.sqrt(2.0) * (u[: a.shape[0], rank:].T @ a), near
+    u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-2), full_matrices=True)
+    rank, near = _cutoff(s, s[..., 0])
+    meets: list[np.ndarray] = [np.empty(0)] * len(rank)
+    for r, members in _groups(rank.tolist()).items():
+        # a stacked @ rounds like the one-pair product
+        meet = np.sqrt(2.0) * (u[members, : a.shape[-2], r:].mT @ a[members])
+        for i, m in zip(members, meet):
+            meets[i] = m
+    return rank, meets, near
+
+
+def union_and_intersection(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[int, np.ndarray, bool]:
+    """Union rank and intersection basis of two row-orthonormal subspaces;
+    see _unions."""
+    rank, meets, near = _unions(a[None], b[None])
+    return int(rank[0]), meets[0], bool(near[0])
+
+
+def _groups(keys: list) -> dict:
+    """Indices of equal keys, by key in first-seen order."""
+    out: dict = defaultdict(list)
+    for i, key in enumerate(keys):
+        out[key].append(i)
+    return out
 
 
 @dataclass
@@ -237,6 +388,57 @@ class NumericMobility:
     near_threshold: bool
 
 
+def _numeric_mobility(total_dof: int, legs) -> list[NumericMobility]:
+    """Fold a stack of seeds' legs numerically; legs holds per leg its
+    joint directions and points (seeds x f x 3) and its revolute mask.
+
+    Bases of different ranks cannot share an array, so each loop stacks
+    the seeds whose two sides have equal row counts.
+    """
+    spaces = []
+    near = np.zeros(legs[0][0].shape[0], dtype=bool)
+    for d, p, revolute in legs:
+        _, rank, vh, leg_near = _leg_spaces(d, p, revolute)
+        spaces.append((rank.tolist(), vh))
+        near |= leg_near
+
+    rank, vh = spaces[0]
+    current = [vh[i, :r] for i, r in enumerate(rank)]
+    loops: list[list[int]] = [[] for _ in current]
+    for rank, vh in spaces[1:]:
+        for (ka, kb), members in _groups(list(zip(map(len, current), rank))).items():
+            union, meets, loop_near = _unions(
+                np.stack([current[i] for i in members]), vh[members, :kb]
+            )
+            near[members] |= loop_near
+            for i, r, meet in zip(members, union.tolist(), meets):
+                loops[i].append(r)
+                current[i] = meet
+
+    xi_r = [0] * len(current)
+    for dim, members in _groups(list(map(len, current))).items():
+        if dim:
+            # the basis rows are orthonormal, so the angular block is measured
+            # against scale 1 rather than against its own largest value
+            split, _, split_near = _ranks(
+                np.stack([current[i] for i in members])[:, :, :3], scale=1.0
+            )
+            near[members] |= split_near
+            for i, r in zip(members, split.tolist()):
+                xi_r[i] = r
+    return [
+        NumericMobility(
+            loop_ranks=tuple(loop),
+            platform_dim=len(basis),
+            platform_xi_t=len(basis) - r,
+            platform_xi_r=r,
+            dof=total_dof - sum(loop),
+            near_threshold=bool(flag),
+        )
+        for loop, basis, r, flag in zip(loops, current, xi_r, near)
+    ]
+
+
 def numeric_loop_and_platform(mech: MechanismTopology, inst: GeometricInstance) -> NumericMobility:
     """Fold legs numerically: loop ranks, platform space and its split.
 
@@ -244,37 +446,8 @@ def numeric_loop_and_platform(mech: MechanismTopology, inst: GeometricInstance) 
     rotational part; the remainder are pure translations.  With one leg
     there is no loop and the platform space is the leg space.
     """
-    spaces = []
-    near = False
-    for i in range(mech.leg_count):
-        tb = leg_twist_space(mech, i, inst)
-        near = near or tb.near_threshold
-        spaces.append(tb.basis)
-
-    loops: list[int] = []
-    current = spaces[0]
-    for nxt in spaces[1:]:
-        rank, current, near_loop = union_and_intersection(current, nxt)
-        loops.append(rank)
-        near = near or near_loop
-
-    dim = current.shape[0]
-    if dim:
-        # the basis rows are orthonormal, so the angular block is measured
-        # against scale 1 rather than against its own largest value
-        xi_r, _, near_split = _rank(current[:, :3], scale=1.0)
-        near = near or near_split
-    else:
-        xi_r = 0
-    total = mech.total_joint_dof
-    return NumericMobility(
-        loop_ranks=tuple(loops),
-        platform_dim=dim,
-        platform_xi_t=dim - xi_r,
-        platform_xi_r=xi_r,
-        dof=total - sum(loops),
-        near_threshold=near,
-    )
+    legs = [_one_seed_leg(leg, inst) for leg in mech.legs]
+    return _numeric_mobility(mech.total_joint_dof, legs)[0]
 
 
 # --------------------------------------------------------------------------
@@ -308,20 +481,27 @@ _RESAMPLE_STEP = 10_000_019
 def verify_mechanism(mech: MechanismTopology, report, seeds) -> OracleResult:
     """Compare a symbolic MobilityReport against numeric instances.
 
-    Each seed samples one geometry (resampling a bounded number of times
-    when singular values fall near the rank threshold) and compares loop
-    ranks, platform dimension and the translation/rotation split.
+    Each seed samples one geometry and compares loop ranks, platform
+    dimension and the translation/rotation split.  The seeds are sampled
+    and ranked as one stack on the report's relation graph; a seed whose
+    singular values fall near the rank threshold is drawn again, at seed +
+    attempt * _RESAMPLE_STEP, at most twice.
     """
-    g = build_relation_graph(mech)
+    plan = OraclePlan(mech, report.graph)
+    seeds = tuple(seeds)
+    results: list[NumericMobility | None] = [None] * len(seeds)
+    pending = list(range(len(seeds)))
+    for attempt in range(3):
+        if not pending:
+            break
+        draw = plan.sample(seeds[i] + attempt * _RESAMPLE_STEP for i in pending)
+        for i, result in zip(pending, plan.rank(draw)):
+            results[i] = result
+        pending = [i for i in pending if results[i].near_threshold]
+
     symbolic_loops = tuple(rank.xi for rank in report.loop_ranks)
     comparisons = []
-    for seed in seeds:
-        result = None
-        for attempt in range(3):
-            inst = instantiate_geometry(mech, g, seed + attempt * _RESAMPLE_STEP)
-            result = numeric_loop_and_platform(mech, inst)
-            if not result.near_threshold:
-                break
+    for seed, result in zip(seeds, results):
         mismatches = []
         if result.loop_ranks != symbolic_loops:
             mismatches.append(f"loop ranks {result.loop_ranks} != {symbolic_loops}")
@@ -341,4 +521,4 @@ def verify_mechanism(mech: MechanismTopology, report, seeds) -> OracleResult:
                 detail="; ".join(mismatches) if mismatches else "ok",
             )
         )
-    return OracleResult(seeds=tuple(seeds), comparisons=tuple(comparisons))
+    return OracleResult(seeds=seeds, comparisons=tuple(comparisons))

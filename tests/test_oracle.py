@@ -23,6 +23,8 @@ from pmmobility import analyze_mechanism, oracle, parse_mechanism_file
 from pmmobility.oracle import (
     _RESAMPLE_STEP,
     RESIDUAL_TOL,
+    OraclePlan,
+    NumericMobility,
     Unsatisfiable,
     _line_distance,
     _rank,
@@ -250,19 +252,77 @@ def test_batched_seeds_match_one_seed_calls(fixtures_dir):
     checked = 0
     for mech in _batch_corpus(fixtures_dir):
         report = analyze_mechanism(mech)
+        plan = OraclePlan(mech, report.graph)
         try:
             expected = _one_seed_at_a_time(mech, report, range(20))
         except Unsatisfiable:
             with pytest.raises(Unsatisfiable):
                 verify_mechanism(mech, report, range(20))
+            with pytest.raises(Unsatisfiable):
+                plan.sample(range(20))
             continue
         result = verify_mechanism(mech, report, range(20))
         assert result.seeds == tuple(range(20))
         assert result.comparisons == expected, mech.name
+        draw = plan.sample(range(20))
+        for seed in range(20):
+            stacked = plan.instance(draw, seed, seed)
+            alone = instantiate_geometry(mech, report.graph, seed)
+            for axis in report.graph.axes():
+                assert np.array_equal(stacked.direction[axis], alone.direction[axis])
+                assert np.array_equal(stacked.point[axis], alone.point[axis])
         checked += 1
     assert checked >= 40
     empty = verify_mechanism(mech, report, range(0))
     assert (empty.seeds, empty.comparisons) == ((), ())
+
+
+def _reference_fold(mech, inst):
+    """The fold one leg and one loop at a time, as a reference."""
+    spaces, near = [], False
+    for i in range(mech.leg_count):
+        tb = leg_twist_space(mech, i, inst)
+        spaces.append(tb.basis)
+        near = near or tb.near_threshold
+    loops, current = [], spaces[0]
+    for nxt in spaces[1:]:
+        rank, current, near_loop = union_and_intersection(current, nxt)
+        loops.append(rank)
+        near = near or near_loop
+    xi_r = 0
+    if len(current):
+        xi_r, _, near_split = _rank(current[:, :3], scale=1.0)
+        near = near or near_split
+    return NumericMobility(
+        loop_ranks=tuple(loops),
+        platform_dim=len(current),
+        platform_xi_t=len(current) - xi_r,
+        platform_xi_r=xi_r,
+        dof=mech.total_joint_dof - sum(loops),
+        near_threshold=near,
+    )
+
+
+@pytest.mark.parametrize("rtol,near", [(None, None), (0.3, 1.1)], ids=["default", "coarse"])
+def test_stacked_fold_matches_reference(monkeypatch, fixtures_dir, rtol, near):
+    if rtol is not None:
+        # ranks and near flags then vary from seed to seed
+        monkeypatch.setattr(oracle, "RANK_RTOL", rtol)
+        monkeypatch.setattr(oracle, "NEAR_FACTOR", near)
+    flagged = 0
+    for mech in _batch_corpus(fixtures_dir):
+        g = build_relation_graph(mech)
+        plan = OraclePlan(mech, g)
+        try:
+            draw = plan.sample(range(10))
+        except Unsatisfiable:
+            continue
+        for seed, stacked in enumerate(plan.rank(draw)):
+            inst = plan.instance(draw, seed, seed)
+            expected = _reference_fold(mech, inst)
+            assert stacked == expected == numeric_loop_and_platform(mech, inst)
+            flagged += expected.near_threshold
+    assert rtol is None or flagged >= 100
 
 
 def _numeric_report(mech, g, seed):
@@ -312,6 +372,11 @@ def test_partly_flagged_batch_matches_one_seed_calls(monkeypatch, fixtures_dir):
     expected = _one_seed_at_a_time(mech, report, range(20))
     assert verify_mechanism(mech, report, range(20)).comparisons == expected
     assert any(c.agrees for c in expected) and not all(c.agrees for c in expected)
+    # each seed reports the first draw that is not flagged, else its third
+    for seed in range(20):
+        attempt = (seed in first) + (seed + _RESAMPLE_STEP in second)
+        settled = _numeric_report(mech, g, seed + attempt * _RESAMPLE_STEP)
+        assert verify_mechanism(mech, settled, range(20)).comparisons[seed].agrees, seed
 
 
 def test_verify_raises_on_four_mutually_perpendicular_axes():
