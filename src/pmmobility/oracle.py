@@ -102,15 +102,6 @@ def _revolute_mask(kinds) -> np.ndarray:
     return np.array([kind is JointKind.REVOLUTE for kind in kinds])[:, None]
 
 
-@dataclass(frozen=True)
-class _PlanLeg:
-    """Parallel-class and anchor index of each joint axis of one leg."""
-
-    classes: np.ndarray
-    anchors: np.ndarray
-    revolute: np.ndarray
-
-
 class OraclePlan:
     """The seed-independent part of sampling and ranking one mechanism.
 
@@ -174,16 +165,15 @@ class OraclePlan:
             pinned.add(ra)
             pinned.add(rb)
 
+        # per leg: the parallel-class and anchor index of each joint axis
         self._legs = []
         for leg in mech.legs:
             leg_axes = [AxisRef(leg.label, j) for j in range(1, len(leg.joints) + 1)]
-            self._legs.append(
-                _PlanLeg(
-                    classes=np.array([self._class_of[a] for a in leg_axes], dtype=np.intp),
-                    anchors=np.array([self._anchor_of[a] for a in leg_axes], dtype=np.intp),
-                    revolute=_revolute_mask(leg.joints),
-                )
-            )
+            self._legs.append((
+                np.array([self._class_of[a] for a in leg_axes], dtype=np.intp),
+                np.array([self._anchor_of[a] for a in leg_axes], dtype=np.intp),
+                _revolute_mask(leg.joints),
+            ))
         self._total_dof = mech.total_joint_dof
 
     def sample(self, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +222,8 @@ class OraclePlan:
         """Numeric mobility of each seed of a stacked draw."""
         direction, point = draw
         legs = [
-            (direction[:, leg.classes], point[:, leg.anchors], leg.revolute)
-            for leg in self._legs
+            (direction[:, classes], point[:, anchors], revolute)
+            for classes, anchors, revolute in self._legs
         ]
         return _numeric_mobility(self._total_dof, legs)
 
@@ -406,7 +396,7 @@ def _numeric_mobility(total_dof: int, legs) -> list[NumericMobility]:
     current = [vh[i, :r] for i, r in enumerate(rank)]
     loops: list[list[int]] = [[] for _ in current]
     for rank, vh in spaces[1:]:
-        for (ka, kb), members in _groups(list(zip(map(len, current), rank))).items():
+        for (_, kb), members in _groups(list(zip(map(len, current), rank))).items():
             union, meets, loop_near = _unions(
                 np.stack([current[i] for i in members]), vh[members, :kb]
             )
