@@ -23,8 +23,8 @@ from pmmobility import analyze_mechanism, oracle, parse_mechanism_file
 from pmmobility.oracle import (
     _RESAMPLE_STEP,
     RESIDUAL_TOL,
-    OraclePlan,
     NumericMobility,
+    OraclePlan,
     Unsatisfiable,
     _line_distance,
     _rank,
