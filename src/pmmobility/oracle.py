@@ -471,11 +471,12 @@ _RESAMPLE_STEP = 10_000_019
 def verify_mechanism(mech: MechanismTopology, report, seeds) -> OracleResult:
     """Compare a symbolic MobilityReport against numeric instances.
 
-    Each seed samples one geometry and compares loop ranks, platform
-    dimension and the translation/rotation split.  The seeds are sampled
-    and ranked as one stack on the report's relation graph; a seed whose
-    singular values fall near the rank threshold is drawn again, at seed +
-    attempt * _RESAMPLE_STEP, at most twice.
+    report must be the MobilityReport that analyze_mechanism returned for
+    mech: its graph is the relation graph the geometry is sampled on.  Each
+    seed samples one geometry and compares loop ranks, platform dimension
+    and the translation/rotation split.  The seeds are sampled and ranked
+    as one stack; a seed whose singular values fall near the rank threshold
+    is drawn again, at seed + attempt * _RESAMPLE_STEP, at most twice.
     """
     plan = OraclePlan(mech, report.graph)
     seeds = tuple(seeds)
