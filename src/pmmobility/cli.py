@@ -123,7 +123,7 @@ def main() -> None:
 )
 @click.option(
     "--seed",
-    type=int,
+    type=click.IntRange(min=0),
     default=None,
     envvar="POC_SEED",
     help="Base oracle seed [default: 0, or POC_SEED from the environment].",

@@ -14,12 +14,13 @@ Everything that does not depend on the seed (the order in which parallel
 classes are drawn and which earlier classes each must be perpendicular to,
 the anchor of every line, the common-point groups, the coplanar moves and
 each leg's axis indices) is compiled once per mechanism into an
-OraclePlan.  Each seed keeps its own PCG64 stream, drawn in the same order
-as a one-seed call, and the seeds are sampled and ranked as one stack.
-verify_mechanism draws again only the seeds whose singular values fell near
-the rank threshold.  instantiate_geometry and numeric_loop_and_platform are
-one-seed calls into the same code, and a stacked seed gives bit for bit the
-result of its one-seed call.
+OraclePlan.  It has the one sampler, OraclePlan.sample, and the one ranker,
+OraclePlan.rank: each seed keeps its own PCG64 stream, and the seeds are
+sampled and ranked as one stack.  verify_mechanism draws again only the
+seeds whose singular values fell near the rank threshold.  The two one-seed
+entry points, instantiate_geometry (one seed's geometry) and
+numeric_loop_and_platform (one geometry's ranks), call into the same code,
+and a stacked seed gives bit for bit the result of its one-seed call.
 """
 
 from __future__ import annotations
@@ -246,17 +247,6 @@ def instantiate_geometry(
 # twist spaces and ranks
 
 
-@dataclass
-class TwistBasis:
-    """Row-stacked twists (k x 6), their numeric rank and an orthonormal
-    basis (rank x 6) of their span."""
-
-    screws: np.ndarray
-    rank: int
-    basis: np.ndarray
-    near_threshold: bool
-
-
 def _cutoff(s: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
     """Ranks of stacked singular values s (..., k) against RANK_RTOL times
     reference (...), and whether any of them lies within NEAR_FACTOR of that
@@ -268,33 +258,11 @@ def _cutoff(s: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
     return np.where(live, np.sum(s > threshold, axis=-1), 0), live & np.any(near, axis=-1)
 
 
-def _ranks(
-    matrices: np.ndarray, scale: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Numeric ranks of a stack of matrices, with the threshold relative to
-    scale (default: each matrix's s_max).
-
-    Pass an explicit scale when the matrices are blocks of larger ones, so a
-    block of rounding noise does not count as full rank against itself.
-    """
-    s = np.linalg.svd(matrices, compute_uv=False)
-    rank, near = _cutoff(s, s[..., 0] if scale is None else np.full(s.shape[:-1], scale))
-    return rank, s, near
-
-
-def _rank(matrix: np.ndarray, scale: float | None = None) -> tuple[int, np.ndarray, bool]:
-    """Numeric rank of one matrix; see _ranks."""
-    if matrix.size == 0:
-        return 0, np.zeros(0), False
-    rank, s, near = _ranks(matrix, scale)
-    return int(rank), s, bool(near)
-
-
 def _leg_spaces(
     d: np.ndarray, p: np.ndarray, revolute: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Twists, ranks, right singular vectors and near flags of a stack of
-    legs with joint directions d and points p (seeds x f x 3)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ranks, right singular vectors and near flags of the twists of a stack
+    of legs with joint directions d and points p (seeds x f x 3)."""
     screws = np.where(
         revolute,
         np.concatenate([d, np.cross(p, d)], axis=-1),
@@ -302,7 +270,7 @@ def _leg_spaces(
     )
     _, s, vh = np.linalg.svd(screws, full_matrices=False)
     rank, near = _cutoff(s, s[..., 0])
-    return screws, rank, vh, near
+    return rank, vh, near
 
 
 def _one_seed_leg(leg, inst: GeometricInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -312,15 +280,6 @@ def _one_seed_leg(leg, inst: GeometricInstance) -> tuple[np.ndarray, np.ndarray,
     d = np.array([inst.direction[axis] for axis in axes])
     p = np.array([inst.point[axis] for axis in axes])
     return d[None], p[None], _revolute_mask(leg.joints)
-
-
-def leg_twist_space(
-    mech: MechanismTopology, leg_index: int, inst: GeometricInstance
-) -> TwistBasis:
-    """Twist basis of one leg (leg_index is 0-based)."""
-    screws, rank, vh, near = _leg_spaces(*_one_seed_leg(mech.legs[leg_index], inst))
-    r = int(rank[0])
-    return TwistBasis(screws=screws[0], rank=r, basis=vh[0, :r], near_threshold=bool(near[0]))
 
 
 def _unions(
@@ -347,15 +306,6 @@ def _unions(
         for i, m in zip(members, meet):
             meets[i] = m
     return rank, meets, near
-
-
-def union_and_intersection(
-    a: np.ndarray, b: np.ndarray
-) -> tuple[int, np.ndarray, bool]:
-    """Union rank and intersection basis of two row-orthonormal subspaces;
-    see _unions."""
-    rank, meets, near = _unions(a[None], b[None])
-    return int(rank[0]), meets[0], bool(near[0])
 
 
 def _groups(keys: list) -> dict:
@@ -388,7 +338,7 @@ def _numeric_mobility(total_dof: int, legs) -> list[NumericMobility]:
     spaces = []
     near = np.zeros(legs[0][0].shape[0], dtype=bool)
     for d, p, revolute in legs:
-        _, rank, vh, leg_near = _leg_spaces(d, p, revolute)
+        rank, vh, leg_near = _leg_spaces(d, p, revolute)
         spaces.append((rank.tolist(), vh))
         near |= leg_near
 
@@ -409,10 +359,12 @@ def _numeric_mobility(total_dof: int, legs) -> list[NumericMobility]:
     for dim, members in _groups(list(map(len, current))).items():
         if dim:
             # the basis rows are orthonormal, so the angular block is measured
-            # against scale 1 rather than against its own largest value
-            split, _, split_near = _ranks(
-                np.stack([current[i] for i in members])[:, :, :3], scale=1.0
+            # against 1: against its own largest value, a block of rounding
+            # noise would count as full rank
+            s = np.linalg.svd(
+                np.stack([current[i] for i in members])[:, :, :3], compute_uv=False
             )
+            split, split_near = _cutoff(s, 1.0)
             near[members] |= split_near
             for i, r in zip(members, split.tolist()):
                 xi_r[i] = r

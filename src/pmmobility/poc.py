@@ -199,10 +199,6 @@ def line_in_plane(g: RelationGraph, line: LineForm, plane: PlaneForm) -> bool | 
             return None
         if isinstance(line, MeetLine):
             na, nb = _plane_normal(line.a), _plane_normal(line.b)
-            if na is not None and _axes_parallel(g, na, plane.axis):
-                return True
-            if nb is not None and _axes_parallel(g, nb, plane.axis):
-                return True
             if (
                 na is not None
                 and nb is not None

@@ -73,6 +73,8 @@ class _Pattern:
     r_cells: tuple[tuple[int, int], ...]
 
 
+# listed in match order: longest first, then G3, S3, G2, S2, single, so
+# planar before spherical on equal length
 _CATALOG: tuple[_Pattern, ...] = (
     _Pattern(SubchainKind.G3_RRR_PARALLEL, SubchainFamily.G3, (R, R, R),
              ((1, 2, PAR), (1, 3, PAR), (2, 3, PAR)),
@@ -127,19 +129,6 @@ _CATALOG: tuple[_Pattern, ...] = (
 
 _BY_KIND = {p.kind: p for p in _CATALOG}
 
-# match order: longest first, planar before spherical on equal length
-_MATCH_ORDER: tuple[_Pattern, ...] = tuple(
-    sorted(
-        _CATALOG,
-        key=lambda p: (
-            -len(p.joints),
-            (SubchainFamily.G3, SubchainFamily.S3, SubchainFamily.G2,
-             SubchainFamily.S2, SubchainFamily.SINGLE).index(p.family),
-        ),
-    )
-)
-
-
 @dataclass(frozen=True)
 class Segment:
     """One recognized sub-chain: kind plus 1-based inclusive joint range."""
@@ -182,7 +171,7 @@ def extract_subchains(leg: LegTopology, g: RelationGraph) -> tuple[Segment, ...]
     segments: list[Segment] = []
     pos = 1
     while pos <= leg.f:
-        for pattern in _MATCH_ORDER:
+        for pattern in _CATALOG:
             if _matches(leg, g, pattern, pos):
                 stop = pos + len(pattern.joints) - 1
                 segments.append(Segment(pattern.kind, pos, stop))

@@ -21,7 +21,8 @@ from pmmobility import (
     build_relation_graph,
     decode_leg,
 )
-from pmmobility.oracle import GeometricInstance, _rank
+from pmmobility import oracle
+from pmmobility.oracle import GeometricInstance
 from pmmobility.poc import (
     AlongAxis,
     DirectionDescriptor,
@@ -268,7 +269,7 @@ def _plane_rows(form, inst: GeometricInstance, cache: dict, rng: np.random.Gener
         rows = np.vstack(
             [_line_vector(form.u, inst, cache, rng), _line_vector(form.v, inst, cache, rng)]
         )
-        assert _rank(rows)[0] == 2, "span plane with dependent generators"
+        assert numeric_rank(rows) == 2, "span plane with dependent generators"
     else:
         raise TypeError(f"unexpected plane form {form!r}")
     cache[form] = rows
@@ -300,14 +301,23 @@ def numeric_basis(
     return _plane_rows(desc.plane, inst, cache, rng)
 
 
+def numeric_rank(matrix: np.ndarray) -> int:
+    """Numeric rank with the oracle's rule: the singular values above
+    RANK_RTOL times the largest one."""
+    if matrix.size == 0:
+        return 0
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(s > oracle.RANK_RTOL * s[0]))
+
+
 def numeric_union_dim(a: np.ndarray, b: np.ndarray) -> int:
     if a.shape[0] == 0:
-        return _rank(b)[0]
+        return numeric_rank(b)
     if b.shape[0] == 0:
-        return _rank(a)[0]
-    return _rank(np.vstack([a, b]))[0]
+        return numeric_rank(a)
+    return numeric_rank(np.vstack([a, b]))
 
 
 def numeric_intersection_dim(a: np.ndarray, b: np.ndarray) -> int:
     # dim(A) + dim(B) - dim(A + B)
-    return _rank(a)[0] + _rank(b)[0] - numeric_union_dim(a, b)
+    return numeric_rank(a) + numeric_rank(b) - numeric_union_dim(a, b)

@@ -249,6 +249,25 @@ def test_seed_option_overrides_env(runner, fixtures_dir):
     assert doc["oracle"]["seeds"] == [3, 4]
 
 
+def test_negative_seed_option_is_a_usage_error(runner, fixtures_dir, capsys):
+    args = ["analyze", "--oracle", "--seed", "-5", str(fixtures_dir / "three_rrc.mech")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Invalid value for '--seed': -5 is not in the range x>=0." in result.output
+    assert run(args) == 2
+    assert "-5 is not in the range x>=0." in capsys.readouterr().err
+
+
+def test_negative_seed_env_variable_is_a_usage_error(runner, fixtures_dir):
+    result = runner.invoke(
+        main,
+        ["analyze", "--oracle", str(fixtures_dir / "three_rrc.mech")],
+        env={"POC_SEED": "-1"},
+    )
+    assert result.exit_code == 2
+    assert "Invalid value for '--seed': -1 is not in the range x>=0." in result.output
+
+
 def test_parser_warnings_go_to_stderr(runner, tmp_path):
     text = (
         "mechanism warny\n"

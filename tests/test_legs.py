@@ -1,13 +1,14 @@
 """Leg analysis: reference outputs, trace structure, numeric agreement."""
 
+import numpy as np
 import pytest
 
 from pmmobility import analyze_leg, build_relation_graph, normalize, poc_or
 from pmmobility.oracle import (
     Unsatisfiable,
-    _rank,
+    _leg_spaces,
+    _one_seed_leg,
     instantiate_geometry,
-    leg_twist_space,
 )
 from pmmobility.subchains import extract_subchains, subchain_poc
 
@@ -17,6 +18,7 @@ from helpers import (
     leg_and_graph,
     leg_from_relations,
     make_mechanism,
+    numeric_rank,
     pair_mechanism,
 )
 
@@ -75,9 +77,11 @@ def test_leg_rank_never_exceeds_joint_count():
 
 
 def _numeric_leg_ranks(mech, leg_index, inst):
-    tb = leg_twist_space(mech, leg_index, inst)
-    angular = _rank(tb.screws[:, :3])[0]
-    return tb.rank, angular
+    d, p, revolute = _one_seed_leg(mech.legs[leg_index], inst)
+    rank = int(_leg_spaces(d, p, revolute)[0][0])
+    # the angular block of the twists: revolute directions, prismatic zeros
+    angular = numeric_rank(np.where(revolute, d[0], 0.0))
+    return rank, angular
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_LEGS))

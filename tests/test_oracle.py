@@ -17,6 +17,7 @@ from helpers import (
     labeled_random_mechanism,
     leg_from_relations,
     make_mechanism,
+    numeric_rank,
     pair_mechanism,
 )
 from pmmobility import analyze_mechanism, oracle, parse_mechanism_file
@@ -26,15 +27,17 @@ from pmmobility.oracle import (
     NumericMobility,
     OraclePlan,
     Unsatisfiable,
+    _cutoff,
+    _leg_spaces,
     _line_distance,
-    _rank,
+    _one_seed_leg,
+    _unions,
     instantiate_geometry,
-    leg_twist_space,
     numeric_loop_and_platform,
-    union_and_intersection,
     verify_mechanism,
 )
 from pmmobility.relations import AxisRef, build_relation_graph
+from pmmobility.report import render_human, render_structured
 
 ALL_FIXTURES = (
     "tricept",
@@ -48,6 +51,21 @@ ALL_FIXTURES = (
     "ups_ups_up",
     "rrc_quad",
 )
+
+
+def _leg_space(mech, leg_index, inst):
+    """Rank, orthonormal twist basis and near flag of one leg (0-based) for
+    one seed, from a stack of one."""
+    rank, vh, near = _leg_spaces(*_one_seed_leg(mech.legs[leg_index], inst))
+    r = int(rank[0])
+    return r, vh[0, :r], bool(near[0])
+
+
+def _union_pair(a, b):
+    """Union rank, intersection basis and near flag of two row-orthonormal
+    subspaces, from a stack of one pair."""
+    rank, meets, near = _unions(a[None], b[None])
+    return int(rank[0]), meets[0], bool(near[0])
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -111,7 +129,7 @@ def test_reference_leg_twist_ranks(matrix, rank):
     g = build_relation_graph(mech)
     for seed in (0, 3, 11):
         inst = instantiate_geometry(mech, g, seed=seed)
-        assert leg_twist_space(mech, 0, inst).rank == rank
+        assert _leg_space(mech, 0, inst)[0] == rank
 
 
 def test_single_revolute_leg_rank():
@@ -119,7 +137,7 @@ def test_single_revolute_leg_rank():
         "hinge", [leg_from_relations(1, "R", {}), leg_from_relations(2, "R", {})]
     )
     inst = instantiate_geometry(mech, seed=0)
-    assert leg_twist_space(mech, 0, inst).rank == 1
+    assert _leg_space(mech, 0, inst)[0] == 1
 
 
 def test_tricept_numeric_values(fixtures_dir):
@@ -148,8 +166,9 @@ def test_three_rrc_numeric_values(fixtures_dir):
 def test_rank_uses_caller_scale_for_blocks():
     # a block of rounding noise must not count as full rank against itself
     block = np.eye(3) * 1e-17
-    assert _rank(block)[0] == 3
-    assert _rank(block, scale=1.0)[0] == 0
+    s = np.linalg.svd(block[None], compute_uv=False)
+    assert _cutoff(s, s[..., 0])[0][0] == 3
+    assert _cutoff(s, 1.0)[0][0] == 0
 
 
 def test_four_mutually_perpendicular_axes_unsatisfiable():
@@ -176,12 +195,12 @@ def test_coplanar_axes_are_anchored_to_meet():
 
 def test_subspace_intersection_units():
     e = np.eye(6)
-    _, overlap, _ = union_and_intersection(e[:2], e[1:3])
+    _, overlap, _ = _union_pair(e[:2], e[1:3])
     assert overlap.shape == (1, 6)
     assert abs(float(overlap[0] @ e[1])) == pytest.approx(1.0)
-    _, disjoint, _ = union_and_intersection(e[:1], e[1:2])
+    _, disjoint, _ = _union_pair(e[:1], e[1:2])
     assert disjoint.shape == (0, 6)
-    _, same, _ = union_and_intersection(e[:2], e[:2])
+    _, same, _ = _union_pair(e[:2], e[:2])
     assert same.shape == (2, 6)
 
 
@@ -194,8 +213,8 @@ def test_union_and_intersection_of_random_subspaces():
             np.linalg.qr(np.vstack([common, rng.normal(size=(k - len(common), 6))]).T)[0].T
             for k in (ka, kb)
         )
-        rank, basis, _ = union_and_intersection(a, b)
-        assert rank == _rank(np.vstack([a, b]))[0]
+        rank, basis, _ = _union_pair(a, b)
+        assert rank == numeric_rank(np.vstack([a, b]))
         assert basis.shape == (ka + kb - rank, 6)
         assert np.allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-12)
         for space in (a, b):
@@ -210,19 +229,41 @@ def test_case_studies_agree_across_seeds(tricept, tricept_report, three_rrc, thr
         assert result.agreement == 20
 
 
+def _skew_pair():
+    """Two legs of three mutually skew revolutes."""
+    skew = {p: 0 for p in [(1, 2), (1, 3), (2, 3)]}
+    return make_mechanism(
+        "skew-pair",
+        [leg_from_relations(1, "RRR", skew), leg_from_relations(2, "RRR", skew)],
+    )
+
+
 def test_oracle_flags_rotation_only_union_shortfall():
     # the union rule works on motion patterns: for two skew rotation
     # triples it reports rank 3 while six generic screws span rank 6,
     # so the oracle must disagree rather than smooth it over
-    skew = {p: 0 for p in [(1, 2), (1, 3), (2, 3)]}
-    mech = make_mechanism(
-        "skew-pair",
-        [leg_from_relations(1, "RRR", skew), leg_from_relations(2, "RRR", skew)],
-    )
+    mech = _skew_pair()
     report = analyze_mechanism(mech)
     result = verify_mechanism(mech, report, seeds=range(5))
     assert not result.all_agree
     assert any("loop ranks" in c.detail for c in result.comparisons)
+
+
+def test_structured_report_lists_oracle_mismatches():
+    mech = _skew_pair()
+    report = analyze_mechanism(mech)
+    result = verify_mechanism(mech, report, seeds=range(5))
+    disagreeing = [c.seed for c in result.comparisons if not c.agrees]
+    assert disagreeing
+    doc = render_structured(report, oracle=result)["oracle"]
+    assert doc["seeds"] == list(range(5))
+    assert doc["agreement"] == 5 - len(disagreeing)
+    assert doc["all_agree"] is False
+    assert [m["seed"] for m in doc["mismatches"]] == disagreeing
+    human = render_human(report, oracle=result).splitlines()
+    assert [f"  seed {m['seed']}: {m['detail']}" for m in doc["mismatches"]] == [
+        line for line in human if line.startswith("  seed ")
+    ]
 
 
 def test_oracle_flags_concurrent_quad_overstatement():
@@ -281,18 +322,20 @@ def _reference_fold(mech, inst):
     """The fold one leg and one loop at a time, as a reference."""
     spaces, near = [], False
     for i in range(mech.leg_count):
-        tb = leg_twist_space(mech, i, inst)
-        spaces.append(tb.basis)
-        near = near or tb.near_threshold
+        _, basis, near_leg = _leg_space(mech, i, inst)
+        spaces.append(basis)
+        near = near or near_leg
     loops, current = [], spaces[0]
     for nxt in spaces[1:]:
-        rank, current, near_loop = union_and_intersection(current, nxt)
+        rank, current, near_loop = _union_pair(current, nxt)
         loops.append(rank)
         near = near or near_loop
     xi_r = 0
     if len(current):
-        xi_r, _, near_split = _rank(current[:, :3], scale=1.0)
-        near = near or near_split
+        s = np.linalg.svd(current[None, :, :3], compute_uv=False)
+        split, near_split = _cutoff(s, 1.0)
+        xi_r = int(split[0])
+        near = near or bool(near_split[0])
     return NumericMobility(
         loop_ranks=tuple(loops),
         platform_dim=len(current),

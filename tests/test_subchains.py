@@ -13,6 +13,7 @@ from pmmobility import (
     extract_subchains,
     subchain_poc,
 )
+from pmmobility.subchains import _CATALOG
 
 from helpers import (
     PRRRR_MATRIX,
@@ -122,6 +123,21 @@ def test_greedy_longest_match_wins():
         (SubchainKind.G3_RRR_PARALLEL, 1, 3),
         (SubchainKind.G2_RR_PARALLEL, 4, 5),
     ]
+
+
+def test_catalogue_is_listed_in_match_order():
+    # extract_subchains tries the catalogue as written: longest first, then
+    # planar before spherical on equal length, singles last
+    families = (
+        SubchainFamily.G3,
+        SubchainFamily.S3,
+        SubchainFamily.G2,
+        SubchainFamily.S2,
+        SubchainFamily.SINGLE,
+    )
+    keys = [(-len(p.joints), families.index(p.family)) for p in _CATALOG]
+    assert keys == sorted(keys)
+    assert [p.family for p in _CATALOG[-2:]] == [SubchainFamily.SINGLE] * 2
 
 
 def test_spherical_triples():
