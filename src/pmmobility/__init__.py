@@ -4,19 +4,16 @@ The package computes the DOF and the position-and-orientation output of a
 parallel mechanism from a purely digital topology description: joint kinds
 plus coded axis relations, no coordinates.  A seeded numeric screw-space
 oracle provides an independent cross-check on sampled geometries.
+
+The oracle is the only part that needs numpy.  Its names (verify_mechanism,
+instantiate_geometry, numeric_loop_and_platform, GeometricInstance,
+NumericMobility, OracleResult) resolve on first use, so ``import
+pmmobility`` and an analysis without the oracle never load numpy.
+Unsatisfiable lives in the numpy-free relations module.
 """
 
 from .legs import LegPoc, analyze_leg
 from .mobility import MobilityReport, analyze_mechanism, classify
-from .oracle import (
-    GeometricInstance,
-    NumericMobility,
-    OracleResult,
-    Unsatisfiable,
-    instantiate_geometry,
-    numeric_loop_and_platform,
-    verify_mechanism,
-)
 from .parser import ParseError, parse_mechanism_file, parse_mechanism_text
 from .poc import (
     LoopRank,
@@ -33,6 +30,7 @@ from .relations import (
     InconsistentRelations,
     RelationGraph,
     UnknownAxis,
+    Unsatisfiable,
     build_relation_graph,
 )
 from .report import FORMAT_VERSION, render_human, render_structured
@@ -57,6 +55,24 @@ from .topology import (
     encode_leg,
     validate_mechanism,
 )
+
+_ORACLE_NAMES = (
+    "GeometricInstance",
+    "NumericMobility",
+    "OracleResult",
+    "instantiate_geometry",
+    "numeric_loop_and_platform",
+    "verify_mechanism",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

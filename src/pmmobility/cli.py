@@ -5,7 +5,7 @@ per file.  Exit codes: 0 on success, 1 when an analysis fails, 2 when a
 file cannot be read or parsed, 3 when the numeric oracle disagrees with
 the symbolic result.  A batch run exits with the worst code among its
 files.  The base oracle seed comes from --seed or the POC_SEED environment
-variable.
+variable.  numpy and the oracle module load only when --oracle runs.
 """
 
 from __future__ import annotations
@@ -13,21 +13,32 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import click
 
 from .mobility import analyze_mechanism
-from .oracle import Unsatisfiable, verify_mechanism
 from .parser import ParseError, parse_mechanism_text
-from .relations import InconsistentRelations
+from .relations import InconsistentRelations, Unsatisfiable
 from .report import render_human, render_structured
 from .topology import TopologyError
+
+if TYPE_CHECKING:
+    from .mobility import MobilityReport
+    from .oracle import OracleResult
+    from .topology import MechanismTopology
 
 OK = 0
 ANALYSIS_ERROR = 1
 PARSE_ERROR = 2
 ORACLE_MISMATCH = 3
+
+
+def verify_mechanism(mech: MechanismTopology, report: MobilityReport, seeds) -> OracleResult:
+    """The numeric oracle's verify_mechanism, imported on first call."""
+    from .oracle import verify_mechanism as verify
+
+    return verify(mech, report, seeds)
 
 
 @dataclass

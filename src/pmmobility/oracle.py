@@ -30,16 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relations import AxisRef, RelationGraph, _UnionFind, build_relation_graph
+from .relations import AxisRef, RelationGraph, Unsatisfiable, _UnionFind, build_relation_graph
 from .topology import JointKind, MechanismTopology, RelationCode
 
 RANK_RTOL = 1e-8
 RESIDUAL_TOL = 1e-9
 NEAR_FACTOR = 10.0
-
-
-class Unsatisfiable(ValueError):
-    """The seeded relations admit no generic geometric instance."""
 
 
 def _rng(seed: int) -> np.random.Generator:

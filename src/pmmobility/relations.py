@@ -37,6 +37,10 @@ class InconsistentRelations(ValueError):
     both parallel and perpendicular to another)."""
 
 
+class Unsatisfiable(ValueError):
+    """The seeded relations admit no generic geometric instance."""
+
+
 class _UnionFind:
     def __init__(self, items) -> None:
         self.parent: dict[AxisRef, AxisRef] = {x: x for x in items}

@@ -7,11 +7,13 @@ can be compared byte for byte.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .mobility import MobilityReport, classify
-from .oracle import OracleResult
 from .poc import PocMatrix
+
+if TYPE_CHECKING:
+    from .oracle import OracleResult
 
 FORMAT_VERSION = 1
 

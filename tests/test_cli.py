@@ -289,3 +289,60 @@ def test_run_helper_exit_codes(fixtures_dir, capsys):
     assert "DOF = 1" in capsys.readouterr().out
     assert run(["analyze", "--bogus"]) == 2
     assert run(["bogus-command"]) == 2
+
+
+# Four mutually perpendicular revolute axes: the symbolic analysis runs, but
+# no direction is left for the fourth axis when the oracle samples geometry.
+FOUR_PERPENDICULAR = """mechanism imposs
+
+leg 1:
+  8 2 2 2
+  2 8 2 2
+  2 2 8 2
+  2 2 2 8
+
+leg 2:
+  8
+
+platform moving:
+  8 0
+  0 8
+
+platform fixed:
+  8 0
+  0 8
+"""
+
+
+@pytest.fixture()
+def four_perpendicular(tmp_path):
+    path = tmp_path / "imposs.mech"
+    path.write_text(FOUR_PERPENDICULAR, encoding="utf-8")
+    return path
+
+
+def test_unsatisfiable_oracle_is_an_analysis_error(runner, four_perpendicular):
+    result = runner.invoke(main, ["analyze", "--oracle", str(four_perpendicular)])
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"{four_perpendicular}: error: degenerate direction while sampling geometry\n"
+    )
+    assert result.stdout == ""
+
+
+def test_unsatisfiable_geometry_is_not_sampled_without_oracle(runner, four_perpendicular):
+    result = runner.invoke(main, ["analyze", str(four_perpendicular)])
+    assert result.exit_code == 0
+    assert "mechanism imposs" in result.stdout
+
+
+def test_unsatisfiable_batch_still_reports_the_other_file(
+    runner, fixtures_dir, four_perpendicular
+):
+    hinge = fixtures_dir / "toy_hinge.mech"
+    result = runner.invoke(main, ["analyze", "--oracle", str(four_perpendicular), str(hinge)])
+    assert result.exit_code == 1
+    assert "degenerate direction while sampling geometry" in result.stderr
+    assert "mechanism toy-hinge" in result.stdout
+    assert "oracle: 20/20 agree" in result.stdout
+    assert "mechanism imposs" not in result.stdout
