@@ -310,3 +310,41 @@ def test_monotonicity_of_added_seeds():
             if before is RelationCode.PERPENDICULAR:
                 assert after is RelationCode.PERPENDICULAR
             assert order[after] >= order[before]
+
+
+def test_axis_ref_hashes_sorts_and_prints_like_its_pair():
+    ref = AxisRef(2, 3)
+    assert hash(ref) == hash((2, 3))
+    refs = [AxisRef(2, 1), AxisRef(1, 3), AxisRef(1, 2), AxisRef(10, 1)]
+    assert sorted(refs) == [AxisRef(1, 2), AxisRef(1, 3), AxisRef(2, 1), AxisRef(10, 1)]
+    assert str(ref) == "2.3"
+    assert repr(ref) == "AxisRef(leg=2, joint=3)"
+    with pytest.raises(AttributeError):
+        ref.leg = 4
+    table = {AxisRef(2, 3): "first"}
+    table[AxisRef(2, 3)] = "second"
+    assert table == {AxisRef(2, 3): "second"}
+
+
+@pytest.mark.parametrize("generator", [random_mechanism, labeled_random_mechanism])
+def test_relation_is_symmetric_on_random_mechanisms(generator):
+    # the graph keys a seeded pair by its ordered refs, so ask every pair
+    # both ways round, positional pairs included
+    rng = random.Random(7)
+    checked = 0
+    positional = {RelationCode.COPLANAR: 0, RelationCode.COMMON_POINT: 0}
+    while checked < 30:
+        try:
+            g = build_relation_graph(generator(rng))
+        except InconsistentRelations:
+            continue
+        axes = g.axes()
+        for a in axes:
+            for b in axes:
+                code = g.relation_between(a, b)
+                assert code is g.relation_between(b, a), f"{a} vs {b}"
+                assert g.perpendicular(a, b) == g.perpendicular(b, a), f"{a} vs {b}"
+                if code in positional and a < b:
+                    positional[code] += 1
+        checked += 1
+    assert all(count > 0 for count in positional.values()), positional
