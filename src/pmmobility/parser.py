@@ -39,9 +39,8 @@ written as the numeric code 4.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .topology import (
     MAX_LEG_JOINTS,
@@ -79,8 +78,7 @@ class ParseError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int

@@ -12,14 +12,17 @@ The graph is immutable once built, so lookups are safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .topology import JointKind, MechanismTopology, RelationCode
 
 
-@dataclass(frozen=True, order=True)
-class AxisRef:
-    """Reference to one joint axis: leg number and 1-based joint index."""
+class AxisRef(NamedTuple):
+    """Reference to one joint axis: leg number and 1-based joint index.
+
+    A named tuple: it hashes, sorts and compares like the plain tuple
+    (leg, joint), so it is a cheap dict key.  str gives "leg.joint".
+    """
 
     leg: int
     joint: int
@@ -70,7 +73,10 @@ class RelationGraph:
     strongest derivable relation for a pair; same_axis tells whether two
     refs name the same line (identical ref or seeded coaxial chain).
     parallel and coaxial map every axis to the root of its class, which is
-    the smallest AxisRef of that class.
+    the smallest AxisRef of that class.  A pair of axes is keyed by the
+    ordered tuple (smaller, larger): seeded holds each seeded pair that way,
+    and perp_pairs holds both orders of each perpendicular pair of parallel
+    roots.
     """
 
     def __init__(
@@ -78,8 +84,8 @@ class RelationGraph:
         kinds: dict[AxisRef, JointKind],
         parallel: dict[AxisRef, AxisRef],
         coaxial: dict[AxisRef, AxisRef],
-        perp_pairs: frozenset[frozenset[AxisRef]],
-        seeded: dict[frozenset[AxisRef], RelationCode],
+        perp_pairs: frozenset[tuple[AxisRef, AxisRef]],
+        seeded: dict[tuple[AxisRef, AxisRef], RelationCode],
     ) -> None:
         self._kinds = kinds
         self._parallel = parallel
@@ -88,9 +94,7 @@ class RelationGraph:
         self._seeded = seeded
         # the numeric oracle walks both for every seed; sort them once
         self._axes = tuple(sorted(kinds))
-        self._seeded_pairs = tuple(
-            sorted((min(pair), max(pair), code) for pair, code in seeded.items())
-        )
+        self._seeded_pairs = tuple(sorted((a, b, code) for (a, b), code in seeded.items()))
 
     # -- lookups ---------------------------------------------------------
 
@@ -125,8 +129,7 @@ class RelationGraph:
         """True when the directions of a and b are known perpendicular."""
         self._require(a)
         self._require(b)
-        pair = frozenset((self._parallel[a], self._parallel[b]))
-        return len(pair) == 2 and pair in self._perp_pairs
+        return (self._parallel[a], self._parallel[b]) in self._perp_pairs
 
     def parallel_class(self, axis: AxisRef) -> AxisRef:
         """Smallest axis parallel to the given one."""
@@ -151,11 +154,12 @@ class RelationGraph:
             return RelationCode.PARALLEL
         if self._coaxial[a] == self._coaxial[b]:
             return RelationCode.COAXIAL
-        if self._parallel[a] == self._parallel[b]:
+        pa, pb = self._parallel[a], self._parallel[b]
+        if pa == pb:
             return RelationCode.PARALLEL
-        if self.perpendicular(a, b):
+        if (pa, pb) in self._perp_pairs:
             return RelationCode.PERPENDICULAR
-        return self._seeded.get(frozenset((a, b)), RelationCode.ARBITRARY)
+        return self._seeded.get((a, b) if a < b else (b, a), RelationCode.ARBITRARY)
 
     # -- constraint enumeration (used by the numeric oracle) -------------
 
@@ -215,11 +219,11 @@ def build_relation_graph(mech: MechanismTopology) -> RelationGraph:
         for i, kind in enumerate(leg.joints, start=1):
             kinds[AxisRef(leg.label, i)] = kind
 
-    seeds: dict[frozenset[AxisRef], RelationCode] = {}
+    seeds: dict[tuple[AxisRef, AxisRef], RelationCode] = {}
     for a, b, code in _seed_edges(mech):
         if a not in kinds or b not in kinds:
             raise UnknownAxis(f"seeded relation references unknown axis {a} or {b}")
-        pair = frozenset((a, b))
+        pair = (a, b) if a < b else (b, a)
         if pair in seeds:
             seeds[pair] = _merge_codes(seeds[pair], code, a, b)
         elif code != RelationCode.ARBITRARY:
@@ -227,8 +231,7 @@ def build_relation_graph(mech: MechanismTopology) -> RelationGraph:
 
     parallel = _UnionFind(kinds)
     coaxial = _UnionFind(kinds)
-    for pair, code in seeds.items():
-        a, b = sorted(pair)
+    for (a, b), code in seeds.items():
         if code in (RelationCode.PARALLEL, RelationCode.COAXIAL):
             parallel.union(a, b)
         if code == RelationCode.COAXIAL:
@@ -236,25 +239,24 @@ def build_relation_graph(mech: MechanismTopology) -> RelationGraph:
     parallel_root = {axis: parallel.find(axis) for axis in kinds}
     coaxial_root = {axis: coaxial.find(axis) for axis in kinds}
 
-    perp_pairs: set[frozenset[AxisRef]] = set()
-    for pair, code in seeds.items():
+    perp_pairs: set[tuple[AxisRef, AxisRef]] = set()
+    for (a, b), code in seeds.items():
         if code is not RelationCode.PERPENDICULAR:
             continue
-        a, b = sorted(pair)
         ra, rb = parallel_root[a], parallel_root[b]
         if ra == rb:
             raise InconsistentRelations(_describe_cycle(a, b, seeds))
-        perp_pairs.add(frozenset((ra, rb)))
+        perp_pairs.add((ra, rb))
+        perp_pairs.add((rb, ra))
 
-    return RelationGraph(kinds, parallel_root, coaxial_root, frozenset(perp_pairs), dict(seeds))
+    return RelationGraph(kinds, parallel_root, coaxial_root, frozenset(perp_pairs), seeds)
 
 
 def _describe_cycle(a: AxisRef, b: AxisRef, seeds) -> str:
     """Name the parallel chain that collapses a seeded perpendicular pair."""
     adjacency: dict[AxisRef, list[AxisRef]] = {}
-    for pair, code in seeds.items():
+    for (x, y), code in seeds.items():
         if code in (RelationCode.PARALLEL, RelationCode.COAXIAL):
-            x, y = sorted(pair)
             adjacency.setdefault(x, []).append(y)
             adjacency.setdefault(y, []).append(x)
     # BFS from a to b over parallel seeds
