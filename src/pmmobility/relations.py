@@ -73,10 +73,9 @@ class RelationGraph:
     strongest derivable relation for a pair; same_axis tells whether two
     refs name the same line (identical ref or seeded coaxial chain).
     parallel and coaxial map every axis to the root of its class, which is
-    the smallest AxisRef of that class.  A pair of axes is keyed by the
-    ordered tuple (smaller, larger): seeded holds each seeded pair that way,
-    and perp_pairs holds both orders of each perpendicular pair of parallel
-    roots.
+    the smallest AxisRef of that class.  seeded keys each seeded pair by the
+    ordered tuple (smaller, larger); perp_pairs holds both orders of each
+    perpendicular pair of parallel roots, so that lookup needs no sorting.
     """
 
     def __init__(
