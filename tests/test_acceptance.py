@@ -11,8 +11,6 @@ import random
 import time
 from contextlib import contextmanager
 
-from click.testing import CliRunner
-
 from helpers import REFERENCE_LEGS, leg_and_graph, random_mechanism
 from pmmobility import (
     SubchainKind,
@@ -160,9 +158,8 @@ def test_criterion_7_dof_identity(capsys, fixtures_dir):
             assert normalize(report.poc, g) == report.poc
 
 
-def test_criterion_8_cli_round_trip(capsys, fixtures_dir, golden_dir):
+def test_criterion_8_cli_round_trip(capsys, runner, fixtures_dir, golden_dir):
     with criterion(capsys, 8, "CLI structured round trip and byte-exact golden reports"):
-        runner = CliRunner()
         for name in CASE_STUDIES:
             path = fixtures_dir / f"{name}.mech"
             structured = runner.invoke(cli_main, ["analyze", "--format", "structured", str(path)])

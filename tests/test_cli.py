@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from pmmobility import analyze_mechanism, parse_mechanism_file
 from pmmobility.cli import main, run
@@ -26,11 +25,6 @@ platform fixed:
   8 -
   - 8
 """
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def test_analyze_tricept_success(runner, fixtures_dir):
