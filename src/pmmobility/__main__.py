@@ -1,8 +1,6 @@
 """Module entry point, mirrors the console script."""
 
-import sys
-
-from .cli import run
+from .cli import main
 
 if __name__ == "__main__":
-    sys.exit(run())
+    main()
