@@ -332,7 +332,7 @@ def _analyze(
         _write(sys.stdout, json.dumps(payload, indent=2) + "\n")
     else:
         _write(sys.stdout, "\n".join(o.stdout for o in outcomes if o.stdout))
-    return max((o.code for o in outcomes), default=OK)
+    return max(o.code for o in outcomes)
 
 
 def run(argv: list[str] | None = None) -> int:
