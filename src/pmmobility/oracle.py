@@ -12,15 +12,17 @@ platforms.
 
 Everything that does not depend on the seed (the order in which parallel
 classes are drawn and which earlier classes each must be perpendicular to,
-the anchor of every line, the common-point groups, the coplanar moves and
-each leg's axis indices) is compiled once per mechanism into an
-OraclePlan.  It has the one sampler, OraclePlan.sample, and the one ranker,
-OraclePlan.rank: each seed keeps its own PCG64 stream, and the seeds are
-sampled and ranked as one stack.  verify_mechanism draws again only the
-seeds whose singular values fell near the rank threshold.  The two one-seed
-entry points, instantiate_geometry (one seed's geometry) and
-numeric_loop_and_platform (one geometry's ranks), call into the same code,
-and a stacked seed gives bit for bit the result of its one-seed call.
+the line of every axis, the pairs of lines that must meet and each leg's
+axis indices) is compiled once per mechanism into an OraclePlan.  It has
+the one sampler, OraclePlan.sample, and the one ranker, OraclePlan.rank:
+each seed keeps its own PCG64 stream, and the seeds are sampled and ranked
+as one stack.  The sampler projects each seed's uniform anchor draw onto
+the points where every pair of lines that must meet does.  verify_mechanism
+draws again only the seeds whose singular values fell near the rank
+threshold.  The two one-seed entry points, instantiate_geometry (one seed's
+geometry) and numeric_loop_and_platform (one geometry's ranks), call into
+the same code, and a stacked seed gives bit for bit the result of its
+one-seed call.
 """
 
 from __future__ import annotations
@@ -46,10 +48,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     """Normalise the last axis of v."""
     # sqrt(vecdot) rounds like the norm of one vector does, where a stacked
     # np.linalg.norm(v, axis=-1) can differ in the last bit
-    n = np.sqrt(np.vecdot(v, v))
-    if np.any(n < 1e-12):
-        raise Unsatisfiable("degenerate direction while sampling geometry")
-    return v / n[..., None]
+    return v / np.sqrt(np.vecdot(v, v))[..., None]
 
 
 @dataclass
@@ -103,64 +102,50 @@ class OraclePlan:
     """The seed-independent part of sampling and ranking one mechanism.
 
     A draw is a pair of stacks: one unit direction per parallel class
-    (seeds x classes x 3) and one anchor point per coaxial line (seeds x
-    lines x 3), both in sorted root order.  Every parallel class receives
-    one direction; perpendicular class pairs are enforced by projection.
-    Coaxial axes share their anchor point, common-point groups share one
-    point, and coplanar pairs are anchored so the two lines intersect.
+    (seeds x classes x 3), most constrained class first, and one anchor
+    point per line (seeds x lines x 3).  Perpendicular class pairs are met
+    by projection, coaxial axes share their anchor, and every seeded
+    coplanar or common-point pair is one linear rule on the anchor points.
     """
 
     def __init__(self, mech: MechanismTopology, g: RelationGraph) -> None:
         axes = g.axes()
-        roots = sorted({g.parallel_class(a) for a in axes})
+        classes = sorted({g.parallel_class(a) for a in axes})
+        perpendicular = {r: [o for o in classes if g.perpendicular(r, o)] for r in classes}
+        # the most constrained classes first, so that no class is left only
+        # the one direction its earlier perpendiculars allow; ties keep order
+        self._roots = roots = sorted(classes, key=lambda r: -len(perpendicular[r]))
         # the earlier classes each class must be perpendicular to
         self._perpendicular = [
-            [j for j, other in enumerate(roots[:i]) if g.perpendicular(root, other)]
+            [j for j, other in enumerate(roots[:i]) if other in perpendicular[root]]
             for i, root in enumerate(roots)
         ]
         class_index = {root: i for i, root in enumerate(roots)}
         self._class_of = {a: class_index[g.parallel_class(a)] for a in axes}
 
-        # anchor points: one uniform draw per coaxial line, then one per
-        # common-point group.  Linked lines share their group's draw; a
-        # group's root is its smallest line, so the sorted walk meets it first
-        coax_root = {a: g.coaxial_class(a) for a in axes}
-        lines = sorted(set(coax_root.values()))
-        line_index = {root: i for i, root in enumerate(lines)}
-        self._anchor_of = {a: line_index[coax_root[a]] for a in axes}
-        groups = _UnionFind(lines)
-        pinned: set[AxisRef] = set()
+        # two lines in R^3 meet exactly when they are coplanar.  Parallel
+        # lines always are, and parallel lines that meet are one line; any
+        # other pair meets when (p_b - p_a) . (d_a x d_b) = 0, one row each
+        lines = _UnionFind(axes)
+        meets = []
         for a, b, code in g.seeded_pairs():
-            if code is RelationCode.COMMON_POINT:
-                pinned.update((coax_root[a], coax_root[b]))
-                groups.union(coax_root[a], coax_root[b])
-        source = list(range(len(lines)))
-        group_draw: dict[AxisRef, int] = {}
-        for root in sorted(pinned):
-            group = groups.find(root)
-            if root == group:
-                group_draw[group] = len(lines) + len(group_draw)
-            source[line_index[root]] = group_draw[group]
-        self._uniform_rows = len(lines) + len(group_draw)
-        self._anchor_source = np.array(source, dtype=np.intp)
-
-        # coplanar pairs: move one free line so the two lines intersect
-        self._moves: list[tuple[int, int, int, int]] = []
-        for a, b, code in g.seeded_pairs():
-            if code is not RelationCode.COPLANAR:
-                continue
-            ra, rb = coax_root[a], coax_root[b]
-            if ra == rb:
-                continue
-            if rb in pinned and ra not in pinned:
-                a, b, ra, rb = b, a, rb, ra
-            if rb in pinned:
-                continue
-            self._moves.append(
-                (line_index[ra], self._class_of[a], line_index[rb], self._class_of[b])
-            )
-            pinned.add(ra)
-            pinned.add(rb)
+            if self._class_of[a] != self._class_of[b]:
+                if code in (RelationCode.COPLANAR, RelationCode.COMMON_POINT):
+                    meets.append((a, b))
+            elif code is RelationCode.COMMON_POINT:
+                lines.union(g.coaxial_class(a), g.coaxial_class(b))
+        line_of = {a: lines.find(g.coaxial_class(a)) for a in axes}
+        line_index = {root: i for i, root in enumerate(sorted(set(line_of.values())))}
+        self._anchor_of = {a: line_index[line] for a, line in line_of.items()}
+        # row k takes the anchor difference p_b - p_a of meets[k]
+        anchors = np.eye(len(line_index))
+        self._incidence = np.array(
+            [anchors[self._anchor_of[b]] - anchors[self._anchor_of[a]] for a, b in meets]
+        ).reshape(-1, len(line_index))
+        self._meet_classes = np.array(
+            [(self._class_of[a], self._class_of[b]) for a, b in meets], dtype=np.intp
+        ).reshape(-1, 2).T
+        self._overlap = self._incidence @ self._incidence.T
 
         # per leg: the parallel-class and anchor index of each joint axis
         self._legs = []
@@ -176,32 +161,44 @@ class OraclePlan:
     def sample(self, seeds) -> tuple[np.ndarray, np.ndarray]:
         """Directions and anchor points for each seed, stacked.
 
-        Raises Unsatisfiable when projection leaves some seed no direction.
+        Raises Unsatisfiable when projection leaves a class no direction.
         """
         seeds = list(seeds)
-        classes, moves = len(self._perpendicular), len(self._moves)
+        classes, lines = len(self._roots), self._incidence.shape[1]
         normal = np.empty((len(seeds), classes, 3))
-        uniform = np.empty((len(seeds), self._uniform_rows, 3))
-        steps = np.empty((len(seeds), moves, 2))
+        point = np.empty((len(seeds), lines, 3))
         for i, seed in enumerate(seeds):
             rng = _rng(seed)
             normal[i] = rng.normal(size=(classes, 3))
-            uniform[i] = rng.uniform(size=(self._uniform_rows, 3))
-            steps[i] = rng.normal(size=(moves, 2))
+            point[i] = rng.uniform(size=(lines, 3))
 
         direction = np.empty_like(normal)
         for c, earlier in enumerate(self._perpendicular):
-            d = _unit(normal[:, c])
+            d = normal[:, c]
             if earlier:
                 basis = np.linalg.qr(direction[:, earlier].mT)[0]
                 # a stacked @ rounds like the one-seed product; einsum does not
-                d = _unit(d - (basis @ (basis.mT @ d[..., None]))[..., 0])
-            direction[:, c] = d
+                d = d - (basis @ (basis.mT @ d[..., None]))[..., 0]
+                if np.any(np.vecdot(d, d) < 1e-24):
+                    names = ", ".join(str(self._roots[j]) for j in earlier)
+                    raise Unsatisfiable(
+                        f"parallel class {self._roots[c]} has no direction "
+                        f"perpendicular to all of {names}"
+                    )
+            direction[:, c] = _unit(d)
 
-        point = uniform[:, self._anchor_source]
-        for k, (ra, ca, rb, cb) in enumerate(self._moves):
-            meet = point[:, ra] + steps[:, k, :1] * direction[:, ca]
-            point[:, rb] = meet + steps[:, k, 1:] * direction[:, cb]
+        if len(self._incidence):
+            # the rows are A p = 0, A being the incidence scaled by each row's
+            # normal; p - A^T (A A^T)^+ A p is the nearest draw that meets them
+            a, b = direction[:, self._meet_classes[0]], direction[:, self._meet_classes[1]]
+            # a x b, without the overhead of np.cross
+            n = a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+            w, v = np.linalg.eigh(self._overlap * (n @ n.mT))
+            # drop the directions of dependent rows rather than divide by noise
+            scale = np.divide(1.0, w, out=np.zeros_like(w), where=w > 1e-12 * w[:, -1:])
+            gap = np.vecdot(n, self._incidence @ point)[..., None]
+            shift = v @ (scale[..., None] * (v.mT @ gap))
+            point = point - self._incidence.T @ (shift * n)
         return direction, point
 
     def instance(

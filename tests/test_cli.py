@@ -319,7 +319,8 @@ def test_unsatisfiable_oracle_is_an_analysis_error(runner, four_perpendicular):
     result = runner.invoke(main, ["analyze", "--oracle", str(four_perpendicular)])
     assert result.exit_code == 1
     assert result.stderr == (
-        f"{four_perpendicular}: error: degenerate direction while sampling geometry\n"
+        f"{four_perpendicular}: error: parallel class 1.4 has no direction perpendicular "
+        "to all of 1.1, 1.2, 1.3\n"
     )
     assert result.stdout == ""
 
@@ -336,7 +337,7 @@ def test_unsatisfiable_batch_still_reports_the_other_file(
     hinge = fixtures_dir / "toy_hinge.mech"
     result = runner.invoke(main, ["analyze", "--oracle", str(four_perpendicular), str(hinge)])
     assert result.exit_code == 1
-    assert "degenerate direction while sampling geometry" in result.stderr
+    assert "class 1.4 has no direction perpendicular to all of 1.1, 1.2, 1.3" in result.stderr
     assert "mechanism toy-hinge" in result.stdout
     assert "oracle: 20/20 agree" in result.stdout
     assert "mechanism imposs" not in result.stdout

@@ -20,7 +20,13 @@ from helpers import (
     numeric_rank,
     pair_mechanism,
 )
-from pmmobility import analyze_mechanism, oracle, parse_mechanism_file
+from pmmobility import (
+    RelationCode,
+    analyze_mechanism,
+    oracle,
+    parse_mechanism_file,
+    parse_mechanism_text,
+)
 from pmmobility.oracle import (
     _RESAMPLE_STEP,
     RESIDUAL_TOL,
@@ -97,7 +103,7 @@ def test_sampled_geometry_is_frozen():
                 digest.update(np.round(inst.point[axis], 12).tobytes())
         sampled += 1
     assert digest.hexdigest() == (
-        "364d4bfafa8493face7ef37f4fb26d8efd96e96fadb75695e674bd6913793a98"
+        "e382cbaefdb7899ee6087cf35070161dff83eb367345147d1f3fea7a2c0c68ed"
     )
 
 
@@ -191,6 +197,75 @@ def test_coplanar_axes_are_anchored_to_meet():
     for seed in (0, 1, 2):
         inst = instantiate_geometry(mech, g, seed=seed)
         assert _line_distance(inst, AxisRef(1, 1), AxisRef(1, 2)) <= RESIDUAL_TOL
+
+
+PINNED_COPLANAR = """\
+mechanism pinned-coplanar
+leg 1: R - R - R
+rel 1 3 #
+leg 2: R
+platform moving:
+  R 4
+  4 R
+platform fixed:
+  R *
+  * R
+"""
+
+# a planar four-bar: every axis is parallel, and 1.1 # 1.2 says nothing more
+PARALLEL_COPLANAR = """\
+mechanism parallel-coplanar
+leg 1: R # R
+leg 2: R || R
+platform moving:
+  R ||
+  || R
+platform fixed:
+  R ||
+  || R
+"""
+
+# labeled corpus index 14: class 2.4 must be perpendicular to 1.3, 2.2 and
+# 2.3, which sorted root order would all draw first
+DRAW_ORDER = """\
+mechanism draw-order
+leg 1:
+  9 1 0
+  1 9 0
+  0 0 9
+leg 2:
+  9 4 4 0
+  4 8 2 2
+  4 2 8 2
+  0 2 2 9
+platform moving:
+  9 2
+  2 9
+platform fixed:
+  9 1
+  1 9
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [PINNED_COPLANAR, PARALLEL_COPLANAR, DRAW_ORDER],
+    ids=["pinned-coplanar", "parallel-coplanar", "draw-order"],
+)
+def test_sampled_geometry_meets_seeded_relations_only(text):
+    # every seed samples, meets every relation, and draws parallel axes that
+    # are not coaxial or seeded to meet on distinct lines
+    mech = parse_mechanism_text(text)
+    g = build_relation_graph(mech)
+    meeting = {(a, b) for a, b, code in g.seeded_pairs() if code is RelationCode.COMMON_POINT}
+    for seed in range(20):
+        inst = instantiate_geometry(mech, g, seed=seed)
+        for label, value in inst.residuals(g):
+            assert value <= RESIDUAL_TOL, (seed, label, value)
+        for i, a in enumerate(g.axes()):
+            for b in g.axes()[i + 1:]:
+                if g.relation_between(a, b) is RelationCode.PARALLEL and (a, b) not in meeting:
+                    assert _line_distance(inst, a, b) > 1e-6, (seed, str(a), str(b))
 
 
 def test_subspace_intersection_units():
