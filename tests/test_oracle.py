@@ -199,6 +199,8 @@ def test_coplanar_axes_are_anchored_to_meet():
         assert _line_distance(inst, AxisRef(1, 1), AxisRef(1, 2)) <= RESIDUAL_TOL
 
 
+# 1.1 * 2.1 and 1.1 # 1.3 once fixed all three lines before 1.3 # 2.1 was
+# placed, and the sampler skipped that pair
 PINNED_COPLANAR = """\
 mechanism pinned-coplanar
 leg 1: R - R - R
