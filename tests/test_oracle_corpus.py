@@ -71,6 +71,6 @@ def test_roadmap_corpus_ratchet(corpus):
         inst = instantiate_geometry(mech, report.graph, seed=0)
         if any(value > RESIDUAL_TOL for _, value in inst.residuals(report.graph)):
             off_relations.add(index)
-    assert sorted(unsatisfiable) == sorted(UNSATISFIABLE[corpus])
-    assert sorted(off_relations) == sorted(OFF_RELATIONS[corpus])
-    assert sorted(disagree) == sorted(DISAGREE[corpus])
+    assert unsatisfiable == UNSATISFIABLE[corpus]
+    assert off_relations == OFF_RELATIONS[corpus]
+    assert disagree == DISAGREE[corpus]
