@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
 import pytest
 
-from helpers import RRC_MATRIX, UP_MATRIX, UPS_MATRIX
+from helpers import (
+    RRC_MATRIX,
+    UP_MATRIX,
+    UPS_MATRIX,
+    labeled_random_mechanism,
+    random_mechanism,
+)
 from pmmobility import (
     InconsistentRelations,
     ParseError,
@@ -18,7 +25,7 @@ from pmmobility import (
     parse_mechanism_file,
     parse_mechanism_text,
 )
-from pmmobility.parser import RELATION_SYMBOLS
+from pmmobility.parser import RELATION_SYMBOLS, SYMBOL_OF_RELATION
 
 TAIL = """
 platform moving:
@@ -215,6 +222,66 @@ def test_error_location_for_misplaced_colon():
     assert (err.value.line, err.value.col) == (2, 6)
 
 
+# errors raised on matrix rows and unexpected lines, with the exact spot:
+# columns count characters from 1, so a tab or an ideographic space (U+3000)
+# is one column, and both separate cells like a blank
+LOCATED_ERRORS = [
+    pytest.param(
+        "mechanism m\nleg 1:\n  8 0 0\n\t0 8\n  0 0 8\n",
+        4, 2, "matrix row has 2 entries, expected 3",
+        id="leg-row-length-tab-indent",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\nleg 2: R\nplatform moving:\n  8 -\n 8\u3000-\u3000-\n",
+        6, 2, "matrix row has 3 entries, expected 2",
+        id="platform-row-length-ideographic-space",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1:\n  8\u30006\n  6 8\n",
+        3, 5, "6 is not a relation code (0..5)",
+        id="relation-cell-ideographic-space",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1:\n  8 0\n  0\t\t7\n",
+        4, 6, "diagonal entry 7 is not a joint code (8, 9, R or P)",
+        id="diagonal-cell-tab",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1:\n  8   ||\n    / 8\n",
+        4, 5, "entry (2,1) = / conflicts with (1,2) = ||",
+        id="leg-conflict",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\nleg 2: R\nplatform moving:\n  8    ||\n  - 8\n",
+        5, 8, "platform entries (1,2) and (2,1) differ",
+        id="platform-entries-differ",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\nleg 2: R\nplatform moving:\n  8 -\n  -   P\n"
+        "platform fixed:\n  8 -\n  - 8\n",
+        6, 7, "platform moving diagonal 2 is P but leg 2 ends with R",
+        id="platform-diagonal-disagrees",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\n   \t8 0\n",
+        3, 5, "unexpected '8' after an inline leg",
+        id="row-after-inline-leg",
+    ),
+    pytest.param(
+        "mechanism m\n\n  foo: bar\n",
+        3, 3, "unexpected 'foo:'",
+        id="unexpected-first-word",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,line,col,reason", LOCATED_ERRORS)
+def test_error_locations_in_rows(text, line, col, reason):
+    with pytest.raises(ParseError) as err:
+        parse_mechanism_text(text)
+    assert (err.value.line, err.value.col, err.value.reason) == (line, col, reason)
+
+
 def test_fixture_files_all_parse(fixtures_dir):
     for path in sorted(fixtures_dir.glob("*.mech")):
         mech = parse_mechanism_file(path)
@@ -224,23 +291,36 @@ def test_fixture_files_all_parse(fixtures_dir):
 def test_reencoded_legs_round_trip(fixtures_dir):
     # parse, re-render each leg as its matrix, re-parse, compare
     mech = parse_mechanism_file(fixtures_dir / "three_rrc.mech")
+    again = parse_mechanism_text(_matrix_doc(mech))
+    assert again == mech
+
+
+def _matrix_doc(mech, symbols: bool = False) -> str:
+    """Matrix-form text for a topology, with numeric codes or with symbols.
+
+    With symbols, diagonals are R/P and relations use their symbols, except
+    a coplanar first cell, which would open a comment and is written as 4.
+    """
+
+    def row(kinds, relations, i):
+        cells = []
+        for j, code in enumerate(relations[i]):
+            if i == j:
+                cells.append(kinds[i].value if symbols else str(kinds[i].code))
+            elif symbols and not (j == 0 and code is RelationCode.COPLANAR):
+                cells.append(SYMBOL_OF_RELATION[code])
+            else:
+                cells.append(str(int(code)))
+        return "  " + " ".join(cells)
+
     lines = [f"mechanism {mech.name}"]
     for leg in mech.legs:
         lines.append(f"leg {leg.label}:")
-        for row in encode_leg(leg):
-            lines.append("  " + " ".join(str(v) for v in row))
-    for side, plat in (("moving", mech.moving), ("fixed", mech.fixed)):
-        lines.append(f"platform {side}:")
-        for i in range(plat.size):
-            cells = []
-            for j in range(plat.size):
-                if i == j:
-                    cells.append(str(plat.diagonal[i].code))
-                else:
-                    cells.append(str(int(plat.matrix[i][j])))
-            lines.append("  " + " ".join(cells))
-    again = parse_mechanism_text("\n".join(lines) + "\n")
-    assert again == mech
+        lines += [row(leg.joints, leg.relations, i) for i in range(leg.f)]
+    for plat in (mech.moving, mech.fixed):
+        lines.append(f"platform {plat.side.value}:")
+        lines += [row(plat.diagonal, plat.matrix, i) for i in range(plat.size)]
+    return "\n".join(lines) + "\n"
 
 
 # tokens of the grammar, plus a few near misses and a line break
@@ -248,6 +328,7 @@ FUZZ_VOCABULARY = (
     "mechanism", "leg", "platform", "rel", "moving:", "fixed:", ":", "1:", "2:",
     "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "-1",
     "R", "P", "-", "||", "_|_", "/", "#", "*", "x", "\n",
+    "01", "+2", "0_3", "\t", "\u3000",
 )
 
 
@@ -283,3 +364,31 @@ def test_mutated_fixtures_raise_only_input_errors(fixtures_dir):
         analyzed += 1
     # enough mutants survive parsing that the analysis is exercised too
     assert analyzed >= 30
+
+
+# sha256 of every outcome in test_parse_outcomes_are_frozen
+PARSE_OUTCOMES_DIGEST = "244a909da90b9af6ff8f022aafbd7b38816055b5da7c3d730734eddd7067dd9a"
+
+
+def test_parse_outcomes_are_frozen(fixtures_dir):
+    # fixtures plus matrix-form texts of generated topologies, half of them
+    # spelled with symbols; each mutant's outcome, parsed or refused, is
+    # hashed, so a parser rewrite must keep every topology, warning, error
+    # message and error location
+    rng = random.Random(13)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(fixtures_dir.glob("*.mech"))]
+    for n in range(40):
+        mech = (random_mechanism if n % 2 else labeled_random_mechanism)(rng)
+        texts.append(_matrix_doc(mech, symbols=n % 4 >= 2))
+    digest = hashlib.sha256()
+    for _ in range(3000):
+        warnings: list[str] = []
+        try:
+            mech = parse_mechanism_text(_mutate(rng.choice(texts), rng), warnings.append)
+        except (ParseError, TopologyError) as err:
+            outcome = (type(err).__name__, getattr(err, "line", None), getattr(err, "col", None),
+                       getattr(err, "reason", str(err)))
+        else:
+            outcome = (repr(mech), warnings)
+        digest.update(repr(outcome).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == PARSE_OUTCOMES_DIGEST
