@@ -1,6 +1,6 @@
 """Text format for mechanism topology files.
 
-A mechanism file is line oriented.  Lines whose first token starts with
+A mechanism file is line oriented.  Lines whose first word starts with
 ``#`` are comments; blank lines separate nothing and are skipped.  The
 format is:
 
@@ -34,6 +34,11 @@ Relation cells accept either the numeric codes 0..5 or the symbols
 accept ``R``/``P`` or 8/9.  Because ``#`` opens a comment at the start of
 a line, a coplanar relation in the first column of a matrix row must be
 written as the numeric code 4.
+
+Each line is split into whitespace-separated words.  Statement lines
+(``mechanism``, ``leg``, ``rel``, ``platform``) are then tokenized with the
+column of every word; matrix rows stay plain words, and a cell's column is
+found only when an error is reported at it.
 """
 
 from __future__ import annotations
@@ -65,9 +70,6 @@ RELATION_SYMBOLS = {
 
 SYMBOL_OF_RELATION = {code: sym for sym, code in RELATION_SYMBOLS.items()}
 
-_KEYWORDS = ("mechanism", "leg", "platform", "rel")
-
-
 class ParseError(ValueError):
     """Syntax or structure error in a mechanism file."""
 
@@ -91,6 +93,24 @@ def _tokenize(line: str, number: int) -> list[_Token]:
     ]
 
 
+class _Row(NamedTuple):
+    """A content line as its words, without columns.
+
+    ``raw.split()`` and ``_tokenize`` split at the same whitespace, so word
+    k is ``token(k).text``; only error sites call ``token`` to find a column.
+    """
+
+    number: int
+    raw: str
+    words: list[str]
+
+    def tokens(self) -> list[_Token]:
+        return _tokenize(self.raw, self.number)
+
+    def token(self, k: int) -> _Token:
+        return self.tokens()[k]
+
+
 def _relation_cell(tok: _Token) -> RelationCode:
     if tok.text in RELATION_SYMBOLS:
         return RELATION_SYMBOLS[tok.text]
@@ -102,6 +122,47 @@ def _relation_cell(tok: _Token) -> RelationCode:
         return RelationCode(value)
     except ValueError:
         raise ParseError(f"{value} is not a relation code (0..5)", tok.line, tok.col) from None
+
+
+# the usual spellings of a matrix cell; any other goes through
+# _relation_cell or _kind_cell, which accept what int() accepts
+_RELATION_CELLS = {**RELATION_SYMBOLS, **{str(code.value): code for code in RelationCode}}
+_KIND_CELLS = {
+    "R": JointKind.REVOLUTE,
+    "P": JointKind.PRISMATIC,
+    "8": JointKind.REVOLUTE,
+    "9": JointKind.PRISMATIC,
+}
+
+
+def _relation_at(row: _Row, k: int) -> RelationCode:
+    code = _RELATION_CELLS.get(row.words[k])
+    return _relation_cell(row.token(k)) if code is None else code
+
+
+def _kind_at(row: _Row, k: int) -> JointKind:
+    kind = _KIND_CELLS.get(row.words[k])
+    return _kind_cell(row.token(k)) if kind is None else kind
+
+
+def _check_square(rows: list[_Row], size: int) -> None:
+    for row in rows:
+        if len(row.words) != size:
+            tok = row.token(0)
+            raise ParseError(
+                f"matrix row has {len(row.words)} entries, expected {size}", tok.line, tok.col
+            )
+
+
+def _make_leg(label: int, header: _Token, kinds, rels: list[list[RelationCode]]) -> LegTopology:
+    try:
+        return LegTopology(
+            label=label,
+            joints=tuple(kinds),
+            relations=tuple(tuple(row) for row in rels),
+        )
+    except TopologyError as err:
+        raise ParseError(str(err), header.line, header.col) from err
 
 
 def _kind_cell(tok: _Token) -> JointKind:
@@ -119,20 +180,25 @@ def _kind_cell(tok: _Token) -> JointKind:
 
 
 class _LegDraft:
-    """A leg being assembled: kinds plus sparse pair relations."""
+    """A leg being assembled from its header on.
+
+    A joint-string leg collects kinds and sparse pair relations from its
+    tokenized header and ``rel`` lines; a matrix leg collects its rows as
+    untokenized ``_Row``s.
+    """
 
     def __init__(self, label: int, header: _Token):
         self.label = label
         self.header = header
         self.kinds: list[JointKind] = []
         self.pairs: dict[tuple[int, int], RelationCode] = {}
-        self.from_matrix = False
-        self.rows: list[list[_Token]] = []
+        self.rows: list[_Row] = []
 
     def set_pair(self, i: int, j: int, code: RelationCode) -> None:
         self.pairs[(min(i, j), max(i, j))] = code
 
     def build(self, on_warning: Callable[[str], None]) -> LegTopology:
+        """The joint-string leg, warning about pairs no line relates."""
         f = len(self.kinds)
         rels = [[RelationCode.ARBITRARY] * f for _ in range(f)]
         missing: list[tuple[int, int]] = []
@@ -141,7 +207,7 @@ class _LegDraft:
                 key = (i, j)
                 if key in self.pairs:
                     rels[i - 1][j - 1] = rels[j - 1][i - 1] = self.pairs[key]
-                elif not self.from_matrix:
+                else:
                     missing.append(key)
         if missing:
             pairs = ", ".join(f"({i},{j})" for i, j in missing)
@@ -149,14 +215,7 @@ class _LegDraft:
                 f"leg {self.label}: joint pairs {pairs} have no stated relation, "
                 "treating them as arbitrary"
             )
-        try:
-            return LegTopology(
-                label=self.label,
-                joints=tuple(self.kinds),
-                relations=tuple(tuple(row) for row in rels),
-            )
-        except TopologyError as err:
-            raise ParseError(str(err), self.header.line, self.header.col) from err
+        return _make_leg(self.label, self.header, self.kinds, rels)
 
 
 class _Parser:
@@ -169,17 +228,16 @@ class _Parser:
         self.platforms: dict[PlatformSide, PlatformRelations] = {}
         self.current_leg: _LegDraft | None = None
         self.current_platform: tuple[PlatformSide, _Token] | None = None
-        self.platform_rows: list[list[_Token]] = []
+        self.platform_rows: list[_Row] = []
         self.last_line = max(len(self.lines), 1)
 
     # -- line stream ------------------------------------------------------
 
-    def _content_lines(self) -> Iterator[list[_Token]]:
+    def _content_lines(self) -> Iterator[_Row]:
         for number, raw in enumerate(self.lines, start=1):
-            stripped = raw.lstrip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield _tokenize(raw, number)
+            words = raw.split()
+            if words and not words[0].startswith("#"):
+                yield _Row(number, raw, words)
 
     # -- block completion ---------------------------------------------------
 
@@ -205,80 +263,72 @@ class _Parser:
     def _finish_matrix_leg(self, draft: _LegDraft) -> None:
         rows = draft.rows
         f = len(rows)
-        for row in rows:
-            if len(row) != f:
-                raise ParseError(
-                    f"matrix row has {len(row)} entries, expected {f}",
-                    row[0].line,
-                    row[0].col,
-                )
+        _check_square(rows, f)
         if f > MAX_LEG_JOINTS:
             raise ParseError(
                 f"leg {draft.label} has {f} joints, maximum is {MAX_LEG_JOINTS}",
                 draft.header.line,
                 draft.header.col,
             )
-        draft.kinds = [_kind_cell(rows[i][i]) for i in range(f)]
-        for i in range(f):
+        kinds = [_kind_at(row, i) for i, row in enumerate(rows)]
+        # row-major: a cell below the diagonal meets the mirror cell that
+        # its row above already set
+        rels = [[RelationCode.ARBITRARY] * f for _ in range(f)]
+        for i, row in enumerate(rows):
+            out = rels[i]
             for j in range(f):
-                if i == j:
+                if j == i:
                     continue
-                code = _relation_cell(rows[i][j])
-                key = (min(i, j) + 1, max(i, j) + 1)
-                if key in draft.pairs and draft.pairs[key] != code:
+                code = _relation_at(row, j)
+                if j > i:
+                    out[j] = rels[j][i] = code
+                elif code is not out[j]:
+                    tok = row.token(j)
                     raise ParseError(
                         f"entry ({i + 1},{j + 1}) = {SYMBOL_OF_RELATION[code]} conflicts "
-                        f"with ({key[0]},{key[1]}) = {SYMBOL_OF_RELATION[draft.pairs[key]]}",
-                        rows[i][j].line,
-                        rows[i][j].col,
+                        f"with ({j + 1},{i + 1}) = {SYMBOL_OF_RELATION[out[j]]}",
+                        tok.line,
+                        tok.col,
                     )
-                draft.set_pair(key[0], key[1], code)
-        draft.from_matrix = True
-        self.legs.append(draft.build(self.on_warning))
+        self.legs.append(_make_leg(draft.label, draft.header, kinds, rels))
 
     def _finish_platform(
-        self, side: PlatformSide, header: _Token, rows: list[list[_Token]]
+        self, side: PlatformSide, header: _Token, rows: list[_Row]
     ) -> PlatformRelations:
         if not rows:
             raise ParseError(f"platform {side.value} block has no rows", header.line, header.col)
         k = len(rows)
-        for row in rows:
-            if len(row) != k:
-                raise ParseError(
-                    f"matrix row has {len(row)} entries, expected {k}",
-                    row[0].line,
-                    row[0].col,
-                )
+        _check_square(rows, k)
         if k != len(self.legs):
             raise ParseError(
                 f"platform {side.value} matrix is {k}x{k} but there are {len(self.legs)} legs",
                 header.line,
                 header.col,
             )
-        diagonal = tuple(_kind_cell(rows[i][i]) for i in range(k))
-        matrix = [[RelationCode.ARBITRARY] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                matrix[i][j] = _relation_cell(rows[i][j])
+        diagonal = tuple(_kind_at(row, i) for i, row in enumerate(rows))
+        matrix = [
+            [RelationCode.ARBITRARY if i == j else _relation_at(row, j) for j in range(k)]
+            for i, row in enumerate(rows)
+        ]
         for i in range(k):
             for j in range(i + 1, k):
-                if matrix[i][j] != matrix[j][i]:
+                if matrix[i][j] is not matrix[j][i]:
+                    tok = rows[i].token(j)
                     raise ParseError(
                         f"platform entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ",
-                        rows[i][j].line,
-                        rows[i][j].col,
+                        tok.line,
+                        tok.col,
                     )
         end = -1 if side is PlatformSide.MOVING else 0
         where = "ends" if side is PlatformSide.MOVING else "starts"
         for i, leg in enumerate(self.legs):
             if diagonal[i] is not leg.joints[end]:
+                tok = rows[i].token(i)
                 raise ParseError(
                     f"platform {side.value} diagonal {i + 1} is {diagonal[i].value} "
                     f"but leg {leg.label} {where} with {leg.joints[end].value}",
-                    rows[i][i].line,
-                    rows[i][i].col,
+                    tok.line,
+                    tok.col,
                 )
         return PlatformRelations(
             side=side,
@@ -422,39 +472,32 @@ class _Parser:
     # -- driver -------------------------------------------------------------
 
     def parse(self) -> MechanismTopology:
-        for tokens in self._content_lines():
-            head = tokens[0].text.split(":")[0]
-            if self.name is None:
-                if head != "mechanism":
-                    raise ParseError(
-                        "a mechanism file starts with 'mechanism NAME'",
-                        tokens[0].line,
-                        tokens[0].col,
-                    )
-                self._stmt_mechanism(tokens)
-                continue
-            if head == "mechanism":
-                self._stmt_mechanism(tokens)
-            elif head == "leg":
-                self._stmt_leg(tokens)
-            elif head == "rel":
-                self._stmt_rel(tokens)
-            elif head == "platform":
-                self._stmt_platform(tokens)
+        statements = {
+            "mechanism": self._stmt_mechanism,
+            "leg": self._stmt_leg,
+            "rel": self._stmt_rel,
+            "platform": self._stmt_platform,
+        }
+        for row in self._content_lines():
+            head = row.words[0].split(":")[0]
+            if self.name is None and head != "mechanism":
+                tok = row.token(0)
+                raise ParseError("a mechanism file starts with 'mechanism NAME'", tok.line, tok.col)
+            statement = statements.get(head)
+            if statement is not None:
+                statement(row.tokens())
             elif self.current_platform is not None:
-                self.platform_rows.append(tokens)
+                self.platform_rows.append(row)
             elif self.current_leg is not None:
                 if self.current_leg.kinds and not self.current_leg.rows:
+                    tok = row.token(0)
                     raise ParseError(
-                        f"unexpected {tokens[0].text!r} after an inline leg",
-                        tokens[0].line,
-                        tokens[0].col,
+                        f"unexpected {tok.text!r} after an inline leg", tok.line, tok.col
                     )
-                self.current_leg.rows.append(tokens)
+                self.current_leg.rows.append(row)
             else:
-                raise ParseError(
-                    f"unexpected {tokens[0].text!r}", tokens[0].line, tokens[0].col
-                )
+                tok = row.token(0)
+                raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
         self._finish_open_block()
         if self.name is None:
             raise ParseError("a mechanism file starts with 'mechanism NAME'", self.last_line)
