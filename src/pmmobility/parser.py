@@ -124,6 +124,18 @@ def _relation_cell(tok: _Token) -> RelationCode:
         raise ParseError(f"{value} is not a relation code (0..5)", tok.line, tok.col) from None
 
 
+def _kind_cell(tok: _Token) -> JointKind:
+    try:
+        value = int(tok.text)
+    except ValueError:
+        raise ParseError(f"{tok.text!r} is not a joint kind", tok.line, tok.col) from None
+    if value == 8:
+        return JointKind.REVOLUTE
+    if value == 9:
+        return JointKind.PRISMATIC
+    raise ParseError(f"diagonal entry {value} is not a joint code (8, 9, R or P)", tok.line, tok.col)
+
+
 # the usual spellings of a matrix cell; any other goes through
 # _relation_cell or _kind_cell, which accept what int() accepts
 _RELATION_CELLS = {**RELATION_SYMBOLS, **{str(code.value): code for code in RelationCode}}
@@ -154,7 +166,9 @@ def _check_square(rows: list[_Row], size: int) -> None:
             )
 
 
-def _make_leg(label: int, header: _Token, kinds, rels: list[list[RelationCode]]) -> LegTopology:
+def _make_leg(
+    label: int, header: _Token, kinds: list[JointKind], rels: list[list[RelationCode]]
+) -> LegTopology:
     try:
         return LegTopology(
             label=label,
@@ -163,20 +177,6 @@ def _make_leg(label: int, header: _Token, kinds, rels: list[list[RelationCode]])
         )
     except TopologyError as err:
         raise ParseError(str(err), header.line, header.col) from err
-
-
-def _kind_cell(tok: _Token) -> JointKind:
-    if tok.text in ("R", "P"):
-        return JointKind.from_letter(tok.text)
-    try:
-        value = int(tok.text)
-    except ValueError:
-        raise ParseError(f"{tok.text!r} is not a joint kind", tok.line, tok.col) from None
-    if value == 8:
-        return JointKind.REVOLUTE
-    if value == 9:
-        return JointKind.PRISMATIC
-    raise ParseError(f"diagonal entry {value} is not a joint code (8, 9, R or P)", tok.line, tok.col)
 
 
 class _LegDraft:
