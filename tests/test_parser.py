@@ -386,8 +386,12 @@ def test_parse_outcomes_are_frozen(fixtures_dir):
         try:
             mech = parse_mechanism_text(_mutate(rng.choice(texts), rng), warnings.append)
         except (ParseError, TopologyError) as err:
-            outcome = (type(err).__name__, getattr(err, "line", None), getattr(err, "col", None),
-                       getattr(err, "reason", str(err)))
+            outcome = (
+                type(err).__name__,
+                getattr(err, "line", None),
+                getattr(err, "col", None),
+                getattr(err, "reason", str(err)),
+            )
         else:
             outcome = (repr(mech), warnings)
         digest.update(repr(outcome).encode("utf-8") + b"\n")
