@@ -15,8 +15,8 @@ classes are drawn and which earlier classes each must be perpendicular to,
 the line of every axis, the pairs of lines that must meet and each leg's
 axis indices) is compiled once per mechanism into an OraclePlan.  It has
 the one sampler, OraclePlan.sample, and the one ranker, OraclePlan.rank:
-each seed keeps its own PCG64 stream, and the seeds are sampled and ranked
-as one stack.  The sampler projects each seed's uniform anchor draw onto
+each seed keeps its own PCG64 stream, whose start state is computed once per
+process, and the seeds are sampled and ranked as one stack.  The sampler projects each seed's uniform anchor draw onto
 the points where every pair of lines that must meet does.  verify_mechanism
 draws again only the seeds whose singular values fell near the rank
 threshold.  The two one-seed entry points, instantiate_geometry (one seed's
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,8 +42,17 @@ RESIDUAL_TOL = 1e-9
 NEAR_FACTOR = 10.0
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+@lru_cache(maxsize=1024, typed=True)
+def _start_state(seed: int) -> dict:
+    """The start state of seed's PCG64 stream.  Hashing the seed into it
+    costs several times more than resetting a generator to it; typed keys
+    keep a float seed such as 1.0 an error, as PCG64 makes it."""
+    return np.random.PCG64(seed).state
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, rounded like np.cross, without its overhead."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -147,15 +158,16 @@ class OraclePlan:
         ).reshape(-1, 2).T
         self._overlap = self._incidence @ self._incidence.T
 
-        # per leg: the parallel-class and anchor index of each joint axis
-        self._legs = []
-        for leg in mech.legs:
-            leg_axes = [AxisRef(leg.label, j) for j in range(1, len(leg.joints) + 1)]
-            self._legs.append((
-                np.array([self._class_of[a] for a in leg_axes], dtype=np.intp),
-                np.array([self._anchor_of[a] for a in leg_axes], dtype=np.intp),
-                _revolute_mask(leg.joints),
-            ))
+        # the parallel-class and anchor index of every joint axis in leg
+        # order, and where each leg's joints end
+        joint_axes = [
+            AxisRef(leg.label, j) for leg in mech.legs for j in range(1, len(leg.joints) + 1)
+        ]
+        self._axis_class = np.array([self._class_of[a] for a in joint_axes], dtype=np.intp)
+        self._axis_anchor = np.array([self._anchor_of[a] for a in joint_axes], dtype=np.intp)
+        self._revolute = _revolute_mask([kind for leg in mech.legs for kind in leg.joints])
+        ends = list(accumulate(len(leg.joints) for leg in mech.legs))
+        self._leg_bounds = list(zip([0, *ends], ends))
         self._total_dof = mech.total_joint_dof
 
     def sample(self, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -167,10 +179,13 @@ class OraclePlan:
         classes, lines = len(self._roots), self._incidence.shape[1]
         normal = np.empty((len(seeds), classes, 3))
         point = np.empty((len(seeds), lines, 3))
+        # each seed resets the one generator to its own stream's start, so it
+        # draws the bits a fresh Generator(PCG64(seed)) would
+        rng = np.random.Generator(np.random.PCG64(0))
         for i, seed in enumerate(seeds):
-            rng = _rng(seed)
-            normal[i] = rng.normal(size=(classes, 3))
-            point[i] = rng.uniform(size=(lines, 3))
+            rng.bit_generator.state = _start_state(seed)
+            rng.standard_normal(out=normal[i])
+            rng.random(out=point[i])
 
         direction = np.empty_like(normal)
         for c, earlier in enumerate(self._perpendicular):
@@ -190,9 +205,7 @@ class OraclePlan:
         if len(self._incidence):
             # the rows are A p = 0, A being the incidence scaled by each row's
             # normal; p - A^T (A A^T)^+ A p is the nearest draw that meets them
-            a, b = direction[:, self._meet_classes[0]], direction[:, self._meet_classes[1]]
-            # a x b, without the overhead of np.cross
-            n = a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+            n = _cross(direction[:, self._meet_classes[0]], direction[:, self._meet_classes[1]])
             w, v = np.linalg.eigh(self._overlap * (n @ n.mT))
             # drop the directions of dependent rows rather than divide by noise
             scale = np.divide(1.0, w, out=np.zeros_like(w), where=w > 1e-12 * w[:, -1:])
@@ -215,10 +228,10 @@ class OraclePlan:
     def rank(self, draw: tuple[np.ndarray, np.ndarray]) -> list[NumericMobility]:
         """Numeric mobility of each seed of a stacked draw."""
         direction, point = draw
-        legs = [
-            (direction[:, classes], point[:, anchors], revolute)
-            for classes, anchors, revolute in self._legs
-        ]
+        twists = _twists(
+            direction[:, self._axis_class], point[:, self._axis_anchor], self._revolute
+        )
+        legs = [twists[:, start:end] for start, end in self._leg_bounds]
         return _numeric_mobility(self._total_dof, legs)
 
 
@@ -251,19 +264,28 @@ def _cutoff(s: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
     return np.where(live, np.sum(s > threshold, axis=-1), 0), live & np.any(near, axis=-1)
 
 
-def _leg_spaces(
-    d: np.ndarray, p: np.ndarray, revolute: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ranks, right singular vectors and near flags of the twists of a stack
-    of legs with joint directions d and points p (seeds x f x 3)."""
-    screws = np.where(
-        revolute,
-        np.concatenate([d, np.cross(p, d)], axis=-1),
-        np.concatenate([np.zeros_like(d), d], axis=-1),
+def _twists(d: np.ndarray, p: np.ndarray, revolute: np.ndarray) -> np.ndarray:
+    """Twists (... x 6) of joints with directions d and points p (... x 3):
+    (d, p x d) where revolute, else (0, d)."""
+    return np.concatenate(
+        [np.where(revolute, d, 0.0), np.where(revolute, _cross(p, d), d)], axis=-1
     )
-    _, s, vh = np.linalg.svd(screws, full_matrices=False)
-    rank, near = _cutoff(s, s[..., 0])
-    return rank, vh, near
+
+
+def _leg_spaces(legs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per leg, the ranks, right singular vectors and near flags of its
+    stack of twist matrices (seeds x f x 6).
+
+    Legs with equal joint counts share one SVD call; LAPACK factors each
+    matrix on its own, so sharing does not change a bit.
+    """
+    spaces: list = [None] * len(legs)
+    for members in _groups([leg.shape[-2] for leg in legs]).values():
+        _, s, vh = np.linalg.svd(np.stack([legs[k] for k in members]), full_matrices=False)
+        rank, near = _cutoff(s, s[..., 0])
+        for j, k in enumerate(members):
+            spaces[k] = rank[j], vh[j], near[j]
+    return spaces
 
 
 def _one_seed_leg(leg, inst: GeometricInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -321,17 +343,16 @@ class NumericMobility:
     near_threshold: bool
 
 
-def _numeric_mobility(total_dof: int, legs) -> list[NumericMobility]:
+def _numeric_mobility(total_dof: int, legs: list[np.ndarray]) -> list[NumericMobility]:
     """Fold a stack of seeds' legs numerically; legs holds per leg its
-    joint directions and points (seeds x f x 3) and its revolute mask.
+    twist matrices (seeds x f x 6).
 
     Bases of different ranks cannot share an array, so each loop stacks
     the seeds whose two sides have equal row counts.
     """
     spaces = []
-    near = np.zeros(legs[0][0].shape[0], dtype=bool)
-    for d, p, revolute in legs:
-        rank, vh, leg_near = _leg_spaces(d, p, revolute)
+    near = np.zeros(legs[0].shape[0], dtype=bool)
+    for rank, vh, leg_near in _leg_spaces(legs):
         spaces.append((rank.tolist(), vh))
         near |= leg_near
 
@@ -381,7 +402,7 @@ def numeric_loop_and_platform(mech: MechanismTopology, inst: GeometricInstance) 
     rotational part; the remainder are pure translations.  With one leg
     there is no loop and the platform space is the leg space.
     """
-    legs = [_one_seed_leg(leg, inst) for leg in mech.legs]
+    legs = [_twists(*_one_seed_leg(leg, inst)) for leg in mech.legs]
     return _numeric_mobility(mech.total_joint_dof, legs)[0]
 
 

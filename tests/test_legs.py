@@ -8,6 +8,7 @@ from pmmobility.oracle import (
     Unsatisfiable,
     _leg_spaces,
     _one_seed_leg,
+    _twists,
     instantiate_geometry,
 )
 from pmmobility.subchains import extract_subchains, subchain_poc
@@ -78,7 +79,7 @@ def test_leg_rank_never_exceeds_joint_count():
 
 def _numeric_leg_ranks(mech, leg_index, inst):
     d, p, revolute = _one_seed_leg(mech.legs[leg_index], inst)
-    rank = int(_leg_spaces(d, p, revolute)[0][0])
+    rank = int(_leg_spaces([_twists(d, p, revolute)])[0][0][0])
     # the angular block of the twists: revolute directions, prismatic zeros
     angular = numeric_rank(np.where(revolute, d[0], 0.0))
     return rank, angular

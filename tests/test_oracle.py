@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +39,7 @@ from pmmobility.oracle import (
     _leg_spaces,
     _line_distance,
     _one_seed_leg,
+    _twists,
     _unions,
     instantiate_geometry,
     numeric_loop_and_platform,
@@ -62,7 +65,7 @@ ALL_FIXTURES = (
 def _leg_space(mech, leg_index, inst):
     """Rank, orthonormal twist basis and near flag of one leg (0-based) for
     one seed, from a stack of one."""
-    rank, vh, near = _leg_spaces(*_one_seed_leg(mech.legs[leg_index], inst))
+    [(rank, vh, near)] = _leg_spaces([_twists(*_one_seed_leg(mech.legs[leg_index], inst))])
     r = int(rank[0])
     return r, vh[0, :r], bool(near[0])
 
@@ -393,6 +396,81 @@ def test_batched_seeds_match_one_seed_calls(fixtures_dir):
     assert checked >= 40
     empty = verify_mechanism(mech, report, range(0))
     assert (empty.seeds, empty.comparisons) == ((), ())
+
+
+def _independent_draw(seed, classes, lines):
+    """The normal and uniform draws of a fresh generator for one seed."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.normal(size=(classes, 3)), rng.uniform(size=(lines, 3))
+
+
+def test_each_seed_draws_its_own_pcg64_stream():
+    # no perpendicular classes and no rows to meet, so the directions are the
+    # normalised normal draws and the points are the uniform draws as drawn
+    legs = [
+        leg_from_relations(1, "RRR", {(1, 2): RelationCode.PARALLEL}),
+        leg_from_relations(2, "RP", {(1, 2): RelationCode.COAXIAL}),
+    ]
+    mech = make_mechanism("free", legs)
+    plan = OraclePlan(mech, build_relation_graph(mech))
+    seeds = [7, 3, 7, 3 + _RESAMPLE_STEP, 0, 5 + 2 * _RESAMPLE_STEP, 19, 2]
+    direction, point = plan.sample(seeds)
+    classes, lines = direction.shape[1], point.shape[1]
+    assert (classes, lines) == (3, 4)
+    for i, seed in enumerate(seeds):
+        normal, uniform = _independent_draw(seed, classes, lines)
+        assert direction[i].tobytes() == oracle._unit(normal).tobytes(), seed
+        assert point[i].tobytes() == uniform.tobytes(), seed
+    # a call right after a longer one starts from the seed's own state again
+    plan.sample(range(20))
+    direction, point = plan.sample([5])
+    normal, uniform = _independent_draw(5, classes, lines)
+    assert direction[0].tobytes() == oracle._unit(normal).tobytes()
+    assert point[0].tobytes() == uniform.tobytes()
+
+
+def test_concurrent_verification_matches_sequential(monkeypatch, fixtures_dir):
+    # a coarse threshold makes the verdicts depend on the draw, so a thread
+    # that drew from another thread's stream would report other comparisons
+    monkeypatch.setattr(oracle, "RANK_RTOL", 0.3)
+    monkeypatch.setattr(oracle, "NEAR_FACTOR", 1.1)
+    names = ("tricept", "three_rrc", "rrc_quad", "ups_ups_up")
+    mechs = [parse_mechanism_file(fixtures_dir / f"{n}.mech") for n in names]
+    reports = [analyze_mechanism(m) for m in mechs]
+    expected = [verify_mechanism(m, r, range(20)).comparisons for m, r in zip(mechs, reports)]
+    assert all(len({c.detail for c in e}) > 2 for e in expected)
+    results: list[list] = [[] for _ in mechs]
+    start = threading.Barrier(len(mechs), timeout=30)
+
+    def work(k):
+        start.wait()
+        for _ in range(8):
+            results[k].append(verify_mechanism(mechs[k], reports[k], range(20)).comparisons)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(mechs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[e] * 8 for e in expected]
+
+
+def test_invalid_seeds_raise_numpy_errors(tricept, tricept_report):
+    with pytest.raises(ValueError):
+        verify_mechanism(tricept, tricept_report, [-1])
+    with pytest.raises(TypeError):
+        verify_mechanism(tricept, tricept_report, [1.5])
+    # np.int64(1) == 1.0 as a cache key, but a float seed stays an error
+    # after seed 1 has been drawn
+    verify_mechanism(tricept, tricept_report, [np.int64(1)])
+    with pytest.raises(TypeError):
+        verify_mechanism(tricept, tricept_report, [1.0])
 
 
 def _reference_fold(mech, inst):
