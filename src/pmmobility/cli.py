@@ -17,11 +17,11 @@ winning.  A usage error goes to stderr as a usage line, a hint and an
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import dataclass, field
 from difflib import get_close_matches
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -313,6 +313,41 @@ def _write(stream, text: str) -> None:
         stream.flush()
 
 
+def _json(value: Any, out: list[str], indent: str = "") -> None:
+    """Append value to out as ``json.dumps(value, indent=2)`` writes it, without
+    json's pure-Python indenting encoder; only dict, list, str, bool, None and int."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep + _quote(key) + ": ")
+            _json(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as report JSON")
+
+
 def _analyze(
     files: list[str],
     fmt: str,
@@ -329,7 +364,9 @@ def _analyze(
     documents = [o.structured for o in outcomes if o.structured is not None]
     if fmt == "structured" and documents:
         payload = documents[0] if len(files) == 1 else documents
-        _write(sys.stdout, json.dumps(payload, indent=2) + "\n")
+        out: list[str] = []
+        _json(payload, out)
+        _write(sys.stdout, "".join(out) + "\n")
     else:
         _write(sys.stdout, "\n".join(o.stdout for o in outcomes if o.stdout))
     return max(o.code for o in outcomes)

@@ -1,17 +1,17 @@
 """POC analysis of one serial leg.
 
-The leg is segmented into catalogued sub-chains, the segment POC matrices
-are combined on their disjoint columns, and the combined matrix is
-normalized against the mechanism-wide relation graph.
+The leg is segmented into catalogued sub-chains, the segment patterns are
+scattered into one POC matrix on their disjoint columns, and that matrix
+is normalized against the mechanism-wide relation graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poc import PocMatrix, normalize, poc_or
+from .poc import PocMatrix, normalize
 from .relations import RelationGraph
-from .subchains import Segment, extract_subchains, subchain_poc
+from .subchains import Segment, extract_subchains, segments_poc
 from .topology import LegTopology
 
 
@@ -43,9 +43,6 @@ def analyze_leg(leg: LegTopology, g: RelationGraph, ledger: list[str] | None = N
     questions the relations leave open are appended to ledger when given.
     """
     segments = extract_subchains(leg, g)
-    combined = poc_or(
-        [subchain_poc(s.kind, s.start, leg.f).with_owner(leg.label) for s in segments]
-    )
-    matrix = normalize(combined, g, ledger).widen(6)
+    matrix = normalize(segments_poc(segments, leg.f, leg.label), g, ledger).widen(6)
     assert matrix.rank <= min(leg.f, 6)
     return LegPoc(leg, matrix, segments)

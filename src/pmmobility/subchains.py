@@ -3,9 +3,10 @@
 A leg is scanned base to platform and segmented greedily into catalogued
 sub-chains: planar three joint (G3) and two joint (G2) groups, spherical
 three joint (S3) and two joint (S2) groups, and single joints.  Longer
-matches win; on equal length the planar family is tried first.  Relation
-tests use the derived relation graph, so a relation implied by closure
-counts the same as a seeded one.
+matches win.  Recognition is a table lookup derived from the catalogue,
+keyed by joint kinds and the relations of all joint pairs; keys never tie.
+Relation tests use the derived relation graph, so a relation implied by
+closure counts the same as a seeded one.
 
 Each catalogued kind owns a fixed POC pattern.  The patterns of the whole
 catalogue collapse to seven distinct POC matrices.
@@ -129,6 +130,14 @@ _CATALOG: tuple[_Pattern, ...] = (
 
 _BY_KIND = {p.kind: p for p in _CATALOG}
 
+# (joint letters, relation of each tested pair) -> pattern.  Every n-joint
+# pattern tests all its pairs in the order (1,2), (1,3), (2,3), so a window
+# of n joints has one key and no two patterns share it
+_BY_KEY = {("".join(k.value for k in p.joints), *(c for _, _, c in p.tests)): p for p in _CATALOG}
+_TRIPLES = {key[0] for key in _BY_KEY if len(key[0]) == 3}
+_PAIRS = {key[0] for key in _BY_KEY if len(key[0]) == 2}
+
+
 @dataclass(frozen=True)
 class Segment:
     """One recognized sub-chain: kind plus 1-based inclusive joint range."""
@@ -146,59 +155,59 @@ class Segment:
         return _BY_KIND[self.kind].family
 
 
-def _matches(leg: LegTopology, g: RelationGraph, pattern: _Pattern, start: int) -> bool:
-    size = len(pattern.joints)
-    if start + size - 1 > leg.f:
-        return False
-    for offset, kind in enumerate(pattern.joints):
-        if leg.joints[start - 1 + offset] is not kind:
-            return False
-    for i, j, code in pattern.tests:
-        a = AxisRef(leg.label, start + i - 1)
-        b = AxisRef(leg.label, start + j - 1)
-        if g.relation_between(a, b) is not code:
-            return False
-    return True
-
-
 def extract_subchains(leg: LegTopology, g: RelationGraph) -> tuple[Segment, ...]:
     """Segment a leg into catalogued sub-chains, base to platform.
 
-    The scan is greedy and deterministic: at each joint the longest
-    matching pattern wins, planar before spherical on ties, and single
-    joints are the fallback.  The segments cover every joint exactly once.
+    The scan is greedy and deterministic: at each joint a three joint
+    pattern wins over a two joint one, and single joints are the fallback.
+    The segments cover every joint exactly once.
     """
+    letters = leg.signature
+    axes = [AxisRef(leg.label, j) for j in range(1, len(letters) + 1)]
+    relation = g.relation_between
     segments: list[Segment] = []
-    pos = 1
-    while pos <= leg.f:
-        for pattern in _CATALOG:
-            if _matches(leg, g, pattern, pos):
-                stop = pos + len(pattern.joints) - 1
-                segments.append(Segment(pattern.kind, pos, stop))
-                pos = stop + 1
-                break
-        else:  # pragma: no cover - singles always match
-            raise AssertionError("no pattern matched")
+    pos = 0
+    while pos < len(letters):
+        triple = letters[pos:pos + 3]
+        pattern = None
+        if triple in _TRIPLES or triple[:2] in _PAIRS:
+            a, b = axes[pos], axes[pos + 1]
+            ab = relation(a, b)
+            if triple in _TRIPLES:
+                c = axes[pos + 2]
+                pattern = _BY_KEY.get((triple, ab, relation(a, c), relation(b, c)))
+            pattern = pattern or _BY_KEY.get((triple[:2], ab))
+        pattern = pattern or _BY_KEY[(triple[:1],)]
+        size = len(pattern.joints)
+        segments.append(Segment(pattern.kind, pos + 1, pos + size))
+        pos += size
     return tuple(segments)
 
 
-def subchain_poc(kind: SubchainKind, start: int, f: int) -> PocMatrix:
-    """POC matrix of one sub-chain, zero padded to the leg width f.
+def segments_poc(segments, f: int, owner: int | None = None) -> PocMatrix:
+    """POC matrix of f columns from non-overlapping segments of one leg.
 
-    The pattern's entries land at the segment's own columns: column c of
-    the pattern goes to leg column start + c - 1.
+    Pattern column c lands at column start + c - 1; owner owns each nonzero row.
     """
-    pattern = _BY_KIND[kind]
-    size = len(pattern.joints)
-    if start < 1 or start + size - 1 > f:
-        raise ValueError(f"segment {kind.name} at {start} does not fit into {f} joints")
     t = [0] * f
     r = [0] * f
-    for col, value in pattern.t_cells:
-        t[start + col - 2] = value
-    for col, value in pattern.r_cells:
-        r[start + col - 2] = value
-    return PocMatrix(tuple(t), tuple(r))
+    for segment in segments:
+        pattern = _BY_KIND[segment.kind]
+        start = segment.start
+        if start < 1 or start + len(pattern.joints) - 1 > f:
+            raise ValueError(f"segment {pattern.kind.name} at {start} does not fit into {f} joints")
+        for col, value in pattern.t_cells:
+            t[start + col - 2] = value
+        for col, value in pattern.r_cells:
+            r[start + col - 2] = value
+    owners = (owner if any(t) else None, owner if any(r) else None)
+    return PocMatrix(tuple(t), tuple(r), owners)
+
+
+def subchain_poc(kind: SubchainKind, start: int, f: int) -> PocMatrix:
+    """POC matrix of one sub-chain, zero padded to the leg width f."""
+    size = len(_BY_KIND[kind].joints)
+    return segments_poc((Segment(kind, start, start + size - 1),), f)
 
 
 def catalogue_poc_matrices() -> dict[SubchainKind, PocMatrix]:

@@ -7,19 +7,24 @@ direction descriptors used to cross-check the POC algebra.
 
 from __future__ import annotations
 
+import functools
 import random
+from pathlib import Path
 
 import numpy as np
 
 from pmmobility import (
+    InconsistentRelations,
     JointKind,
     LegTopology,
     MechanismTopology,
     PlatformRelations,
     PlatformSide,
     RelationCode,
+    RelationGraph,
     build_relation_graph,
     decode_leg,
+    parse_mechanism_file,
 )
 from pmmobility import oracle
 from pmmobility.oracle import GeometricInstance
@@ -31,6 +36,8 @@ from pmmobility.poc import (
     NormalPlane,
     SpanPlane,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # reference matrices of the four catalogued legs
 UP_MATRIX = [
@@ -229,6 +236,27 @@ def labeled_random_mechanism(rng: random.Random, max_legs: int = 3) -> Mechanism
             )
             fixed[(i, j)] = code(leg_labels[i - 1][0], leg_labels[j - 1][0], False, (i, 1), (j, 1))
     return make_mechanism(f"labeled-{rng.random():.6f}", legs, moving, fixed)
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_graphs() -> tuple[tuple[MechanismTopology, RelationGraph], ...]:
+    """(mechanism, relation graph) for the fixtures and the roadmap corpus.
+
+    The roadmap corpus is 300 random_mechanism and 300
+    labeled_random_mechanism topologies, each generator from its own
+    random.Random(1); mechanisms whose relations are inconsistent are left out.
+    """
+    mechs = [parse_mechanism_file(path) for path in sorted(FIXTURES.glob("*.mech"))]
+    for generate in (random_mechanism, labeled_random_mechanism):
+        rng = random.Random(1)
+        mechs.extend(generate(rng) for _ in range(300))
+    out = []
+    for mech in mechs:
+        try:
+            out.append((mech, build_relation_graph(mech)))
+        except InconsistentRelations:
+            continue
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------

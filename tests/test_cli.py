@@ -6,8 +6,13 @@ import json
 
 import pytest
 
-from pmmobility import analyze_mechanism, parse_mechanism_file
-from pmmobility.cli import main, run
+from pmmobility import (
+    analyze_mechanism,
+    parse_mechanism_file,
+    parse_mechanism_text,
+    render_structured,
+)
+from pmmobility.cli import _json, main, run
 
 SKEW_PAIR = """mechanism skew-pair
 
@@ -341,3 +346,78 @@ def test_unsatisfiable_batch_still_reports_the_other_file(
     assert "mechanism toy-hinge" in result.stdout
     assert "oracle: 20/20 agree" in result.stdout
     assert "mechanism imposs" not in result.stdout
+
+
+def _dumps(value) -> str:
+    out = []
+    _json(value, out)
+    return "".join(out)
+
+
+def _structured_payloads(fixtures_dir):
+    """Every shape of document the structured output writes."""
+    from pmmobility.oracle import verify_mechanism
+
+    payloads = []
+    for path in sorted(fixtures_dir.glob("*.mech")):
+        report = analyze_mechanism(parse_mechanism_file(path))
+        payloads.append(render_structured(report))
+        payloads.append(render_structured(report, trace=True))
+    for mech in (
+        parse_mechanism_file(fixtures_dir / "tricept.mech"),
+        parse_mechanism_file(fixtures_dir / "toy_hinge.mech"),
+        parse_mechanism_text(SKEW_PAIR),  # with oracle mismatches
+    ):
+        report = analyze_mechanism(mech)
+        payloads.append(
+            render_structured(report, trace=True, oracle=verify_mechanism(mech, report, range(3)))
+        )
+    # the mechanism format requires two legs; a one-leg document has no loops
+    payloads.append(dict(payloads[0], legs=payloads[0]["legs"][:1], loops=[]))
+    odd_name = SKEW_PAIR.replace("mechanism skew-pair", 'mechanism café "q" a\\b')
+    payloads.append(render_structured(analyze_mechanism(parse_mechanism_text(odd_name)), trace=True))
+    payloads.append(list(payloads))  # a batch array
+    payloads.extend([{}, [], {"a": {}, "b": []}])
+    return payloads
+
+
+def test_json_writer_matches_json_dumps(fixtures_dir):
+    payloads = _structured_payloads(fixtures_dir)
+    assert payloads[-5]["mechanism"] == 'café "q" a\\b'
+    for payload in payloads:
+        assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
+def test_json_writer_rejects_other_types():
+    for value in (1.5, {"a": {1, 2}}, [(1, 2)]):
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+def test_structured_payloads_hold_only_json_writer_types(fixtures_dir):
+    seen = set()
+
+    def walk(value):
+        seen.add(type(value))
+        if isinstance(value, dict):
+            assert all(type(key) is str for key in value)
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item)
+
+    for payload in _structured_payloads(fixtures_dir):
+        walk(payload)
+    assert seen <= {dict, list, str, bool, type(None), int}
+
+
+def test_structured_batch_with_oracle_is_indented_json(runner, fixtures_dir, tmp_path):
+    skew = tmp_path / "skew.mech"
+    skew.write_text(SKEW_PAIR, encoding="utf-8")
+    files = [str(fixtures_dir / "tricept.mech"), str(fixtures_dir / "three_rrc.mech"), str(skew)]
+    result = runner.invoke(
+        main, ["analyze", "--format", "structured", "--oracle", "--seeds", "3", "--trace", *files]
+    )
+    assert result.exit_code == 3
+    assert result.stdout == json.dumps(json.loads(result.stdout), indent=2) + "\n"

@@ -11,10 +11,11 @@ from pmmobility.oracle import (
     _twists,
     instantiate_geometry,
 )
-from pmmobility.subchains import extract_subchains, subchain_poc
+from pmmobility.subchains import extract_subchains, segments_poc, subchain_poc
 
 from helpers import (
     REFERENCE_LEGS,
+    corpus_graphs,
     labeled_random_mechanism,
     leg_and_graph,
     leg_from_relations,
@@ -48,6 +49,24 @@ def test_trace_matches_segments_and_combined():
     parts = [subchain_poc(s.kind, s.start, leg.f).with_owner(1) for s in result.segments]
     assert result.matrix == normalize(poc_or(parts), g).widen(6)
     assert all(part.owners[0] == 1 or part.owners[1] == 1 for part in parts)
+
+
+def test_leg_matrix_matches_union_of_segment_matrices_on_the_corpus():
+    # poc_or over per-segment matrices is the reference for the one matrix
+    # analyze_leg scatters the segments into
+    for mech, g in corpus_graphs():
+        for leg in mech.legs:
+            ledger = []
+            result = analyze_leg(leg, g, ledger)
+            parts = [
+                subchain_poc(s.kind, s.start, leg.f).with_owner(leg.label)
+                for s in extract_subchains(leg, g)
+            ]
+            assert segments_poc(result.segments, leg.f, leg.label) == poc_or(parts)
+            expected_ledger = []
+            expected = normalize(poc_or(parts), g, expected_ledger).widen(6)
+            assert result.matrix == expected, (mech.name, leg.label)
+            assert ledger == expected_ledger, (mech.name, leg.label)
 
 
 def test_coaxial_revolute_pair_adds_nothing():

@@ -1,25 +1,30 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from pmmobility import (
+    AxisRef,
+    InconsistentRelations,
     PocMatrix,
     SubchainFamily,
     SubchainKind,
+    TopologyError,
     build_relation_graph,
     catalogue_poc_matrices,
     extract_subchains,
     subchain_poc,
 )
-from pmmobility.subchains import _CATALOG
+from pmmobility.subchains import _BY_KEY, _CATALOG, Segment
 
 from helpers import (
     PRRRR_MATRIX,
     RRC_MATRIX,
     UP_MATRIX,
     UPS_MATRIX,
+    corpus_graphs,
     leg_and_graph,
     leg_from_relations,
     make_mechanism,
@@ -126,8 +131,9 @@ def test_greedy_longest_match_wins():
 
 
 def test_catalogue_is_listed_in_match_order():
-    # extract_subchains tries the catalogue as written: longest first, then
-    # planar before spherical on equal length, singles last
+    # extract_subchains looks windows up in a table derived from the
+    # catalogue, longest first; keys never tie, so the listed order (planar
+    # before spherical on equal length, singles last) is for the reader
     families = (
         SubchainFamily.G3,
         SubchainFamily.S3,
@@ -211,3 +217,66 @@ def test_subchain_poc_returns_poc_matrices():
     for kind, m in catalogue_poc_matrices().items():
         assert isinstance(m, PocMatrix)
         assert m.rank >= 1
+
+
+def reference_segments(leg, g):
+    """The first-match scan over the catalogue, in catalogue order."""
+
+    def matches(pattern, start):
+        size = len(pattern.joints)
+        if start + size - 1 > leg.f:
+            return False
+        if leg.joints[start - 1:start - 1 + size] != pattern.joints:
+            return False
+        return all(
+            g.relation_between(AxisRef(leg.label, start + i - 1), AxisRef(leg.label, start + j - 1))
+            is code
+            for i, j, code in pattern.tests
+        )
+
+    segments = []
+    pos = 1
+    while pos <= leg.f:
+        pattern = next(p for p in _CATALOG if matches(p, pos))
+        segments.append(Segment(pattern.kind, pos, pos + len(pattern.joints) - 1))
+        pos += len(pattern.joints)
+    return tuple(segments)
+
+
+def test_lookup_matches_first_match_scan_on_the_corpus():
+    legs = 0
+    for mech, g in corpus_graphs():
+        for leg in mech.legs:
+            assert extract_subchains(leg, g) == reference_segments(leg, g), (mech.name, leg.label)
+            legs += 1
+    assert legs > 1000
+
+
+def test_lookup_matches_first_match_scan_on_every_three_joint_leg():
+    checked = 0
+    kinds = set()
+    for letters in itertools.product("RP", repeat=3):
+        for codes in itertools.product(range(6), repeat=3):
+            pairs = dict(zip(((1, 2), (1, 3), (2, 3)), codes))
+            try:
+                leg = leg_from_relations(1, "".join(letters), pairs)
+                mech = make_mechanism("sweep", [leg, leg_from_relations(2, "".join(letters), pairs)])
+                g = build_relation_graph(mech)
+            except (InconsistentRelations, TopologyError):
+                continue
+            segments = extract_subchains(leg, g)
+            assert segments == reference_segments(leg, g), (letters, codes)
+            kinds.update(s.kind for s in segments)
+            checked += 1
+    assert checked > 1500
+    assert kinds == set(SubchainKind)
+
+
+def test_lookup_table_is_the_catalogue():
+    # keys never tie, and a key names every pair of an n-joint window in
+    # the order the lookup asks them
+    assert len(_BY_KEY) == len(_CATALOG)
+    assert list(_BY_KEY.values()) == list(_CATALOG)
+    pairs = {1: [], 2: [(1, 2)], 3: [(1, 2), (1, 3), (2, 3)]}
+    for pattern in _CATALOG:
+        assert [(i, j) for i, j, _ in pattern.tests] == pairs[len(pattern.joints)], pattern.kind

@@ -82,6 +82,20 @@ def test_decode_rejects_asymmetric():
         decode_leg([[8, 3], [2, 8]])
 
 
+def test_leg_topology_accepts_list_rows():
+    A, P, S = RelationCode.ARBITRARY, RelationCode.PARALLEL, RelationCode.PERPENDICULAR
+    rels = [[A, P, S], [P, A, A], [S, A, A]]
+    leg = LegTopology(label=1, joints=(JointKind.REVOLUTE,) * 3, relations=rels)
+    assert leg.relation(1, 3) is S
+
+
+def test_asymmetric_names_the_first_differing_pair():
+    A, P, S = RelationCode.ARBITRARY, RelationCode.PARALLEL, RelationCode.PERPENDICULAR
+    rels = [[A, A, P, A], [A, A, A, S], [S, A, A, A], [A, P, A, A]]
+    with pytest.raises(Asymmetric, match=r"^relation entries \(1,3\) and \(3,1\) differ$"):
+        LegTopology(label=1, joints=(JointKind.REVOLUTE,) * 4, relations=rels)
+
+
 def test_decode_rejects_bad_relation_code():
     with pytest.raises(InvalidRelation):
         decode_leg([[8, 7], [7, 8]])
