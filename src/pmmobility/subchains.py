@@ -74,8 +74,8 @@ class _Pattern:
     r_cells: tuple[tuple[int, int], ...]
 
 
-# listed in match order: longest first, then G3, S3, G2, S2, single, so
-# planar before spherical on equal length
+# listed longest first, then G3, S3, G2, S2, single, for the reader only:
+# recognition looks patterns up in _BY_KEY, whose keys never tie
 _CATALOG: tuple[_Pattern, ...] = (
     _Pattern(SubchainKind.G3_RRR_PARALLEL, SubchainFamily.G3, (R, R, R),
              ((1, 2, PAR), (1, 3, PAR), (2, 3, PAR)),

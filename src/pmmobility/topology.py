@@ -93,9 +93,6 @@ def _check_relation_matrix(relations, size: int) -> None:
     for row in relations:
         if len(row) != size:
             raise Asymmetric(f"relation matrix must be {size}x{size}")
-    # one transposed comparison; the pair loop runs only to name the pair
-    if tuple(zip(*relations)) == tuple(map(tuple, relations)):
-        return
     for i in range(size):
         for j in range(i + 1, size):
             if relations[i][j] != relations[j][i]:
