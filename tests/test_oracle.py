@@ -398,6 +398,16 @@ def test_batched_seeds_match_one_seed_calls(fixtures_dir):
     assert (empty.seeds, empty.comparisons) == ((), ())
 
 
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_empty_seed_stack_ranks_to_nothing(fixtures_dir, name):
+    # verify_mechanism never ranks an empty stack, so only this reaches it
+    mech = parse_mechanism_file(fixtures_dir / f"{name}.mech")
+    plan = OraclePlan(mech, build_relation_graph(mech))
+    direction, point = plan.sample([])
+    assert direction.shape[0] == point.shape[0] == 0
+    assert plan.rank((direction, point)) == []
+
+
 def _independent_draw(seed, classes, lines):
     """The normal and uniform draws of a fresh generator for one seed."""
     rng = np.random.Generator(np.random.PCG64(seed))
