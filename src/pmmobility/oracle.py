@@ -14,20 +14,25 @@ Everything that does not depend on the seed (the order in which parallel
 classes are drawn and which earlier classes each must be perpendicular to,
 the line of every axis, the pairs of lines that must meet and each leg's
 axis indices) is compiled once per mechanism into an OraclePlan.  It has
-the one sampler, OraclePlan.sample, and the one ranker, OraclePlan.rank:
-each seed keeps its own PCG64 stream, whose start state is computed once per
-process, and the seeds are sampled and ranked as one stack.  The sampler projects each seed's uniform anchor draw onto
-the points where every pair of lines that must meet does.  verify_mechanism
-draws again only the seeds whose singular values fell near the rank
-threshold.  The two one-seed entry points, instantiate_geometry (one seed's
-geometry) and numeric_loop_and_platform (one geometry's ranks), call into
-the same code, and a stacked seed gives bit for bit the result of its
-one-seed call.
+the one sampler, OraclePlan.sample, and the one ranker, OraclePlan.rank,
+and the seeds are sampled and ranked as one stack.  Each seed keeps its own
+PCG64 stream: its start state is computed once per process, and each
+thread resets one generator of its own to it.  The sampler projects each
+seed's uniform anchor draw onto the points where every pair of lines that
+must meet does.  The ranker keeps the seeds stacked from the leg SVDs to
+the platform split: the loop fold holds a list of groups, each some seeds
+and their stacked bases, and splits a group only where a rank differs
+between its seeds, so a stack whose seeds agree stays one group.
+verify_mechanism draws again only the seeds whose singular values fell
+near the rank threshold.  The two one-seed entry points,
+instantiate_geometry (one seed's geometry) and numeric_loop_and_platform
+(one geometry's ranks), call into the same code, and a stacked seed gives
+bit for bit the result of its one-seed call.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -48,6 +53,19 @@ def _start_state(seed: int) -> dict:
     costs several times more than resetting a generator to it; typed keys
     keep a float seed such as 1.0 an error, as PCG64 makes it."""
     return np.random.PCG64(seed).state
+
+
+_local = threading.local()
+
+
+def _generator() -> np.random.Generator:
+    """This thread's generator.  Building one costs several times more than
+    resetting it to a seed's start state, which every draw does first."""
+    try:
+        return _local.rng
+    except AttributeError:
+        _local.rng = rng = np.random.Generator(np.random.PCG64(0))
+        return rng
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,17 +139,18 @@ class OraclePlan:
 
     def __init__(self, mech: MechanismTopology, g: RelationGraph) -> None:
         axes = g.axes()
-        classes = sorted({g.parallel_class(a) for a in axes})
-        perpendicular = {r: [o for o in classes if g.perpendicular(r, o)] for r in classes}
+        perpendicular = g.perpendicular_classes()
         # the most constrained classes first, so that no class is left only
         # the one direction its earlier perpendiculars allow; ties keep order
+        classes = sorted(perpendicular)
         self._roots = roots = sorted(classes, key=lambda r: -len(perpendicular[r]))
-        # the earlier classes each class must be perpendicular to
-        self._perpendicular = [
-            [j for j, other in enumerate(roots[:i]) if other in perpendicular[root]]
-            for i, root in enumerate(roots)
-        ]
         class_index = {root: i for i, root in enumerate(roots)}
+        # each class that must be perpendicular to earlier classes, with those
+        self._constrained = []
+        for i, root in enumerate(roots):
+            earlier = sorted(j for j in map(class_index.get, perpendicular[root]) if j < i)
+            if earlier:
+                self._constrained.append((i, earlier))
         self._class_of = {a: class_index[g.parallel_class(a)] for a in axes}
 
         # two lines in R^3 meet exactly when they are coplanar.  Parallel
@@ -179,27 +198,26 @@ class OraclePlan:
         classes, lines = len(self._roots), self._incidence.shape[1]
         normal = np.empty((len(seeds), classes, 3))
         point = np.empty((len(seeds), lines, 3))
-        # each seed resets the one generator to its own stream's start, so it
-        # draws the bits a fresh Generator(PCG64(seed)) would
-        rng = np.random.Generator(np.random.PCG64(0))
+        # each seed resets the thread's generator to its own stream's start,
+        # so it draws the bits a fresh Generator(PCG64(seed)) would
+        rng = _generator()
         for i, seed in enumerate(seeds):
             rng.bit_generator.state = _start_state(seed)
             rng.standard_normal(out=normal[i])
             rng.random(out=point[i])
 
-        direction = np.empty_like(normal)
-        for c, earlier in enumerate(self._perpendicular):
+        direction = _unit(normal)
+        for c, earlier in self._constrained:
             d = normal[:, c]
-            if earlier:
-                basis = np.linalg.qr(direction[:, earlier].mT)[0]
-                # a stacked @ rounds like the one-seed product; einsum does not
-                d = d - (basis @ (basis.mT @ d[..., None]))[..., 0]
-                if np.any(np.vecdot(d, d) < 1e-24):
-                    names = ", ".join(str(self._roots[j]) for j in earlier)
-                    raise Unsatisfiable(
-                        f"parallel class {self._roots[c]} has no direction "
-                        f"perpendicular to all of {names}"
-                    )
+            basis = np.linalg.qr(direction[:, earlier].mT)[0]
+            # a stacked @ rounds like the one-seed product; einsum does not
+            d = d - (basis @ (basis.mT @ d[..., None]))[..., 0]
+            if np.any(np.vecdot(d, d) < 1e-24):
+                names = ", ".join(str(self._roots[j]) for j in earlier)
+                raise Unsatisfiable(
+                    f"parallel class {self._roots[c]} has no direction "
+                    f"perpendicular to all of {names}"
+                )
             direction[:, c] = _unit(d)
 
         if len(self._incidence):
@@ -261,7 +279,7 @@ def _cutoff(s: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
     threshold = (RANK_RTOL * reference)[..., None]
     near = (s > threshold / NEAR_FACTOR) & (s <= NEAR_FACTOR * threshold)
     live = reference >= 1e-300
-    return np.where(live, np.sum(s > threshold, axis=-1), 0), live & np.any(near, axis=-1)
+    return np.where(live, (s > threshold).sum(-1), 0), live & near.any(-1)
 
 
 def _twists(d: np.ndarray, p: np.ndarray, revolute: np.ndarray) -> np.ndarray:
@@ -279,8 +297,11 @@ def _leg_spaces(legs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np
     Legs with equal joint counts share one SVD call; LAPACK factors each
     matrix on its own, so sharing does not change a bit.
     """
+    by_count: dict[int, list[int]] = {}
+    for k, leg in enumerate(legs):
+        by_count.setdefault(leg.shape[-2], []).append(k)
     spaces: list = [None] * len(legs)
-    for members in _groups([leg.shape[-2] for leg in legs]).values():
+    for members in by_count.values():
         _, s, vh = np.linalg.svd(np.stack([legs[k] for k in members]), full_matrices=False)
         rank, near = _cutoff(s, s[..., 0])
         for j, k in enumerate(members):
@@ -297,11 +318,18 @@ def _one_seed_leg(leg, inst: GeometricInstance) -> tuple[np.ndarray, np.ndarray,
     return d[None], p[None], _revolute_mask(leg.joints)
 
 
+def _split(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each distinct key of a stack, ascending, with the positions that hold it."""
+    return [(key, np.flatnonzero(keys == key)) for key in sorted(set(keys.tolist()))]
+
+
 def _unions(
     a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Union ranks, intersection bases and near flags of stacked pairs of
-    row-orthonormal subspaces a (n x ka x 6) and b (n x kb x 6).
+    row-orthonormal subspaces a (n x ka x 6) and b (n x kb x 6).  Bases of
+    different dimensions cannot share an array, so the intersection bases
+    come as one stack per union rank, each with the positions of its pairs.
 
     One full SVD of the stacked rows [a; b] = u s vh answers both.  Its
     rank is the dimension of the union.  Each left null vector (x, y), a
@@ -314,21 +342,12 @@ def _unions(
     """
     u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-2), full_matrices=True)
     rank, near = _cutoff(s, s[..., 0])
-    meets: list[np.ndarray] = [np.empty(0)] * len(rank)
-    for r, members in _groups(rank.tolist()).items():
-        # a stacked @ rounds like the one-pair product
-        meet = np.sqrt(2.0) * (u[members, : a.shape[-2], r:].mT @ a[members])
-        for i, m in zip(members, meet):
-            meets[i] = m
+    # a stacked @ rounds like the one-pair product
+    meets = [
+        (members, np.sqrt(2.0) * (u[members, : a.shape[-2], r:].mT @ a[members]))
+        for r, members in _split(rank)
+    ]
     return rank, meets, near
-
-
-def _groups(keys: list) -> dict:
-    """Indices of equal keys, by key in first-seen order."""
-    out: dict = defaultdict(list)
-    for i, key in enumerate(keys):
-        out[key].append(i)
-    return out
 
 
 @dataclass
@@ -347,51 +366,55 @@ def _numeric_mobility(total_dof: int, legs: list[np.ndarray]) -> list[NumericMob
     """Fold a stack of seeds' legs numerically; legs holds per leg its
     twist matrices (seeds x f x 6).
 
-    Bases of different ranks cannot share an array, so each loop stacks
-    the seeds whose two sides have equal row counts.
+    The fold keeps a list of groups, each the indices of some seeds and
+    their stacked bases (seeds x k x 6).  A group splits only where a leg
+    or union rank differs between its seeds, so a stack whose seeds agree
+    stays one group from the first leg to the platform split.
     """
-    spaces = []
-    near = np.zeros(legs[0].shape[0], dtype=bool)
-    for rank, vh, leg_near in _leg_spaces(legs):
-        spaces.append((rank.tolist(), vh))
+    spaces = _leg_spaces(legs)
+    seeds = legs[0].shape[0]
+    near = np.zeros(seeds, dtype=bool)
+    for _, _, leg_near in spaces:
         near |= leg_near
+    loops = np.zeros((seeds, len(legs) - 1), dtype=np.intp)
 
-    rank, vh = spaces[0]
-    current = [vh[i, :r] for i, r in enumerate(rank)]
-    loops: list[list[int]] = [[] for _ in current]
-    for rank, vh in spaces[1:]:
-        for (_, kb), members in _groups(list(zip(map(len, current), rank))).items():
-            union, meets, loop_near = _unions(
-                np.stack([current[i] for i in members]), vh[members, :kb]
-            )
-            near[members] |= loop_near
-            for i, r, meet in zip(members, union.tolist(), meets):
-                loops[i].append(r)
-                current[i] = meet
+    rank, vh, _ = spaces[0]
+    groups = [(members, vh[members, :r]) for r, members in _split(rank)]
+    for j, (rank, vh, _) in enumerate(spaces[1:]):
+        folded = []
+        for index, current in groups:
+            for kb, members in _split(rank[index]):
+                ids = index[members]
+                union, meets, loop_near = _unions(current[members], vh[ids, :kb])
+                loops[ids, j] = union
+                near[ids] |= loop_near
+                folded += [(ids[m], meet) for m, meet in meets]
+        groups = folded
 
-    xi_r = [0] * len(current)
-    for dim, members in _groups(list(map(len, current))).items():
-        if dim:
+    dim = np.zeros(seeds, dtype=np.intp)
+    xi_r = np.zeros(seeds, dtype=np.intp)
+    for index, current in groups:
+        dim[index] = current.shape[-2]
+        if current.shape[-2]:
             # the basis rows are orthonormal, so the angular block is measured
             # against 1: against its own largest value, a block of rounding
             # noise would count as full rank
-            s = np.linalg.svd(
-                np.stack([current[i] for i in members])[:, :, :3], compute_uv=False
-            )
-            split, split_near = _cutoff(s, 1.0)
-            near[members] |= split_near
-            for i, r in zip(members, split.tolist()):
-                xi_r[i] = r
+            split, split_near = _cutoff(np.linalg.svd(current[..., :3], compute_uv=False), 1.0)
+            xi_r[index] = split
+            near[index] |= split_near
+    dof = total_dof - loops.sum(axis=1)
     return [
         NumericMobility(
             loop_ranks=tuple(loop),
-            platform_dim=len(basis),
-            platform_xi_t=len(basis) - r,
+            platform_dim=d,
+            platform_xi_t=d - r,
             platform_xi_r=r,
-            dof=total_dof - sum(loop),
-            near_threshold=bool(flag),
+            dof=f,
+            near_threshold=flag,
         )
-        for loop, basis, r, flag in zip(loops, current, xi_r, near)
+        for loop, d, r, f, flag in zip(
+            loops.tolist(), dim.tolist(), xi_r.tolist(), dof.tolist(), near.tolist()
+        )
     ]
 
 
@@ -456,26 +479,43 @@ def verify_mechanism(mech: MechanismTopology, report, seeds) -> OracleResult:
             results[i] = result
         pending = [i for i in pending if results[i].near_threshold]
 
-    symbolic_loops = tuple(rank.xi for rank in report.loop_ranks)
+    symbolic = (
+        tuple(rank.xi for rank in report.loop_ranks),
+        report.poc.rank,
+        report.poc.xi_t,
+        report.poc.xi_r,
+        report.dof,
+    )
+    # seeds mostly give one answer, so each distinct answer is compared once
+    verdicts: dict[tuple, tuple[bool, str]] = {symbolic: (True, "ok")}
     comparisons = []
     for seed, result in zip(seeds, results):
-        mismatches = []
-        if result.loop_ranks != symbolic_loops:
-            mismatches.append(f"loop ranks {result.loop_ranks} != {symbolic_loops}")
-        if result.platform_dim != report.poc.rank:
-            mismatches.append(f"platform dim {result.platform_dim} != {report.poc.rank}")
-        if (result.platform_xi_t, result.platform_xi_r) != (report.poc.xi_t, report.poc.xi_r):
-            mismatches.append(
-                f"split ({result.platform_xi_t}T,{result.platform_xi_r}R) != "
-                f"({report.poc.xi_t}T,{report.poc.xi_r}R)"
-            )
-        if result.dof != report.dof:
-            mismatches.append(f"dof {result.dof} != {report.dof}")
-        comparisons.append(
-            OracleComparison(
-                seed=seed,
-                agrees=not mismatches,
-                detail="; ".join(mismatches) if mismatches else "ok",
-            )
+        numeric = (
+            result.loop_ranks,
+            result.platform_dim,
+            result.platform_xi_t,
+            result.platform_xi_r,
+            result.dof,
         )
+        if numeric not in verdicts:
+            verdicts[numeric] = False, _mismatches(numeric, symbolic)
+        agrees, detail = verdicts[numeric]
+        comparisons.append(OracleComparison(seed=seed, agrees=agrees, detail=detail))
     return OracleResult(seeds=seeds, comparisons=tuple(comparisons))
+
+
+def _mismatches(numeric: tuple, symbolic: tuple) -> str:
+    """How a seed's (loop ranks, platform dim, xi_t, xi_r, dof) differ from
+    the symbolic ones."""
+    loops, dim, xi_t, xi_r, dof = numeric
+    s_loops, s_dim, s_xi_t, s_xi_r, s_dof = symbolic
+    out = []
+    if loops != s_loops:
+        out.append(f"loop ranks {loops} != {s_loops}")
+    if dim != s_dim:
+        out.append(f"platform dim {dim} != {s_dim}")
+    if (xi_t, xi_r) != (s_xi_t, s_xi_r):
+        out.append(f"split ({xi_t}T,{xi_r}R) != ({s_xi_t}T,{s_xi_r}R)")
+    if dof != s_dof:
+        out.append(f"dof {dof} != {s_dof}")
+    return "; ".join(out)

@@ -165,6 +165,14 @@ class RelationGraph:
     def seeded_pairs(self) -> tuple[tuple[AxisRef, AxisRef, RelationCode], ...]:
         return self._seeded_pairs
 
+    def perpendicular_classes(self) -> dict[AxisRef, set[AxisRef]]:
+        """Every parallel class root, mapped to the roots of the classes
+        known perpendicular to it; a new dict on each call."""
+        out: dict[AxisRef, set[AxisRef]] = {root: set() for root in self._parallel.values()}
+        for a, b in self._perp_pairs:
+            out[a].add(b)
+        return out
+
 
 def _seed_edges(mech: MechanismTopology):
     """Yield (a, b, code) for every seeded off-diagonal relation."""

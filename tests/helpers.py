@@ -129,6 +129,45 @@ def leg_from_relations(label, letters, pairs) -> LegTopology:
     return LegTopology(label=label, joints=kinds, relations=tuple(tuple(r) for r in rels))
 
 
+def permute_legs(mech: MechanismTopology, order) -> MechanismTopology:
+    """The mechanism with its legs listed in order (0-based indices into
+    mech.legs), relabelled 1..k, and both platform matrices permuted alike."""
+    legs = tuple(
+        LegTopology(label=i, joints=mech.legs[k].joints, relations=mech.legs[k].relations)
+        for i, k in enumerate(order, start=1)
+    )
+
+    def permuted(platform: PlatformRelations) -> PlatformRelations:
+        return PlatformRelations(
+            side=platform.side,
+            diagonal=tuple(platform.diagonal[k] for k in order),
+            matrix=tuple(tuple(platform.matrix[i][j] for j in order) for i in order),
+        )
+
+    return MechanismTopology(
+        name=mech.name, legs=legs, moving=permuted(mech.moving), fixed=permuted(mech.fixed)
+    )
+
+
+def invert(mech: MechanismTopology) -> MechanismTopology:
+    """The mechanism with base and moving platform swapped: every leg's
+    joints and relation matrix reversed, and the platform matrices traded."""
+    legs = tuple(
+        LegTopology(
+            label=leg.label,
+            joints=leg.joints[::-1],
+            relations=tuple(row[::-1] for row in leg.relations[::-1]),
+        )
+        for leg in mech.legs
+    )
+    return MechanismTopology(
+        name=mech.name,
+        legs=legs,
+        moving=PlatformRelations(PlatformSide.MOVING, mech.fixed.diagonal, mech.fixed.matrix),
+        fixed=PlatformRelations(PlatformSide.FIXED, mech.moving.diagonal, mech.moving.matrix),
+    )
+
+
 # --------------------------------------------------------------------------
 # random topology generation
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import sys
 import threading
@@ -16,11 +17,13 @@ from helpers import (
     RRC_MATRIX,
     UP_MATRIX,
     UPS_MATRIX,
+    invert,
     labeled_random_mechanism,
     leg_from_relations,
     make_mechanism,
     numeric_rank,
     pair_mechanism,
+    permute_legs,
 )
 from pmmobility import (
     RelationCode,
@@ -73,8 +76,8 @@ def _leg_space(mech, leg_index, inst):
 def _union_pair(a, b):
     """Union rank, intersection basis and near flag of two row-orthonormal
     subspaces, from a stack of one pair."""
-    rank, meets, near = _unions(a[None], b[None])
-    return int(rank[0]), meets[0], bool(near[0])
+    rank, [(_, meet)], near = _unions(a[None], b[None])
+    return int(rank[0]), meet[0], bool(near[0])
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -531,6 +534,61 @@ def test_stacked_fold_matches_reference(monkeypatch, fixtures_dir, rtol, near):
             assert stacked == expected == numeric_loop_and_platform(mech, inst)
             flagged += expected.near_threshold
     assert rtol is None or flagged >= 100
+
+
+def test_fold_splits_groups_where_seed_ranks_differ(monkeypatch, fixtures_dir):
+    # at the default threshold the seeds of a stack agree on every rank and
+    # the fold keeps one group; a coarse one makes the ranks vary by seed
+    monkeypatch.setattr(oracle, "RANK_RTOL", 0.3)
+    monkeypatch.setattr(oracle, "NEAR_FACTOR", 1.1)
+    calls = []
+
+    def spy(a, b):
+        rank, meets, near = _unions(a, b)
+        calls.append((len(a), b.shape[-2], len(meets)))
+        return rank, meets, near
+
+    monkeypatch.setattr(oracle, "_unions", spy)
+    leg_split = union_split = 0
+    for mech in _batch_corpus(fixtures_dir):
+        plan = OraclePlan(mech, build_relation_graph(mech))
+        try:
+            draw = plan.sample(range(20))
+        except Unsatisfiable:
+            continue
+        calls.clear()
+        for seed, stacked in enumerate(plan.rank(draw)):
+            assert stacked == _reference_fold(mech, plan.instance(draw, seed, seed)), seed
+        # the union calls of each loop take all 20 seeds between them
+        pending = iter(calls)
+        for _ in range(mech.leg_count - 1):
+            loop, seen = [], 0
+            while seen < 20:
+                seeds, kb, unions = next(pending)
+                loop.append((kb, unions))
+                seen += seeds
+            leg_split += len({kb for kb, _ in loop}) > 1
+            union_split += any(unions > 1 for _, unions in loop)
+        assert next(pending, None) is None
+    assert leg_split and union_split
+
+
+def _oracle_answers(mech):
+    plan = OraclePlan(mech, build_relation_graph(mech))
+    return [
+        (r.dof, r.platform_dim, r.platform_xi_t, r.platform_xi_r)
+        for r in plan.rank(plan.sample(range(3)))
+    ]
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_oracle_answer_ignores_leg_order_and_inversion(fixtures_dir, name):
+    mech = parse_mechanism_file(fixtures_dir / f"{name}.mech")
+    assert permute_legs(mech, range(mech.leg_count)) == mech == invert(invert(mech))
+    expected = _oracle_answers(mech)
+    for order in itertools.permutations(range(mech.leg_count)):
+        assert _oracle_answers(permute_legs(mech, order)) == expected, order
+    assert _oracle_answers(invert(mech)) == expected
 
 
 def _numeric_report(mech, g, seed):

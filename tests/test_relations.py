@@ -17,6 +17,7 @@ from helpers import (
     PRRRR_MATRIX,
     RRC_MATRIX,
     UPS_MATRIX,
+    corpus_graphs,
     labeled_random_mechanism,
     leg_from_relations,
     make_mechanism,
@@ -348,3 +349,17 @@ def test_relation_is_symmetric_on_random_mechanisms(generator):
                     positional[code] += 1
         checked += 1
     assert all(count > 0 for count in positional.values()), positional
+
+
+def test_perpendicular_classes_match_perpendicular_lookups():
+    # the oracle reads the classes and their perpendicular pairs at once
+    perpendicular_pairs = 0
+    for _, g in corpus_graphs():
+        classes = g.perpendicular_classes()
+        assert set(classes) == {g.parallel_class(a) for a in g.axes()}
+        for a in classes:
+            for b in classes:
+                assert (b in classes[a]) == g.perpendicular(a, b), f"{a} vs {b}"
+                perpendicular_pairs += b in classes[a]
+        assert g.perpendicular_classes() is not classes
+    assert perpendicular_pairs > 0
