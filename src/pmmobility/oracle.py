@@ -372,11 +372,11 @@ def _numeric_mobility(total_dof: int, legs: list[np.ndarray]) -> list[NumericMob
     stays one group from the first leg to the platform split.
     """
     spaces = _leg_spaces(legs)
-    seeds = legs[0].shape[0]
-    near = np.zeros(seeds, dtype=bool)
+    n = legs[0].shape[0]
+    near = np.zeros(n, dtype=bool)
     for _, _, leg_near in spaces:
         near |= leg_near
-    loops = np.zeros((seeds, len(legs) - 1), dtype=np.intp)
+    loops = np.zeros((n, len(legs) - 1), dtype=np.intp)
 
     rank, vh, _ = spaces[0]
     groups = [(members, vh[members, :r]) for r, members in _split(rank)]
@@ -391,8 +391,8 @@ def _numeric_mobility(total_dof: int, legs: list[np.ndarray]) -> list[NumericMob
                 folded += [(ids[m], meet) for m, meet in meets]
         groups = folded
 
-    dim = np.zeros(seeds, dtype=np.intp)
-    xi_r = np.zeros(seeds, dtype=np.intp)
+    dim = np.zeros(n, dtype=np.intp)
+    xi_r = np.zeros(n, dtype=np.intp)
     for index, current in groups:
         dim[index] = current.shape[-2]
         if current.shape[-2]:
