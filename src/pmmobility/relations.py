@@ -76,6 +76,7 @@ class RelationGraph:
     the smallest AxisRef of that class.  seeded keys each seeded pair by the
     ordered tuple (smaller, larger); perp_pairs holds both orders of each
     perpendicular pair of parallel roots, so that lookup needs no sorting.
+    axes and seeded_pairs sort on each call: only the numeric oracle asks.
     """
 
     def __init__(
@@ -91,21 +92,20 @@ class RelationGraph:
         self._coaxial = coaxial
         self._perp_pairs = perp_pairs
         self._seeded = seeded
-        # the numeric oracle walks both for every seed; sort them once
-        self._axes = tuple(sorted(kinds))
-        self._seeded_pairs = tuple(sorted((a, b, code) for (a, b), code in seeded.items()))
 
     # -- lookups ---------------------------------------------------------
 
     def axes(self) -> tuple[AxisRef, ...]:
-        return self._axes
+        return tuple(sorted(self._kinds))
 
-    def _require(self, axis: AxisRef) -> None:
-        if axis not in self._kinds:
-            raise UnknownAxis(f"axis {axis} is not a joint of this mechanism")
+    def _require(self, *axes: AxisRef) -> None:
+        for axis in axes:
+            if axis not in self._kinds:
+                raise UnknownAxis(f"axis {axis} is not a joint of this mechanism")
 
     def kind(self, axis: AxisRef) -> JointKind:
-        self._require(axis)
+        if axis not in self._kinds:
+            self._require(axis)
         return self._kinds[axis]
 
     def label(self, axis: AxisRef) -> str:
@@ -114,30 +114,32 @@ class RelationGraph:
 
     def same_axis(self, a: AxisRef, b: AxisRef) -> bool:
         """True when a and b are the same line: equal refs or coaxial."""
-        self._require(a)
-        self._require(b)
+        if a not in self._coaxial or b not in self._coaxial:
+            self._require(a, b)
         return a == b or self._coaxial[a] == self._coaxial[b]
 
     def parallel(self, a: AxisRef, b: AxisRef) -> bool:
         """True when the directions of a and b are known parallel."""
-        self._require(a)
-        self._require(b)
+        if a not in self._parallel or b not in self._parallel:
+            self._require(a, b)
         return self._parallel[a] == self._parallel[b]
 
     def perpendicular(self, a: AxisRef, b: AxisRef) -> bool:
         """True when the directions of a and b are known perpendicular."""
-        self._require(a)
-        self._require(b)
+        if a not in self._parallel or b not in self._parallel:
+            self._require(a, b)
         return (self._parallel[a], self._parallel[b]) in self._perp_pairs
 
     def parallel_class(self, axis: AxisRef) -> AxisRef:
         """Smallest axis parallel to the given one."""
-        self._require(axis)
+        if axis not in self._parallel:
+            self._require(axis)
         return self._parallel[axis]
 
     def coaxial_class(self, axis: AxisRef) -> AxisRef:
         """Smallest axis on the same line as the given one."""
-        self._require(axis)
+        if axis not in self._coaxial:
+            self._require(axis)
         return self._coaxial[axis]
 
     def relation_between(self, a: AxisRef, b: AxisRef) -> RelationCode:
@@ -147,8 +149,8 @@ class RelationGraph:
         any seeded positional code, else Arbitrary.  An axis is parallel to
         itself.
         """
-        self._require(a)
-        self._require(b)
+        if a not in self._coaxial or b not in self._coaxial:
+            self._require(a, b)
         if a == b:
             return RelationCode.PARALLEL
         if self._coaxial[a] == self._coaxial[b]:
@@ -163,7 +165,7 @@ class RelationGraph:
     # -- constraint enumeration (used by the numeric oracle) -------------
 
     def seeded_pairs(self) -> tuple[tuple[AxisRef, AxisRef, RelationCode], ...]:
-        return self._seeded_pairs
+        return tuple(sorted((a, b, code) for (a, b), code in self._seeded.items()))
 
     def perpendicular_classes(self) -> dict[AxisRef, set[AxisRef]]:
         """Every parallel class root, mapped to the roots of the classes
@@ -174,24 +176,15 @@ class RelationGraph:
         return out
 
 
-def _seed_edges(mech: MechanismTopology):
-    """Yield (a, b, code) for every seeded off-diagonal relation."""
-    for leg in mech.legs:
-        for i in range(1, leg.f + 1):
-            for j in range(i + 1, leg.f + 1):
-                yield AxisRef(leg.label, i), AxisRef(leg.label, j), leg.relation(i, j)
-    k = mech.leg_count
-    for i in range(k):
-        for j in range(i + 1, k):
-            a = AxisRef(mech.legs[i].label, mech.legs[i].f)
-            b = AxisRef(mech.legs[j].label, mech.legs[j].f)
-            yield a, b, mech.moving.matrix[i][j]
-            a = AxisRef(mech.legs[i].label, 1)
-            b = AxisRef(mech.legs[j].label, 1)
-            yield a, b, mech.fixed.matrix[i][j]
-
-
-_DIRECTIONAL = (RelationCode.PARALLEL, RelationCode.COAXIAL, RelationCode.PERPENDICULAR)
+# how constraining each code is, for merging two seeds of one pair
+_STRENGTH = {
+    RelationCode.ARBITRARY: 0,
+    RelationCode.COPLANAR: 1,
+    RelationCode.COMMON_POINT: 1,
+    RelationCode.PERPENDICULAR: 2,
+    RelationCode.PARALLEL: 2,
+    RelationCode.COAXIAL: 3,
+}
 
 
 def _merge_codes(old: RelationCode, new: RelationCode, a: AxisRef, b: AxisRef) -> RelationCode:
@@ -204,37 +197,43 @@ def _merge_codes(old: RelationCode, new: RelationCode, a: AxisRef, b: AxisRef) -
             f"axes {a} and {b} are seeded both perpendicular and parallel"
         )
     # keep the more constraining code
-    strength = {
-        RelationCode.ARBITRARY: 0,
-        RelationCode.COPLANAR: 1,
-        RelationCode.COMMON_POINT: 1,
-        RelationCode.PERPENDICULAR: 2,
-        RelationCode.PARALLEL: 2,
-        RelationCode.COAXIAL: 3,
-    }
-    return old if strength[old] >= strength[new] else new
+    return old if _STRENGTH[old] >= _STRENGTH[new] else new
 
 
 def build_relation_graph(mech: MechanismTopology) -> RelationGraph:
     """Build the closed relation graph for a mechanism.
 
-    Raises InconsistentRelations when closure makes some parallel class
-    perpendicular to itself, naming the offending cycle.
+    Seeds go in leg by leg, row by row, then the moving and the fixed pair
+    of each two legs.  Raises InconsistentRelations when closure makes some
+    parallel class perpendicular to itself, naming the offending cycle.
     """
     kinds: dict[AxisRef, JointKind] = {}
-    for leg in mech.legs:
-        for i, kind in enumerate(leg.joints, start=1):
-            kinds[AxisRef(leg.label, i)] = kind
-
     seeds: dict[tuple[AxisRef, AxisRef], RelationCode] = {}
-    for a, b, code in _seed_edges(mech):
-        if a not in kinds or b not in kinds:
-            raise UnknownAxis(f"seeded relation references unknown axis {a} or {b}")
-        pair = (a, b) if a < b else (b, a)
-        if pair in seeds:
-            seeds[pair] = _merge_codes(seeds[pair], code, a, b)
-        elif code != RelationCode.ARBITRARY:
-            seeds[pair] = code
+    first, last = [], []
+    for leg in mech.legs:
+        refs = [AxisRef(leg.label, i) for i in range(1, leg.f + 1)]
+        kinds.update(zip(refs, leg.joints))
+        # the upper triangle only: its pairs come ordered (smaller, larger)
+        for i, (a, row) in enumerate(zip(refs, leg.relations), start=1):
+            for b, code in zip(refs[i:], row[i:]):
+                if code != RelationCode.ARBITRARY:
+                    seeds[a, b] = code
+        first.append(refs[0])
+        last.append(refs[-1])
+
+    # the moving and the fixed pair of two legs are one pair when both legs
+    # have one joint; no other platform pair can meet an earlier seed
+    sides = ((last, mech.moving.matrix), (first, mech.fixed.matrix))
+    for i in range(len(first)):
+        for j in range(i + 1, len(first)):
+            for ends, matrix in sides:
+                a, b = ends[i], ends[j]
+                pair = (a, b) if a < b else (b, a)
+                code = matrix[i][j]
+                if pair in seeds:
+                    seeds[pair] = _merge_codes(seeds[pair], code, a, b)
+                elif code != RelationCode.ARBITRARY:
+                    seeds[pair] = code
 
     parallel = _UnionFind(kinds)
     coaxial = _UnionFind(kinds)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from pmmobility import (
+    AxisRef,
     InconsistentRelations,
     JointKind,
     LegTopology,
@@ -36,6 +37,7 @@ from pmmobility.poc import (
     NormalPlane,
     SpanPlane,
 )
+from pmmobility.relations import _UnionFind, _describe_cycle, _merge_codes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -278,24 +280,83 @@ def labeled_random_mechanism(rng: random.Random, max_legs: int = 3) -> Mechanism
 
 
 @functools.lru_cache(maxsize=None)
-def corpus_graphs() -> tuple[tuple[MechanismTopology, RelationGraph], ...]:
-    """(mechanism, relation graph) for the fixtures and the roadmap corpus.
-
-    The roadmap corpus is 300 random_mechanism and 300
+def corpus_mechanisms() -> tuple[MechanismTopology, ...]:
+    """The fixtures and the roadmap corpus: 300 random_mechanism and 300
     labeled_random_mechanism topologies, each generator from its own
-    random.Random(1); mechanisms whose relations are inconsistent are left out.
-    """
+    random.Random(1), inconsistent ones included."""
     mechs = [parse_mechanism_file(path) for path in sorted(FIXTURES.glob("*.mech"))]
     for generate in (random_mechanism, labeled_random_mechanism):
         rng = random.Random(1)
         mechs.extend(generate(rng) for _ in range(300))
+    return tuple(mechs)
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_graphs() -> tuple[tuple[MechanismTopology, RelationGraph], ...]:
+    """(mechanism, relation graph) for corpus_mechanisms, leaving out the
+    mechanisms whose relations are inconsistent."""
     out = []
-    for mech in mechs:
+    for mech in corpus_mechanisms():
         try:
             out.append((mech, build_relation_graph(mech)))
         except InconsistentRelations:
             continue
     return tuple(out)
+
+
+# --------------------------------------------------------------------------
+# reference relation graph
+
+
+def _reference_seed_edges(mech: MechanismTopology):
+    for leg in mech.legs:
+        for i in range(1, leg.f + 1):
+            for j in range(i + 1, leg.f + 1):
+                yield AxisRef(leg.label, i), AxisRef(leg.label, j), leg.relation(i, j)
+    k = mech.leg_count
+    for i in range(k):
+        for j in range(i + 1, k):
+            a = AxisRef(mech.legs[i].label, mech.legs[i].f)
+            b = AxisRef(mech.legs[j].label, mech.legs[j].f)
+            yield a, b, mech.moving.matrix[i][j]
+            a = AxisRef(mech.legs[i].label, 1)
+            b = AxisRef(mech.legs[j].label, 1)
+            yield a, b, mech.fixed.matrix[i][j]
+
+
+def reference_relation_graph(mech: MechanismTopology) -> RelationGraph:
+    """build_relation_graph by the plain per-pair walk: two fresh AxisRefs
+    for every off-diagonal pair of every matrix, each pair ordered and
+    merged with any earlier seed of the same pair."""
+    kinds = {}
+    for leg in mech.legs:
+        for i, kind in enumerate(leg.joints, start=1):
+            kinds[AxisRef(leg.label, i)] = kind
+    seeds = {}
+    for a, b, code in _reference_seed_edges(mech):
+        pair = (a, b) if a < b else (b, a)
+        if pair in seeds:
+            seeds[pair] = _merge_codes(seeds[pair], code, a, b)
+        elif code != RelationCode.ARBITRARY:
+            seeds[pair] = code
+
+    parallel = _UnionFind(kinds)
+    coaxial = _UnionFind(kinds)
+    for (a, b), code in seeds.items():
+        if code in (RelationCode.PARALLEL, RelationCode.COAXIAL):
+            parallel.union(a, b)
+        if code == RelationCode.COAXIAL:
+            coaxial.union(a, b)
+    parallel_root = {axis: parallel.find(axis) for axis in kinds}
+    coaxial_root = {axis: coaxial.find(axis) for axis in kinds}
+    perp_pairs = set()
+    for (a, b), code in seeds.items():
+        if code is RelationCode.PERPENDICULAR:
+            ra, rb = parallel_root[a], parallel_root[b]
+            if ra == rb:
+                raise InconsistentRelations(_describe_cycle(a, b, seeds))
+            perp_pairs.update(((ra, rb), (rb, ra)))
+    return RelationGraph(kinds, parallel_root, coaxial_root, frozenset(perp_pairs), seeds)
 
 
 # --------------------------------------------------------------------------

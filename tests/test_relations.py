@@ -18,11 +18,13 @@ from helpers import (
     RRC_MATRIX,
     UPS_MATRIX,
     corpus_graphs,
+    corpus_mechanisms,
     labeled_random_mechanism,
     leg_from_relations,
     make_mechanism,
     pair_mechanism,
     random_mechanism,
+    reference_relation_graph,
 )
 
 
@@ -240,11 +242,21 @@ def test_perpendicular_inside_parallel_chain_names_the_cycle():
 
 def test_unknown_axis():
     g = build_relation_graph(pair_mechanism(PRRRR_MATRIX))
-    ghost = AxisRef(9, 1)
-    with pytest.raises(UnknownAxis):
-        g.kind(ghost)
-    with pytest.raises(UnknownAxis):
-        g.relation_between(ghost, AxisRef(1, 1))
+    known, ghost, other = AxisRef(1, 1), AxisRef(9, 1), AxisRef(1, 6)
+    for lookup in (g.kind, g.label, g.parallel_class, g.coaxial_class):
+        with pytest.raises(UnknownAxis, match="axis 9.1 is not"):
+            lookup(ghost)
+    for lookup in (g.same_axis, g.parallel, g.perpendicular, g.relation_between):
+        with pytest.raises(UnknownAxis, match="axis 9.1 is not"):
+            lookup(ghost, known)
+        with pytest.raises(UnknownAxis, match="axis 9.1 is not"):
+            lookup(known, ghost)
+        with pytest.raises(UnknownAxis, match="axis 9.1 is not"):
+            lookup(ghost, ghost)
+        with pytest.raises(UnknownAxis, match="axis 9.1 is not"):
+            lookup(ghost, other)
+        with pytest.raises(UnknownAxis, match="axis 1.6 is not"):
+            lookup(other, ghost)
 
 
 def test_labels(tricept):
@@ -363,3 +375,35 @@ def test_perpendicular_classes_match_perpendicular_lookups():
                 perpendicular_pairs += b in classes[a]
         assert g.perpendicular_classes() is not classes
     assert perpendicular_pairs > 0
+
+
+def _graph_state(g):
+    return (
+        list(g._kinds.items()),
+        list(g._parallel.items()),
+        list(g._coaxial.items()),
+        g._perp_pairs,
+        list(g._seeded.items()),
+    )
+
+
+def test_build_matches_the_per_pair_reference():
+    # the one-pass build must give what the plain per-pair walk gives: the
+    # same classes and perpendicular pairs, the same seeds in the same
+    # insertion order, and the same message for the first seed that fails
+    rng = random.Random(17)
+    mechs = list(corpus_mechanisms()) + [random_mechanism(rng, max_legs=6) for _ in range(300)]
+    seen = {"built": 0, "one-joint pair": 0, "merge clash": 0, "parallel chain": 0}
+    for mech in mechs:
+        try:
+            expected = reference_relation_graph(mech)
+        except InconsistentRelations as exc:
+            with pytest.raises(InconsistentRelations) as raised:
+                build_relation_graph(mech)
+            assert str(raised.value) == str(exc), mech.name
+            seen["merge clash" if "both perpendicular" in str(exc) else "parallel chain"] += 1
+            continue
+        assert _graph_state(build_relation_graph(mech)) == _graph_state(expected), mech.name
+        seen["built"] += 1
+        seen["one-joint pair"] += sum(leg.f == 1 for leg in mech.legs) >= 2
+    assert all(count > 0 for count in seen.values()), seen
