@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
 from difflib import get_close_matches
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .mobility import analyze_mechanism
 from .parser import ParseError, parse_mechanism_text
@@ -49,63 +48,54 @@ def verify_mechanism(mech: MechanismTopology, report: MobilityReport, seeds) -> 
     return verify(mech, report, seeds)
 
 
-@dataclass
-class _FileOutcome:
-    path: str
-    code: int = OK
-    stdout: str = ""
-    structured: dict[str, Any] | None = None
-    messages: list[str] = field(default_factory=list)
+class _Settings(NamedTuple):
+    """The values of an ``analyze`` command line."""
+
+    files: list[str]
+    format: str
+    trace: bool
+    strict: bool
+    oracle: bool
+    seed: int
+    seeds: int
 
 
-def _analyze_file(
-    path: str,
-    fmt: str,
-    trace: bool,
-    strict: bool,
-    oracle: bool,
-    seed: int,
-    seeds: int,
-) -> _FileOutcome:
-    outcome = _FileOutcome(path=path)
+def _analyze_file(path: str, settings: _Settings, messages: list[str]) -> tuple[int, Any]:
+    """The exit code and rendered report (None when there is none) of one
+    file; its warnings and errors go onto messages."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        outcome.code = PARSE_ERROR
-        outcome.messages.append(f"{path}: {getattr(err, 'strerror', None) or err}")
-        return outcome
+        messages.append(f"{path}: {getattr(err, 'strerror', None) or err}")
+        return PARSE_ERROR, None
     try:
         mech = parse_mechanism_text(
-            text, on_warning=lambda msg: outcome.messages.append(f"{path}: warning: {msg}")
+            text, on_warning=lambda msg: messages.append(f"{path}: warning: {msg}")
         )
     except ParseError as err:
-        outcome.code = PARSE_ERROR
-        outcome.messages.append(f"{path}: {err}")
-        return outcome
+        messages.append(f"{path}: {err}")
+        return PARSE_ERROR, None
     try:
         report = analyze_mechanism(mech)
-        if strict and report.assumptions:
-            outcome.code = ANALYSIS_ERROR
-            outcome.messages.append(f"{path}: error: {report.assumptions[0]}")
-            return outcome
+        if settings.strict and report.assumptions:
+            messages.append(f"{path}: error: {report.assumptions[0]}")
+            return ANALYSIS_ERROR, None
         result = None
-        if oracle:
-            result = verify_mechanism(mech, report, range(seed, seed + seeds))
+        if settings.oracle:
+            seeds = range(settings.seed, settings.seed + settings.seeds)
+            result = verify_mechanism(mech, report, seeds)
     except (InconsistentRelations, Unsatisfiable, TopologyError) as err:
-        outcome.code = ANALYSIS_ERROR
-        outcome.messages.append(f"{path}: error: {err}")
-        return outcome
+        messages.append(f"{path}: error: {err}")
+        return ANALYSIS_ERROR, None
+    code = OK
     if result is not None and not result.all_agree:
-        outcome.code = ORACLE_MISMATCH
-        outcome.messages.append(
+        code = ORACLE_MISMATCH
+        messages.append(
             f"{path}: oracle mismatch on "
             + ", ".join(f"seed {c.seed}" for c in result.comparisons if not c.agrees)
         )
-    if fmt == "human":
-        outcome.stdout = render_human(report, trace=trace, oracle=result)
-    else:
-        outcome.structured = render_structured(report, trace=trace, oracle=result)
-    return outcome
+    render = render_human if settings.format == "human" else render_structured
+    return code, render(report, trace=settings.trace, oracle=result)
 
 
 GROUP_HELP = """\
@@ -225,7 +215,7 @@ def _read_group(args: list[str]) -> tuple[bool, list[str]]:
     return wants_help, []
 
 
-def _read_analyze(args: list[str]) -> str | tuple:
+def _read_analyze(args: list[str]) -> str | _Settings:
     """The settings of ``analyze ARGS``, or its help screen when asked for."""
     given: dict[str, Any] = {}  # option -> last value, in order of first use
     files: list[str] = []
@@ -268,7 +258,7 @@ def _read_analyze(args: list[str]) -> str | tuple:
                 )
         elif name in _MINIMUM:
             values[name] = _integer(name, values[name])
-    return (
+    return _Settings(
         files,
         values["--format"],
         "--trace" in given,
@@ -291,7 +281,7 @@ def _integer(name: str, value: str | int) -> int:
     raise _UsageError(f"Invalid value for {name!r}: {message}", " analyze")
 
 
-def _read_command_line(args: list[str]) -> str | tuple:
+def _read_command_line(args: list[str]) -> str | _Settings:
     """The ``analyze`` settings, or the help screen the command line asks for."""
     wants_help, rest = _read_group(args)
     if wants_help:
@@ -348,28 +338,19 @@ def _json(value: Any, out: list[str], indent: str = "") -> None:
         raise TypeError(f"cannot write {type(value).__name__} as report JSON")
 
 
-def _analyze(
-    files: list[str],
-    fmt: str,
-    trace: bool,
-    strict: bool,
-    oracle: bool,
-    seed: int,
-    seeds: int,
-) -> int:
-    outcomes = [_analyze_file(path, fmt, trace, strict, oracle, seed, seeds) for path in files]
-    messages = "".join(f"{m}\n" for outcome in outcomes for m in outcome.messages)
+def _analyze(settings: _Settings) -> int:
+    messages: list[str] = []
+    outcomes = [_analyze_file(path, settings, messages) for path in settings.files]
     if messages:
-        _write(sys.stderr, messages)
-    documents = [o.structured for o in outcomes if o.structured is not None]
-    if fmt == "structured" and documents:
-        payload = documents[0] if len(files) == 1 else documents
+        _write(sys.stderr, "".join(f"{m}\n" for m in messages))
+    reports = [report for _, report in outcomes if report is not None]
+    if settings.format == "structured" and reports:
         out: list[str] = []
-        _json(payload, out)
+        _json(reports[0] if len(settings.files) == 1 else reports, out)
         _write(sys.stdout, "".join(out) + "\n")
     else:
-        _write(sys.stdout, "\n".join(o.stdout for o in outcomes if o.stdout))
-    return max(o.code for o in outcomes)
+        _write(sys.stdout, "\n".join(reports))
+    return max(code for code, _ in outcomes)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -388,7 +369,7 @@ def run(argv: list[str] | None = None) -> int:
         if isinstance(command, str):
             _write(sys.stdout, command.format(prog=_program_name()))
             return OK
-        return _analyze(*command)
+        return _analyze(command)
     except (EOFError, KeyboardInterrupt):
         _write(sys.stderr, "\n")
         return 130

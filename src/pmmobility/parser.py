@@ -179,17 +179,19 @@ def _make_leg(
         raise ParseError(str(err), header.line, header.col) from err
 
 
-class _LegDraft:
-    """A leg being assembled from its header on.
+class _Draft:
+    """The open block, from its header on: a leg, or a platform when side
+    is set.
 
     A joint-string leg collects kinds and sparse pair relations from its
-    tokenized header and ``rel`` lines; a matrix leg collects its rows as
-    untokenized ``_Row``s.
+    tokenized header and ``rel`` lines; a matrix leg and a platform collect
+    their rows as untokenized ``_Row``s.
     """
 
-    def __init__(self, label: int, header: _Token):
+    def __init__(self, header: _Token, label: int = 0, side: PlatformSide | None = None):
         self.label = label
         self.header = header
+        self.side = side
         self.kinds: list[JointKind] = []
         self.pairs: dict[tuple[int, int], RelationCode] = {}
         self.rows: list[_Row] = []
@@ -226,9 +228,7 @@ class _Parser:
         self.name_token: _Token | None = None
         self.legs: list[LegTopology] = []
         self.platforms: dict[PlatformSide, PlatformRelations] = {}
-        self.current_leg: _LegDraft | None = None
-        self.current_platform: tuple[PlatformSide, _Token] | None = None
-        self.platform_rows: list[_Row] = []
+        self.draft: _Draft | None = None
         self.last_line = max(len(self.lines), 1)
 
     # -- line stream ------------------------------------------------------
@@ -242,25 +242,21 @@ class _Parser:
     # -- block completion ---------------------------------------------------
 
     def _finish_open_block(self) -> None:
-        if self.current_leg is not None:
-            draft = self.current_leg
-            self.current_leg = None
-            if draft.rows:
-                self._finish_matrix_leg(draft)
-            elif not draft.kinds:
-                raise ParseError(
-                    f"leg {draft.label} has no joints", draft.header.line, draft.header.col
-                )
-            else:
-                self.legs.append(draft.build(self.on_warning))
-        if self.current_platform is not None:
-            side, header = self.current_platform
-            rows = self.platform_rows
-            self.current_platform = None
-            self.platform_rows = []
-            self.platforms[side] = self._finish_platform(side, header, rows)
+        draft, self.draft = self.draft, None
+        if draft is None:
+            return
+        if draft.side is not None:
+            self.platforms[draft.side] = self._finish_platform(draft)
+        elif draft.rows:
+            self._finish_matrix_leg(draft)
+        elif not draft.kinds:
+            raise ParseError(
+                f"leg {draft.label} has no joints", draft.header.line, draft.header.col
+            )
+        else:
+            self.legs.append(draft.build(self.on_warning))
 
-    def _finish_matrix_leg(self, draft: _LegDraft) -> None:
+    def _finish_matrix_leg(self, draft: _Draft) -> None:
         rows = draft.rows
         f = len(rows)
         _check_square(rows, f)
@@ -292,9 +288,8 @@ class _Parser:
                     )
         self.legs.append(_make_leg(draft.label, draft.header, kinds, rels))
 
-    def _finish_platform(
-        self, side: PlatformSide, header: _Token, rows: list[_Row]
-    ) -> PlatformRelations:
+    def _finish_platform(self, draft: _Draft) -> PlatformRelations:
+        side, header, rows = draft.side, draft.header, draft.rows
         if not rows:
             raise ParseError(f"platform {side.value} block has no rows", header.line, header.col)
         k = len(rows)
@@ -379,12 +374,11 @@ class _Parser:
                 label_tok.line,
                 label_tok.col,
             )
-        draft = _LegDraft(label, tokens[0])
-        self.current_leg = draft
+        draft = self.draft = _Draft(tokens[0], label)
         if rest:
             self._parse_joint_string(draft, rest)
 
-    def _parse_joint_string(self, draft: _LegDraft, tokens: list[_Token]) -> None:
+    def _parse_joint_string(self, draft: _Draft, tokens: list[_Token]) -> None:
         expect_joint = True
         pending_rel: RelationCode | None = None
         for tok in tokens:
@@ -418,7 +412,7 @@ class _Parser:
             )
 
     def _stmt_rel(self, tokens: list[_Token]) -> None:
-        draft = self.current_leg
+        draft = self.draft
         if draft is None or draft.rows or not draft.kinds:
             raise ParseError(
                 "rel lines must follow a joint-string leg header", tokens[0].line, tokens[0].col
@@ -467,7 +461,7 @@ class _Parser:
             raise ParseError(
                 "platform blocks must come after the legs", tokens[0].line, tokens[0].col
             )
-        self.current_platform = (side, tokens[0])
+        self.draft = _Draft(tokens[0], side=side)
 
     # -- driver -------------------------------------------------------------
 
@@ -486,15 +480,13 @@ class _Parser:
             statement = statements.get(head)
             if statement is not None:
                 statement(row.tokens())
-            elif self.current_platform is not None:
-                self.platform_rows.append(row)
-            elif self.current_leg is not None:
-                if self.current_leg.kinds and not self.current_leg.rows:
+            elif self.draft is not None:
+                if self.draft.kinds and not self.draft.rows:
                     tok = row.token(0)
                     raise ParseError(
                         f"unexpected {tok.text!r} after an inline leg", tok.line, tok.col
                     )
-                self.current_leg.rows.append(row)
+                self.draft.rows.append(row)
             else:
                 tok = row.token(0)
                 raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
@@ -512,8 +504,7 @@ class _Parser:
         )
         problems = validate_mechanism(mech)
         if problems:
-            token = self.name_token
-            raise ParseError("; ".join(problems), token.line if token else 1)
+            raise ParseError("; ".join(problems), self.name_token.line)
         return mech
 
 

@@ -218,7 +218,6 @@ def line_in_plane(g: RelationGraph, line: LineForm, plane: PlaneForm) -> bool | 
             return True
         if isinstance(line, AlongAxis) and _span_perpendicular_to(g, plane, line.axis):
             return False
-        return None
     return None
 
 
@@ -334,11 +333,13 @@ class PocMatrix:
         return PocMatrix(self.t + pad, self.r + pad, self.owners)
 
     def with_owner(self, leg: int) -> "PocMatrix":
+        """Leg owns every row with attributed entries: neither an empty row
+        nor a full one (3 alone in the first column)."""
         return replace(
             self,
             owners=(
-                leg if any(self.t) else None,
-                leg if any(self.r) else None,
+                leg if any(self.t) and self.t[0] != 3 else None,
+                leg if any(self.r) and self.r[0] != 3 else None,
             ),
         )
 

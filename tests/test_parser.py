@@ -17,6 +17,7 @@ from helpers import (
 )
 from pmmobility import (
     InconsistentRelations,
+    JointKind,
     ParseError,
     RelationCode,
     TopologyError,
@@ -26,6 +27,8 @@ from pmmobility import (
     parse_mechanism_text,
 )
 from pmmobility.parser import RELATION_SYMBOLS, SYMBOL_OF_RELATION
+
+R, P = JointKind.REVOLUTE, JointKind.PRISMATIC
 
 TAIL = """
 platform moving:
@@ -272,6 +275,25 @@ LOCATED_ERRORS = [
         3, 3, "unexpected 'foo:'",
         id="unexpected-first-word",
     ),
+    pytest.param(
+        "mechanism m\n leg 1:\n" + "".join(
+            "  " + " ".join("8" if i == j else "0" for j in range(7)) + "\n" for i in range(7)
+        ),
+        2, 2, "leg 1 has 7 joints, maximum is 6",
+        id="matrix-leg-too-long",
+    ),
+    pytest.param(
+        "# one leg\n  mechanism m\nleg 1: R\nplatform moving:\n  8\nplatform fixed:\n  8\n",
+        2, 1, "leg count 1 < 2",
+        id="one-leg-at-mechanism-line",
+    ),
+    pytest.param(
+        "# a leg after a platform block\nmechanism m\nleg 1: R\nleg 2: R\n"
+        "platform moving:\n  8 -\n  - 8\nleg 3: R\n"
+        "platform fixed:\n  8 - -\n  - 8 -\n  - - 8\n",
+        2, 1, "platform matrix size mismatch: moving is 2x2 for 3 legs",
+        id="leg-after-platform-at-mechanism-line",
+    ),
 ]
 
 
@@ -280,6 +302,21 @@ def test_error_locations_in_rows(text, line, col, reason):
     with pytest.raises(ParseError) as err:
         parse_mechanism_text(text)
     assert (err.value.line, err.value.col, err.value.reason) == (line, col, reason)
+
+
+def test_colon_may_stand_alone_after_the_leg_number():
+    tail = TAIL.replace("- 8\n\nplatform", "- 9\n\nplatform")
+    mech, _ = parse("mechanism m\nleg 1 : R\nleg 2 : R || P\n" + tail)
+    assert [leg.joints for leg in mech.legs] == [(R,), (R, P)]
+
+
+def test_diagonal_cells_accept_what_int_reads():
+    mech, _ = parse(
+        "mechanism m\nleg 1:\n  08 0\n  0 +9\nleg 2: R\n"
+        "platform moving:\n  +9 -\n  - 08\nplatform fixed:\n  8 -\n  - 8\n"
+    )
+    assert mech.legs[0].joints == (R, P)
+    assert mech.moving.diagonal == (P, R)
 
 
 def test_fixture_files_all_parse(fixtures_dir):

@@ -31,6 +31,7 @@ from pmmobility.poc import (
     line_direction,
     lines_parallel,
     plane_direction,
+    planes_parallel,
     rotation_view,
     translation_view,
 )
@@ -85,6 +86,8 @@ def test_poc_matrix_sums_and_widen():
 def test_with_owner_only_marks_nonzero_rows():
     m = PocMatrix((1, 0), (0, 0)).with_owner(3)
     assert m.owners == (3, None)
+    m = PocMatrix((3, 0), (1, 0)).with_owner(2)
+    assert m.owners == (None, 2)
 
 
 # --------------------------------------------------------------------------
@@ -263,6 +266,11 @@ def _cells_forms():
         "Rz2": line_direction(AlongAxis(w2)),
         "Rw": line_direction(AlongAxis(w1)),
         "Sxz": plane_direction(SpanPlane(AlongAxis(r4), AlongAxis(r6))),
+        "Pxz": plane_direction(NormalPlane(y)),
+        "Sxy2": plane_direction(SpanPlane(AlongAxis(r4), AlongAxis(y))),
+        "Smeet": plane_direction(
+            SpanPlane(MeetLine(NormalPlane(r4), NormalPlane(r6)), AlongAxis(x1))
+        ),
     }
 
 
@@ -283,10 +291,14 @@ TRANSLATION_CELLS = [
     ("Lx", "Sxy", 1, 2),       # line matches a span generator
     ("Lmeet", "Ly", 1, 1),     # meet of two planes recognized as y
     ("Lmeet", "Pyz", 1, 2),    # meet lies in its parent plane
+    ("Lmeet", "Lx", 0, 2),     # axis parallel to one normal of the meet
+    ("Lmeet", "Pxz", 0, 3),    # plane normal perpendicular to both meet normals
     ("Lx", "full", 1, 3),
     ("Pyz", "Pyz2", 2, 2),     # normal planes of coaxial axes
     ("Sxy", "Pxy", 2, 2),      # span equals the normal plane
+    ("Sxy", "Sxy2", 2, 2),     # spans whose generators lie in each other
     ("Pyz", "Pxy", 1, 3),      # distinct planes meet in a line
+    ("Smeet", "Pyz", 1, 3),    # meet generator left open, the other decides
     ("Sgen", "Pyz", 1, 3),     # generic span vs plane
     ("Pyz", "full", 2, 3),
     ("full", "full", 3, 3),
@@ -376,6 +388,24 @@ def test_table_cells_against_numeric_subspaces(cells_graph):
                     assert numeric_intersection_dim(na, nb) == 1
                     continue
                 assert numeric_intersection_dim(na, nb) == int_rank, (a_name, b_name, seed)
+
+
+def test_span_with_a_meet_generator_equal_to_a_normal_plane_is_left_open(cells_graph):
+    # Smeet spans y (the meet of the yz and xy planes) and x, so it is the
+    # xy plane.  _span_perpendicular_to answers nothing for a meet-line
+    # generator, so the equality stays open and general position calls the
+    # planes distinct, where the geometry has one plane.  Pinned until the
+    # rule learns meet-line generators.
+    forms = _cells_forms()
+    a, b = forms["Smeet"], forms["Pxy"]
+    assert planes_parallel(cells_graph, a.plane, b.plane) is None
+    assert intersect_translation(a, b, cells_graph).rank == 1
+    inst = instantiate_geometry(CELLS, cells_graph, seed=0)
+    cache: dict = {}
+    rng = np.random.default_rng(1000)
+    na = numeric_basis(a, inst, cache, rng)
+    nb = numeric_basis(b, inst, cache, rng)
+    assert numeric_intersection_dim(na, nb) == 2
 
 
 # --------------------------------------------------------------------------

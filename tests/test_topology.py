@@ -130,6 +130,29 @@ def test_leg_topology_rejects_too_many_joints():
         LegTopology(label=1, joints=joints, relations=rels)
 
 
+def test_joint_kind_rejects_unknown_letter():
+    with pytest.raises(InvalidDiagonal, match="joint letter 'X' is not R or P"):
+        JointKind.from_letter("X")
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [
+        ((RelationCode.ARBITRARY,) * 2,),
+        ((RelationCode.ARBITRARY,) * 2, (RelationCode.ARBITRARY,)),
+    ],
+    ids=["missing-row", "short-row"],
+)
+def test_leg_topology_rejects_non_square_relations(relations):
+    with pytest.raises(Asymmetric, match="relation matrix must be 2x2"):
+        LegTopology(label=1, joints=(JointKind.REVOLUTE,) * 2, relations=relations)
+
+
+def test_leg_topology_rejects_no_joints():
+    with pytest.raises(TopologyError, match="a leg needs at least one joint"):
+        LegTopology(label=1, joints=(), relations=())
+
+
 def test_mechanism_counts():
     mech = pair_mechanism(UPS_MATRIX)
     assert mech.leg_count == 2
@@ -145,6 +168,12 @@ def test_validate_rejects_single_leg():
     mech = make_mechanism("lonely", [decode_leg(UP_MATRIX, label=1)])
     problems = validate_mechanism(mech)
     assert any("leg count 1 < 2" in p for p in problems)
+
+
+def test_validate_rejects_too_many_legs():
+    legs = [decode_leg(UP_MATRIX, label=i) for i in range(1, 8)]
+    problems = validate_mechanism(make_mechanism("crowd", legs))
+    assert problems == ["leg count 7 > 6"]
 
 
 def test_validate_rejects_platform_size_mismatch():
@@ -163,6 +192,16 @@ def test_validate_rejects_wrong_platform_diagonal():
     bad = type(mech)(name=mech.name, legs=mech.legs, moving=wrong, fixed=mech.fixed)
     problems = validate_mechanism(bad)
     assert any("moving platform diagonal" in p for p in problems)
+
+
+def test_validate_rejects_wrong_fixed_platform_diagonal():
+    mech = pair_mechanism(UP_MATRIX)
+    wrong = relation_platform(PlatformSide.FIXED, [JointKind.PRISMATIC] * 2)
+    bad = type(mech)(name=mech.name, legs=mech.legs, moving=mech.moving, fixed=wrong)
+    assert validate_mechanism(bad) == [
+        "fixed platform diagonal 1 is P, leg 1 starts with R",
+        "fixed platform diagonal 2 is P, leg 2 starts with R",
+    ]
 
 
 def test_validate_rejects_out_of_order_labels():
