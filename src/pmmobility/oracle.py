@@ -16,15 +16,27 @@ the line of every axis, the pairs of lines that must meet and each leg's
 axis indices) is compiled once per mechanism into an OraclePlan.  It has
 the one sampler, OraclePlan.sample, and the one ranker, OraclePlan.rank,
 and the seeds are sampled and ranked as one stack.  Each seed keeps its own
-PCG64 stream: its start state is computed once per process, and each
-thread resets one generator of its own to it.  The sampler projects each
-seed's uniform anchor draw onto the points where every pair of lines that
-must meet does.  The ranker keeps the seeds stacked from the leg SVDs to
-the platform split: the loop fold holds a list of groups, each some seeds
-and their stacked bases, and splits a group only where a rank differs
-between its seeds, so a stack whose seeds agree stays one group.
-verify_mechanism draws again only the seeds whose singular values fell
-near the rank threshold.  The two one-seed entry points,
+PCG64 stream, so it draws the same bits in any stack.
+
+What the sampler draws and projects before it places anchors depends only
+on the seeds and the mechanism's shape, so two lru caches of at most 256
+stacks each hold it once per process, read-only: the uniform anchor draws,
+keyed by the seeds, the type of each seed, and the class and line counts;
+and the unit class directions after the perpendicular projections, keyed
+by the seeds, their types, the class count and the (class, earlier
+classes) constraints.  A miss draws as a fresh Generator(PCG64(seed))
+would, resetting one generator to each seed's cached start state, and
+runs the same projections, so a cached stack is bit for bit the one it
+replaces.  An unsatisfiable projection raises and is never cached.  Only
+the anchor projection runs per call: it moves each seed's uniform draw
+onto the points where every pair of lines that must meet does.
+
+The ranker keeps the seeds stacked from the leg SVDs to the platform
+split: the loop fold holds a list of groups, each some seeds and their
+stacked bases, and splits a group only where a rank differs between its
+seeds, so a stack whose seeds agree stays one group.  verify_mechanism
+draws again only the seeds whose singular values fell near the rank
+threshold.  The two one-seed entry points,
 instantiate_geometry (one seed's geometry) and numeric_loop_and_platform
 (one geometry's ranks), call into the same code, and a stacked seed gives
 bit for bit the result of its one-seed call.
@@ -32,7 +44,6 @@ bit for bit the result of its one-seed call.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -49,23 +60,61 @@ NEAR_FACTOR = 10.0
 
 @lru_cache(maxsize=1024, typed=True)
 def _start_state(seed: int) -> dict:
-    """The start state of seed's PCG64 stream.  Hashing the seed into it
-    costs several times more than resetting a generator to it; typed keys
-    keep a float seed such as 1.0 an error, as PCG64 makes it."""
+    """The start state of seed's PCG64 stream, which a miss of the draw
+    caches below resets its generator to.  Hashing the seed into it costs
+    several times more than the reset; typed keys keep a float seed such as
+    1.0 an error, as PCG64 makes it."""
     return np.random.PCG64(seed).state
 
 
-_local = threading.local()
+def _draw(seeds: tuple, classes: int, lines: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each seed's normal draw of classes x 3 and then its uniform draw of
+    lines x 3, stacked.  One generator is reset to each seed's start state,
+    so it draws the bits a fresh Generator(PCG64(seed)) would."""
+    normal = np.empty((len(seeds), classes, 3))
+    point = np.empty((len(seeds), lines, 3))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for i, seed in enumerate(seeds):
+        rng.bit_generator.state = _start_state(seed)
+        rng.standard_normal(out=normal[i])
+        rng.random(out=point[i])
+    return normal, point
 
 
-def _generator() -> np.random.Generator:
-    """This thread's generator.  Building one costs several times more than
-    resetting it to a seed's start state, which every draw does first."""
-    try:
-        return _local.rng
-    except AttributeError:
-        _local.rng = rng = np.random.Generator(np.random.PCG64(0))
-        return rng
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=256)
+def _uniform_draws(seeds: tuple, types: tuple, classes: int, lines: int) -> np.ndarray:
+    """The uniform stack of _draw, read-only; only the direction cache reads
+    the normal stack, and it draws its own.  types, the type of each seed,
+    keeps a float seed 1.0 from hitting the entry of seed 1."""
+    return _frozen(_draw(seeds, classes, lines)[1])
+
+
+@lru_cache(maxsize=256)
+def _directions(seeds: tuple, types: tuple, classes: int, constrained: tuple) -> np.ndarray:
+    """The unit direction of each class for each seed, read-only: the
+    normalised normal draw, and for each (class, earlier classes) of
+    constrained, in order, that draw projected perpendicular to the earlier
+    classes' directions.  The normal draw does not depend on the number of
+    lines drawn after it, so none is drawn.
+
+    Raises Unsatisfiable(class) when projection leaves a class no direction.
+    """
+    normal, _ = _draw(seeds, classes, 0)
+    direction = _unit(normal)
+    for c, earlier in constrained:
+        d = normal[:, c]
+        basis = np.linalg.qr(direction[:, earlier].mT)[0]
+        # a stacked @ rounds like the one-seed product; einsum does not
+        d = d - (basis @ (basis.mT @ d[..., None]))[..., 0]
+        if np.any(np.vecdot(d, d) < 1e-24):
+            raise Unsatisfiable(c)
+        direction[:, c] = _unit(d)
+    return _frozen(direction)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,11 +195,13 @@ class OraclePlan:
         self._roots = roots = sorted(classes, key=lambda r: -len(perpendicular[r]))
         class_index = {root: i for i, root in enumerate(roots)}
         # each class that must be perpendicular to earlier classes, with those
-        self._constrained = []
+        # (a tuple, so that it keys the direction cache)
+        constrained = []
         for i, root in enumerate(roots):
             earlier = sorted(j for j in map(class_index.get, perpendicular[root]) if j < i)
             if earlier:
-                self._constrained.append((i, earlier))
+                constrained.append((i, tuple(earlier)))
+        self._constrained = tuple(constrained)
         self._class_of = {a: class_index[g.parallel_class(a)] for a in axes}
 
         # two lines in R^3 meet exactly when they are coplanar.  Parallel
@@ -194,31 +245,23 @@ class OraclePlan:
 
         Raises Unsatisfiable when projection leaves a class no direction.
         """
-        seeds = list(seeds)
+        seeds = tuple(seeds)
+        types = tuple(map(type, seeds))
         classes, lines = len(self._roots), self._incidence.shape[1]
-        normal = np.empty((len(seeds), classes, 3))
-        point = np.empty((len(seeds), lines, 3))
-        # each seed resets the thread's generator to its own stream's start,
-        # so it draws the bits a fresh Generator(PCG64(seed)) would
-        rng = _generator()
-        for i, seed in enumerate(seeds):
-            rng.bit_generator.state = _start_state(seed)
-            rng.standard_normal(out=normal[i])
-            rng.random(out=point[i])
-
-        direction = _unit(normal)
-        for c, earlier in self._constrained:
-            d = normal[:, c]
-            basis = np.linalg.qr(direction[:, earlier].mT)[0]
-            # a stacked @ rounds like the one-seed product; einsum does not
-            d = d - (basis @ (basis.mT @ d[..., None]))[..., 0]
-            if np.any(np.vecdot(d, d) < 1e-24):
-                names = ", ".join(str(self._roots[j]) for j in earlier)
-                raise Unsatisfiable(
-                    f"parallel class {self._roots[c]} has no direction "
-                    f"perpendicular to all of {names}"
-                )
-            direction[:, c] = _unit(d)
+        # the draws and directions depend only on the seeds and the shape,
+        # so mechanisms of one shape share them; the caches hold them
+        # read-only, and what is returned is the caller's own
+        point = _uniform_draws(seeds, types, classes, lines)
+        try:
+            direction = _directions(seeds, types, classes, self._constrained).copy()
+        except Unsatisfiable as e:
+            [c] = e.args
+            earlier = dict(self._constrained)[c]
+            names = ", ".join(str(self._roots[j]) for j in earlier)
+            raise Unsatisfiable(
+                f"parallel class {self._roots[c]} has no direction "
+                f"perpendicular to all of {names}"
+            ) from None
 
         if len(self._incidence):
             # the rows are A p = 0, A being the incidence scaled by each row's
@@ -229,8 +272,8 @@ class OraclePlan:
             scale = np.divide(1.0, w, out=np.zeros_like(w), where=w > 1e-12 * w[:, -1:])
             gap = np.vecdot(n, self._incidence @ point)[..., None]
             shift = v @ (scale[..., None] * (v.mT @ gap))
-            point = point - self._incidence.T @ (shift * n)
-        return direction, point
+            return direction, point - self._incidence.T @ (shift * n)
+        return direction, point.copy()
 
     def instance(
         self, draw: tuple[np.ndarray, np.ndarray], index: int, seed: int

@@ -252,7 +252,7 @@ def _span_perpendicular_to(g: RelationGraph, span: SpanPlane, axis: AxisRef) -> 
         elif isinstance(gen, NormalLine):
             results.append(True if _axes_parallel(g, gen.axis, axis) else None)
         else:
-            results.append(None)
+            results.append(line_in_plane(g, gen, NormalPlane(axis)))
     if all(r is True for r in results):
         return True
     if any(r is False for r in results):

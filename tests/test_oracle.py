@@ -442,6 +442,67 @@ def test_each_seed_draws_its_own_pcg64_stream():
     assert point[0].tobytes() == uniform.tobytes()
 
 
+def _reference_directions(plan, seeds):
+    """The directions of plan for each seed, projected one seed at a time
+    from the draws of a fresh generator, with no cache."""
+    classes, lines = len(plan._roots), plan._incidence.shape[1]
+    out = []
+    for seed in seeds:
+        normal = _independent_draw(seed, classes, lines)[0][None]
+        direction = oracle._unit(normal)
+        for c, earlier in plan._constrained:
+            d = normal[:, c]
+            basis = np.linalg.qr(direction[:, list(earlier)].mT)[0]
+            d = d - (basis @ (basis.mT @ d[..., None]))[..., 0]
+            direction[:, c] = oracle._unit(d)
+        out.append(direction[0])
+    return np.stack(out)
+
+
+def test_plans_of_one_shape_keep_their_own_constrained_directions():
+    # one shape of draws (four classes, four lines), perpendicular to
+    # different earlier classes, so only the constraints tell them apart
+    perp = RelationCode.PERPENDICULAR
+    plans = []
+    for pairs in ({(1, 2): perp}, {(1, 2): perp, (2, 3): perp}):
+        legs = [leg_from_relations(1, "RRR", pairs), leg_from_relations(2, "R", {})]
+        mech = make_mechanism("perp", legs)
+        plans.append(OraclePlan(mech, build_relation_graph(mech)))
+    shapes = {(len(p._roots), p._incidence.shape[1]) for p in plans}
+    assert shapes == {(4, 4)} and plans[0]._constrained != plans[1]._constrained
+    for seeds, order in (((31, 32, 33), plans), ((41, 42, 43), plans[::-1])):
+        for plan in order:
+            direction, _ = plan.sample(seeds)
+            assert direction.tobytes() == _reference_directions(plan, seeds).tobytes()
+
+
+@pytest.mark.parametrize("name", ["tricept", "rrc_quad"])
+def test_writing_into_a_sample_leaves_later_samples_alone(fixtures_dir, name):
+    mech = parse_mechanism_file(fixtures_dir / f"{name}.mech")
+    plan = OraclePlan(mech, build_relation_graph(mech))
+    direction, point = plan.sample(range(5))
+    expected = direction.copy(), point.copy()
+    direction[...] = 0.0
+    point[...] = 0.0
+    again = plan.sample(range(5))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, expected))
+
+
+def test_unsatisfiable_shape_raises_on_every_call():
+    legs = [
+        leg_from_relations(1, "RRRR", {p: 2 for p in itertools.combinations(range(1, 5), 2)}),
+        leg_from_relations(2, "R", {}),
+    ]
+    mech = make_mechanism("imposs", legs)
+    plan = OraclePlan(mech, build_relation_graph(mech))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(Unsatisfiable) as raised:
+            plan.sample(range(3))
+        messages.append(str(raised.value))
+    assert messages == ["parallel class 1.4 has no direction perpendicular to all of 1.1, 1.2, 1.3"] * 2
+
+
 def test_concurrent_verification_matches_sequential(monkeypatch, fixtures_dir):
     # a coarse threshold makes the verdicts depend on the draw, so a thread
     # that drew from another thread's stream would report other comparisons
@@ -452,6 +513,9 @@ def test_concurrent_verification_matches_sequential(monkeypatch, fixtures_dir):
     reports = [analyze_mechanism(m) for m in mechs]
     expected = [verify_mechanism(m, r, range(20)).comparisons for m, r in zip(mechs, reports)]
     assert all(len({c.detail for c in e}) > 2 for e in expected)
+    # the threads start on empty draw caches, so they also race on misses
+    oracle._uniform_draws.cache_clear()
+    oracle._directions.cache_clear()
     results: list[list] = [[] for _ in mechs]
     start = threading.Barrier(len(mechs), timeout=30)
 

@@ -390,16 +390,15 @@ def test_table_cells_against_numeric_subspaces(cells_graph):
                 assert numeric_intersection_dim(na, nb) == int_rank, (a_name, b_name, seed)
 
 
-def test_span_with_a_meet_generator_equal_to_a_normal_plane_is_left_open(cells_graph):
+def test_span_with_a_meet_generator_equal_to_a_normal_plane_is_decided(cells_graph):
     # Smeet spans y (the meet of the yz and xy planes) and x, so it is the
-    # xy plane.  _span_perpendicular_to answers nothing for a meet-line
-    # generator, so the equality stays open and general position calls the
-    # planes distinct, where the geometry has one plane.  Pinned until the
-    # rule learns meet-line generators.
+    # xy plane: the meet lies in the xy plane, one of its parents, so it is
+    # perpendicular to z, and so is x.  The symbolic intersection then has
+    # the numeric rank 2.
     forms = _cells_forms()
     a, b = forms["Smeet"], forms["Pxy"]
-    assert planes_parallel(cells_graph, a.plane, b.plane) is None
-    assert intersect_translation(a, b, cells_graph).rank == 1
+    assert planes_parallel(cells_graph, a.plane, b.plane) is True
+    assert intersect_translation(a, b, cells_graph).rank == 2
     inst = instantiate_geometry(CELLS, cells_graph, seed=0)
     cache: dict = {}
     rng = np.random.default_rng(1000)
