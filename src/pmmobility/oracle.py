@@ -34,9 +34,13 @@ onto the points where every pair of lines that must meet does.
 The ranker keeps the seeds stacked from the leg SVDs to the platform
 split: the loop fold holds a list of groups, each some seeds and their
 stacked bases, and splits a group only where a rank differs between its
-seeds, so a stack whose seeds agree stays one group.  verify_mechanism
-draws again only the seeds whose singular values fell near the rank
-threshold.  The two one-seed entry points,
+seeds, so a stack whose seeds agree stays one group.  Each loop union
+factors only the smaller of its two bases, projected off the larger: the
+singular values of that k x 6 matrix are the sines of the principal angles
+between the two spans, from which the singular values of the stacked
+bases are rebuilt for the rank test, and its left singular vectors give
+the intersection.  verify_mechanism draws again only the seeds whose
+singular values fell near the rank threshold.  The two one-seed entry points,
 instantiate_geometry (one seed's geometry) and numeric_loop_and_platform
 (one geometry's ranks), call into the same code, and a stacked seed gives
 bit for bit the result of its one-seed call.
@@ -374,22 +378,40 @@ def _unions(
     different dimensions cannot share an array, so the intersection bases
     come as one stack per union rank, each with the positions of its pairs.
 
-    One full SVD of the stacked rows [a; b] = u s vh answers both.  Its
-    rank is the dimension of the union.  Each left null vector (x, y), a
-    column of u past the rank, gives x a = -y b, a vector in both spaces;
-    because the rows of a and of b are orthonormal, |x|^2 = |y|^2 = 1/2 and
-    distinct null vectors give orthogonal images, so sqrt(2) x a are
-    orthonormal rows spanning the intersection, of dimension
-    ka + kb - rank.  Both answers come from the same singular values, so
-    one near-threshold flag covers them.
+    Both answers depend only on the principal angles between the two
+    spans, and those come from the smaller operand alone (Bjorck and Golub,
+    Math. Comp. 27, 1973).  With a the smaller (k rows), b the larger (m
+    rows) and C = a b^T, the stacked rows have [a; b][a; b]^T = [[I, C],
+    [C^T, I]], whose eigenvalues are 1 + cos and 1 - cos for each cosine of
+    C and 1 for each of the m - k rows left over.  The part of a off the
+    span of b, rest = a - C b, has rest rest^T = I - C C^T, so one SVD of
+    the k x 6 matrix rest = u sine vh gives the sines, and cos =
+    sqrt(1 - sine^2), taken as 0 where rounding lifts a sine past 1.  The
+    singular values of [a; b] are rebuilt from them in descending order:
+    sqrt(1 + cos), then m - k ones, then sine / sqrt(1 + cos), which is
+    sqrt(1 - cos) without its cancellation.  [a; b] has six columns, so
+    only the first six go to _cutoff, as from one SVD of [a; b]: the rank
+    is the dimension of the union, and one near-threshold flag covers both
+    answers.
+
+    The rank counts all of the first m values and the sines above the
+    threshold, so the columns of u past rank - m are those of the sines
+    below it.  Their images in the span of a lie in the span of b to
+    within the threshold, and span the intersection, of dimension k + m -
+    rank.  The columns are orthonormal and so are the rows of a, so the
+    rows of the image are too.
     """
-    u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-2), full_matrices=True)
-    rank, near = _cutoff(s, s[..., 0])
+    if a.shape[-2] > b.shape[-2]:
+        a, b = b, a
+    k, m = a.shape[-2], b.shape[-2]
     # a stacked @ rounds like the one-pair product
-    meets = [
-        (members, np.sqrt(2.0) * (u[members, : a.shape[-2], r:].mT @ a[members]))
-        for r, members in _split(rank)
-    ]
+    u, sine, _ = np.linalg.svd(a - (a @ b.mT) @ b, full_matrices=False)
+    wide = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - sine * sine, 0.0)))
+    s = np.concatenate(
+        [wide[..., ::-1], np.ones((len(a), m - k)), sine / wide], axis=-1
+    )[..., :6]
+    rank, near = _cutoff(s, s[..., 0])
+    meets = [(members, u[members, :, r - m:].mT @ a[members]) for r, members in _split(rank)]
     return rank, meets, near
 
 

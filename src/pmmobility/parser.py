@@ -55,7 +55,6 @@ from .topology import (
     PlatformRelations,
     PlatformSide,
     RelationCode,
-    TopologyError,
     validate_mechanism,
 )
 
@@ -166,17 +165,10 @@ def _check_square(rows: list[_Row], size: int) -> None:
             )
 
 
-def _make_leg(
-    label: int, header: _Token, kinds: list[JointKind], rels: list[list[RelationCode]]
-) -> LegTopology:
-    try:
-        return LegTopology(
-            label=label,
-            joints=tuple(kinds),
-            relations=tuple(tuple(row) for row in rels),
-        )
-    except TopologyError as err:
-        raise ParseError(str(err), header.line, header.col) from err
+def _make_leg(label: int, kinds: list[JointKind], rels: list[list[RelationCode]]) -> LegTopology:
+    return LegTopology(
+        label=label, joints=tuple(kinds), relations=tuple(tuple(row) for row in rels)
+    )
 
 
 class _Draft:
@@ -217,7 +209,7 @@ class _Draft:
                 f"leg {self.label}: joint pairs {pairs} have no stated relation, "
                 "treating them as arbitrary"
             )
-        return _make_leg(self.label, self.header, self.kinds, rels)
+        return _make_leg(self.label, self.kinds, rels)
 
 
 class _Parser:
@@ -286,7 +278,7 @@ class _Parser:
                         tok.line,
                         tok.col,
                     )
-        self.legs.append(_make_leg(draft.label, draft.header, kinds, rels))
+        self.legs.append(_make_leg(draft.label, kinds, rels))
 
     def _finish_platform(self, draft: _Draft) -> PlatformRelations:
         side, header, rows = draft.side, draft.header, draft.rows

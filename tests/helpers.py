@@ -360,6 +360,28 @@ def reference_relation_graph(mech: MechanismTopology) -> RelationGraph:
 
 
 # --------------------------------------------------------------------------
+# reference loop union
+
+
+def reference_unions(a: np.ndarray, b: np.ndarray):
+    """oracle._unions by one full SVD of the stacked rows [a; b] = u s vh.
+
+    Its rank is the dimension of the union.  Each left null vector (x, y),
+    a column of u past the rank, gives x a = -y b, a vector in both spaces;
+    because the rows of a and of b are orthonormal, |x|^2 = |y|^2 = 1/2 and
+    distinct null vectors give orthogonal images, so sqrt(2) x a are
+    orthonormal rows spanning the intersection, of dimension ka + kb - rank.
+    """
+    u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-2), full_matrices=True)
+    rank, near = oracle._cutoff(s, s[..., 0])
+    meets = [
+        (members, np.sqrt(2.0) * (u[members, : a.shape[-2], r:].mT @ a[members]))
+        for r, members in oracle._split(rank)
+    ]
+    return rank, meets, near
+
+
+# --------------------------------------------------------------------------
 # numeric realization of direction descriptors
 
 _FULL = np.eye(3)

@@ -24,6 +24,7 @@ from helpers import (
     numeric_rank,
     pair_mechanism,
     permute_legs,
+    reference_unions,
 )
 from pmmobility import (
     RelationCode,
@@ -303,6 +304,72 @@ def test_union_and_intersection_of_random_subspaces():
         for space in (a, b):
             # a row inside the span equals its projection onto the span
             assert np.allclose(basis @ space.T @ space, basis, atol=1e-12)
+
+
+def _tilted_pairs(rng, ka, kb, n):
+    """n stacked pairs of random row-orthonormal bases (ka x 6, kb x 6) that
+    share up to min(ka, kb) directions, each of b's tilted off a's by an
+    angle of about 10^U(-11, -5), so that some fall inside the rank
+    threshold, some outside, and some in its near band."""
+    a, b = np.empty((n, ka, 6)), np.empty((n, kb, 6))
+    for i in range(n):
+        q = np.linalg.qr(rng.normal(size=(6, 6)))[0].T
+        shared = int(rng.integers(0, min(ka, kb) + 1))
+        tilt = 10.0 ** rng.uniform(-11, -5, size=(shared, 1))
+        # mix a's rows so that the shared directions are not its rows
+        a[i] = np.linalg.qr(rng.normal(size=(ka, ka)))[0] @ q[:ka]
+        tilted = q[:shared] + tilt * rng.normal(size=(shared, 6))
+        b[i] = np.linalg.qr(np.vstack([tilted, rng.normal(size=(kb - shared, 6))]).T)[0].T
+    return a, b
+
+
+def _projectors(n, meets):
+    out = [None] * n
+    for members, basis in meets:
+        for i, rows in zip(members, basis):
+            out[i] = rows.T @ rows
+    return out
+
+
+@pytest.mark.parametrize("rtol,near", [(None, None), (0.3, 1.1)], ids=["default", "coarse"])
+def test_unions_match_the_direct_svd(monkeypatch, rtol, near):
+    if rtol is not None:
+        monkeypatch.setattr(oracle, "RANK_RTOL", rtol)
+        monkeypatch.setattr(oracle, "NEAR_FACTOR", near)
+    rng = np.random.default_rng(20)
+    flagged = tilted_meets = 0
+    # every shape, so either operand may be empty, ka + kb may pass 6, and
+    # both may be the whole space
+    for ka, kb in itertools.product(range(7), repeat=2):
+        if ka == kb == 0:
+            continue
+        a, b = _tilted_pairs(rng, ka, kb, 20)
+        rank, meets, near_flag = _unions(a, b)
+        expected_rank, _, expected_near = reference_unions(a, b)
+        assert rank.tolist() == expected_rank.tolist(), (ka, kb)
+        assert near_flag.tolist() == expected_near.tolist(), (ka, kb)
+        flagged += int(near_flag.sum())
+        # the reference's intersection lies in its first operand's span and
+        # _unions' in the smaller one's, which differ by the angles below
+        # the threshold: compare with the reference in that order
+        small, large = (a, b) if ka <= kb else (b, a)
+        _, expected_meets, _ = reference_unions(small, large)
+        s = np.linalg.svd(np.concatenate([small, large], axis=-2), compute_uv=False)
+        for i, (got, want) in enumerate(
+            zip(_projectors(20, meets), _projectors(20, expected_meets))
+        ):
+            r = int(rank[i])
+            # a tilted direction counted as shared: more than the generic
+            # intersection of ka + kb - 6 rows
+            tilted_meets += ka + kb - r > max(0, ka + kb - 6)
+            # the intersection is only as well defined as the gap between
+            # the singular values kept and dropped: a backward error of a few
+            # ulps moves it by about 1e-16 / gap (Wedin), bounded with room
+            gap = s[i, r - 1] - (s[i, r] if r < s.shape[-1] else 0.0)
+            assert np.abs(got - want).max() <= max(1e-12, 1e-14 / gap), (ka, kb, i, gap)
+        for _, basis in meets:
+            assert np.allclose(basis @ basis.mT, np.eye(basis.shape[-2]), atol=1e-12)
+    assert flagged >= 20 and tilted_meets >= 100
 
 
 def test_case_studies_agree_across_seeds(tricept, tricept_report, three_rrc, three_rrc_report):
