@@ -40,10 +40,10 @@ singular values of that k x 6 matrix are the sines of the principal angles
 between the two spans, from which the singular values of the stacked
 bases are rebuilt for the rank test, and its left singular vectors give
 the intersection.  verify_mechanism draws again only the seeds whose
-singular values fell near the rank threshold.  The two one-seed entry points,
-instantiate_geometry (one seed's geometry) and numeric_loop_and_platform
-(one geometry's ranks), call into the same code, and a stacked seed gives
-bit for bit the result of its one-seed call.
+singular values fell near the rank threshold.  The two one-seed entry
+points, instantiate_geometry (one seed's geometry) and
+numeric_loop_and_platform (one geometry's ranks), call into the same code,
+and a stacked seed gives bit for bit the result of its one-seed call.
 """
 
 from __future__ import annotations
