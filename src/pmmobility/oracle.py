@@ -19,16 +19,15 @@ and the seeds are sampled and ranked as one stack.  Each seed keeps its own
 PCG64 stream, so it draws the same bits in any stack.
 
 What the sampler draws and projects before it places anchors depends only
-on the seeds and the mechanism's shape, so two lru caches of at most 256
-stacks each hold it once per process, read-only: the uniform anchor draws,
-keyed by the seeds, the type of each seed, and the class and line counts;
-and the unit class directions after the perpendicular projections, keyed
-by the seeds, their types, the class count and the (class, earlier
-classes) constraints.  A miss draws as a fresh Generator(PCG64(seed))
-would, resetting one generator to each seed's cached start state, and
-runs the same projections, so a cached stack is bit for bit the one it
-replaces.  An unsatisfiable projection raises and is never cached.  Only
-the anchor projection runs per call: it moves each seed's uniform draw
+on the seeds and the mechanism's shape, so one lru cache of at most 512
+stacks holds it once per process, read-only: the unit class directions
+after the perpendicular projections and the uniform anchor draws, keyed by
+the integer seeds, the class and line counts and the (class, earlier
+classes) constraints.  A miss gives each seed a fresh
+Generator(PCG64(seed)), which draws its normals and then its uniforms, so a
+cached stack is bit for bit the one it replaces.  A float seed raises
+before the lookup.  An unsatisfiable projection raises and is never cached.
+Only the anchor projection runs per call: it moves each seed's uniform draw
 onto the points where every pair of lines that must meet does.
 
 The ranker keeps the seeds stacked from the leg SVDs to the platform
@@ -48,6 +47,7 @@ and a stacked seed gives bit for bit the result of its one-seed call.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -62,53 +62,32 @@ RESIDUAL_TOL = 1e-9
 NEAR_FACTOR = 10.0
 
 
-@lru_cache(maxsize=1024, typed=True)
-def _start_state(seed: int) -> dict:
-    """The start state of seed's PCG64 stream, which a miss of the draw
-    caches below resets its generator to.  Hashing the seed into it costs
-    several times more than the reset; typed keys keep a float seed such as
-    1.0 an error, as PCG64 makes it."""
-    return np.random.PCG64(seed).state
-
-
-def _draw(seeds: tuple, classes: int, lines: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each seed's normal draw of classes x 3 and then its uniform draw of
-    lines x 3, stacked.  One generator is reset to each seed's start state,
-    so it draws the bits a fresh Generator(PCG64(seed)) would."""
-    normal = np.empty((len(seeds), classes, 3))
-    point = np.empty((len(seeds), lines, 3))
-    rng = np.random.Generator(np.random.PCG64(0))
-    for i, seed in enumerate(seeds):
-        rng.bit_generator.state = _start_state(seed)
-        rng.standard_normal(out=normal[i])
-        rng.random(out=point[i])
-    return normal, point
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-@lru_cache(maxsize=256)
-def _uniform_draws(seeds: tuple, types: tuple, classes: int, lines: int) -> np.ndarray:
-    """The uniform stack of _draw, read-only; only the direction cache reads
-    the normal stack, and it draws its own.  types, the type of each seed,
-    keeps a float seed 1.0 from hitting the entry of seed 1."""
-    return _frozen(_draw(seeds, classes, lines)[1])
+@lru_cache(maxsize=512)
+def _draws(
+    seeds: tuple, classes: int, lines: int, constrained: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unit direction of each class and the uniform anchor draw of each
+    line, for each seed, stacked and read-only.
 
-
-@lru_cache(maxsize=256)
-def _directions(seeds: tuple, types: tuple, classes: int, constrained: tuple) -> np.ndarray:
-    """The unit direction of each class for each seed, read-only: the
-    normalised normal draw, and for each (class, earlier classes) of
+    Each seed draws from a fresh Generator(PCG64(seed)): a normal draw of
+    classes x 3 and then a uniform draw of lines x 3.  The directions are
+    the normalised normal draw, and for each (class, earlier classes) of
     constrained, in order, that draw projected perpendicular to the earlier
-    classes' directions.  The normal draw does not depend on the number of
-    lines drawn after it, so none is drawn.
+    classes' directions.
 
     Raises Unsatisfiable(class) when projection leaves a class no direction.
     """
-    normal, _ = _draw(seeds, classes, 0)
+    normal = np.empty((len(seeds), classes, 3))
+    point = np.empty((len(seeds), lines, 3))
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.standard_normal(out=normal[i])
+        rng.random(out=point[i])
     direction = _unit(normal)
     for c, earlier in constrained:
         d = normal[:, c]
@@ -118,7 +97,7 @@ def _directions(seeds: tuple, types: tuple, classes: int, constrained: tuple) ->
         if np.any(np.vecdot(d, d) < 1e-24):
             raise Unsatisfiable(c)
         direction[:, c] = _unit(d)
-    return _frozen(direction)
+    return _frozen(direction), _frozen(point)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,7 +178,7 @@ class OraclePlan:
         self._roots = roots = sorted(classes, key=lambda r: -len(perpendicular[r]))
         class_index = {root: i for i, root in enumerate(roots)}
         # each class that must be perpendicular to earlier classes, with those
-        # (a tuple, so that it keys the direction cache)
+        # (a tuple, so that it keys the draw cache)
         constrained = []
         for i, root in enumerate(roots):
             earlier = sorted(j for j in map(class_index.get, perpendicular[root]) if j < i)
@@ -249,15 +228,14 @@ class OraclePlan:
 
         Raises Unsatisfiable when projection leaves a class no direction.
         """
-        seeds = tuple(seeds)
-        types = tuple(map(type, seeds))
-        classes, lines = len(self._roots), self._incidence.shape[1]
         # the draws and directions depend only on the seeds and the shape,
-        # so mechanisms of one shape share them; the caches hold them
-        # read-only, and what is returned is the caller's own
-        point = _uniform_draws(seeds, types, classes, lines)
+        # so mechanisms of one shape share them; the cache holds them
+        # read-only, and what is returned is the caller's own.  Integer
+        # seeds key it, and a float seed raises here, as PCG64 would
+        seeds = tuple(map(operator.index, seeds))
+        classes, lines = len(self._roots), self._incidence.shape[1]
         try:
-            direction = _directions(seeds, types, classes, self._constrained).copy()
+            direction, point = _draws(seeds, classes, lines, self._constrained)
         except Unsatisfiable as e:
             [c] = e.args
             earlier = dict(self._constrained)[c]
@@ -266,6 +244,7 @@ class OraclePlan:
                 f"parallel class {self._roots[c]} has no direction "
                 f"perpendicular to all of {names}"
             ) from None
+        direction = direction.copy()
 
         if len(self._incidence):
             # the rows are A p = 0, A being the incidence scaled by each row's

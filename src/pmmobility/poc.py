@@ -233,13 +233,12 @@ def planes_parallel(g: RelationGraph, p: PlaneForm, q: PlaneForm) -> bool | None
     if nq is not None and isinstance(p, SpanPlane):
         return _span_perpendicular_to(g, p, nq)
     # two span planes: contained generators would prove equality
-    if isinstance(p, SpanPlane) and isinstance(q, SpanPlane):
-        pu = line_in_plane(g, p.u, q)
-        pv = line_in_plane(g, p.v, q)
-        if pu and pv:
-            return True
-        if pu is False or pv is False:
-            return False
+    pu = line_in_plane(g, p.u, q)
+    pv = line_in_plane(g, p.v, q)
+    if pu and pv:
+        return True
+    if pu is False or pv is False:
+        return False
     return None
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -129,6 +130,11 @@ def test_leg_order_invariance():
 def test_analysis_is_deterministic(fixtures_dir):
     mech = parse_mechanism_file(fixtures_dir / "tricept.mech")
     assert analyze_mechanism(mech) == analyze_mechanism(mech)
+
+
+def test_report_is_immutable(tricept_report):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tricept_report.dof = 0
 
 
 def test_dof_identity_and_normal_forms():

@@ -580,9 +580,8 @@ def test_concurrent_verification_matches_sequential(monkeypatch, fixtures_dir):
     reports = [analyze_mechanism(m) for m in mechs]
     expected = [verify_mechanism(m, r, range(20)).comparisons for m, r in zip(mechs, reports)]
     assert all(len({c.detail for c in e}) > 2 for e in expected)
-    # the threads start on empty draw caches, so they also race on misses
-    oracle._uniform_draws.cache_clear()
-    oracle._directions.cache_clear()
+    # the threads start on an empty draw cache, so they also race on misses
+    oracle._draws.cache_clear()
     results: list[list] = [[] for _ in mechs]
     start = threading.Barrier(len(mechs), timeout=30)
 

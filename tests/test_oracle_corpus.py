@@ -14,8 +14,14 @@ import random
 import pytest
 
 from helpers import labeled_random_mechanism, random_mechanism
-from pmmobility import InconsistentRelations, analyze_mechanism
-from pmmobility.oracle import RESIDUAL_TOL, Unsatisfiable, instantiate_geometry, verify_mechanism
+from pmmobility import InconsistentRelations, analyze_mechanism, build_relation_graph, oracle
+from pmmobility.oracle import (
+    RESIDUAL_TOL,
+    OraclePlan,
+    Unsatisfiable,
+    instantiate_geometry,
+    verify_mechanism,
+)
 
 DISAGREE = {
     "raw": {
@@ -74,3 +80,30 @@ def test_roadmap_corpus_ratchet(corpus):
     assert unsatisfiable == UNSATISFIABLE[corpus]
     assert off_relations == OFF_RELATIONS[corpus]
     assert disagree == DISAGREE[corpus]
+
+
+def test_draw_cache_holds_every_corpus_shape():
+    # 20 seeds over the 467 consistent topologies draw 279 distinct shapes,
+    # so a second pass must find every one still cached.  The unsatisfiable
+    # shape raises and is never cached, so it misses on each pass
+    plans = []
+    for generate in GENERATORS.values():
+        rng = random.Random(1)
+        for _ in range(300):
+            mech = generate(rng)
+            try:
+                plans.append(OraclePlan(mech, build_relation_graph(mech)))
+            except InconsistentRelations:
+                continue
+    oracle._draws.cache_clear()
+    misses = []
+    for _ in range(2):
+        before, unsatisfiable = oracle._draws.cache_info().misses, 0
+        for plan in plans:
+            try:
+                plan.sample(range(20))
+            except Unsatisfiable:
+                unsatisfiable += 1
+        misses.append(oracle._draws.cache_info().misses - before)
+    assert len(plans) == 467 and unsatisfiable == 1
+    assert misses[1] == unsatisfiable

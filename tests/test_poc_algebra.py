@@ -390,6 +390,20 @@ def test_table_cells_against_numeric_subspaces(cells_graph):
                 assert numeric_intersection_dim(na, nb) == int_rank, (a_name, b_name, seed)
 
 
+def test_meet_line_is_never_parallel_to_a_normal_line_of_its_direction(cells_graph):
+    # the meet of the yz and xy planes is y, and every direction normal to y
+    # is perpendicular to it
+    meet = MeetLine(NormalPlane(AxisRef(1, 4)), NormalPlane(AxisRef(1, 6)))
+    assert lines_parallel(cells_graph, meet, NormalLine(AxisRef(1, 2))) in (None, False)
+
+
+def test_two_meet_lines_are_compared_without_raising(cells_graph):
+    # the meets of yz with xy, and of xz with xy, are y and x
+    p = MeetLine(NormalPlane(AxisRef(1, 4)), NormalPlane(AxisRef(1, 6)))
+    q = MeetLine(NormalPlane(AxisRef(1, 2)), NormalPlane(AxisRef(1, 6)))
+    assert lines_parallel(cells_graph, p, q) in (None, False)
+
+
 def test_span_with_a_meet_generator_equal_to_a_normal_plane_is_decided(cells_graph):
     # Smeet spans y (the meet of the yz and xy planes) and x, so it is the
     # xy plane: the meet lies in the xy plane, one of its parents, so it is
