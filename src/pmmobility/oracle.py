@@ -62,11 +62,6 @@ RESIDUAL_TOL = 1e-9
 NEAR_FACTOR = 10.0
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @lru_cache(maxsize=512)
 def _draws(
     seeds: tuple, classes: int, lines: int, constrained: tuple
@@ -97,7 +92,8 @@ def _draws(
         if np.any(np.vecdot(d, d) < 1e-24):
             raise Unsatisfiable(c)
         direction[:, c] = _unit(d)
-    return _frozen(direction), _frozen(point)
+    direction.flags.writeable = point.flags.writeable = False
+    return direction, point
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
