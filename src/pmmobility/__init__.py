@@ -17,12 +17,10 @@ from .mobility import MobilityReport, analyze_mechanism, classify
 from .parser import ParseError, parse_mechanism_file, parse_mechanism_text
 from .poc import (
     LoopRank,
-    OverlappingSupport,
     PocMatrix,
     intersect_rotation,
     intersect_translation,
     normalize,
-    poc_or,
     union,
 )
 from .relations import (
@@ -90,7 +88,6 @@ __all__ = [
     "MobilityReport",
     "NumericMobility",
     "OracleResult",
-    "OverlappingSupport",
     "ParseError",
     "PlatformRelations",
     "PlatformSide",
@@ -118,7 +115,6 @@ __all__ = [
     "numeric_loop_and_platform",
     "parse_mechanism_file",
     "parse_mechanism_text",
-    "poc_or",
     "render_human",
     "render_structured",
     "subchain_poc",

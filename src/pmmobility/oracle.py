@@ -33,14 +33,14 @@ onto the points where every pair of lines that must meet does.
 The ranker keeps the seeds stacked from the leg SVDs to the platform
 split: the loop fold holds a list of groups, each some seeds and their
 stacked bases, and splits a group only where a rank differs between its
-seeds, so a stack whose seeds agree stays one group.  Each loop union
-factors only the smaller of its two bases, projected off the larger: the
-singular values of that k x 6 matrix are the sines of the principal angles
-between the two spans, from which the singular values of the stacked
-bases are rebuilt for the rank test, and its left singular vectors give
-the intersection.  verify_mechanism draws again only the seeds whose
-singular values fell near the rank threshold.  The two one-seed entry
-points, instantiate_geometry (one seed's geometry) and
+seeds, so a stack whose seeds agree stays one group.  One _cutoff call
+ranks all legs.  A loop union with an empty operand or one of all six
+dimensions has a closed form; any other factors only the smaller of its
+two bases projected off the larger, whose singular values (the sines of
+the principal angles) alone give the union rank and whose left singular
+vectors give the intersection.  verify_mechanism draws again only the
+seeds whose singular values fell near the rank threshold.  The two
+one-seed entry points, instantiate_geometry (one seed's geometry) and
 numeric_loop_and_platform (one geometry's ranks), call into the same code,
 and a stacked seed gives bit for bit the result of its one-seed call.
 """
@@ -317,18 +317,22 @@ def _leg_spaces(legs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np
     stack of twist matrices (seeds x f x 6).
 
     Legs with equal joint counts share one SVD call; LAPACK factors each
-    matrix on its own, so sharing does not change a bit.
+    matrix on its own, so sharing does not change a bit.  One _cutoff call
+    ranks all legs from a zero-filled legs x seeds x 6 array of their
+    singular values, as a zero is never above a threshold or near it.
     """
     by_count: dict[int, list[int]] = {}
     for k, leg in enumerate(legs):
         by_count.setdefault(leg.shape[-2], []).append(k)
-    spaces: list = [None] * len(legs)
+    s = np.zeros((len(legs), len(legs[0]), 6))
+    vh: dict[int, np.ndarray] = {}
     for members in by_count.values():
-        _, s, vh = np.linalg.svd(np.stack([legs[k] for k in members]), full_matrices=False)
-        rank, near = _cutoff(s, s[..., 0])
-        for j, k in enumerate(members):
-            spaces[k] = rank[j], vh[j], near[j]
-    return spaces
+        stack = legs[members[0]][None] if len(members) == 1 else np.stack([legs[k] for k in members])
+        _, values, bases = np.linalg.svd(stack, full_matrices=False)
+        s[members, :, : values.shape[-1]] = values
+        vh.update(zip(members, bases))
+    rank, near = _cutoff(s, s[..., 0])
+    return [(rank[k], vh[k], near[k]) for k in range(len(legs))]
 
 
 def _one_seed_leg(leg, inst: GeometricInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -342,7 +346,10 @@ def _one_seed_leg(leg, inst: GeometricInstance) -> tuple[np.ndarray, np.ndarray,
 
 def _split(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Each distinct key of a stack, ascending, with the positions that hold it."""
-    return [(key, np.flatnonzero(keys == key)) for key in sorted(set(keys.tolist()))]
+    distinct = set(keys.tolist())
+    if len(distinct) == 1:  # the usual case: every seed agrees
+        return [(distinct.pop(), np.arange(len(keys)))]
+    return [(key, np.flatnonzero(keys == key)) for key in sorted(distinct)]
 
 
 def _unions(
@@ -353,41 +360,39 @@ def _unions(
     different dimensions cannot share an array, so the intersection bases
     come as one stack per union rank, each with the positions of its pairs.
 
-    Both answers depend only on the principal angles between the two
-    spans, and those come from the smaller operand alone (Bjorck and Golub,
-    Math. Comp. 27, 1973).  With a the smaller (k rows), b the larger (m
-    rows) and C = a b^T, the stacked rows have [a; b][a; b]^T = [[I, C],
-    [C^T, I]], whose eigenvalues are 1 + cos and 1 - cos for each cosine of
-    C and 1 for each of the m - k rows left over.  The part of a off the
-    span of b, rest = a - C b, has rest rest^T = I - C C^T, so one SVD of
-    the k x 6 matrix rest = u sine vh gives the sines, and cos =
-    sqrt(1 - sine^2), taken as 0 where rounding lifts a sine past 1.  The
-    singular values of [a; b] are rebuilt from them in descending order:
-    sqrt(1 + cos), then m - k ones, then sine / sqrt(1 + cos), which is
-    sqrt(1 - cos) without its cancellation.  [a; b] has six columns, so
-    only the first six go to _cutoff, as from one SVD of [a; b]: the rank
-    is the dimension of the union, and one near-threshold flag covers both
-    answers.
+    Call the smaller operand a (k rows) and the larger b (m rows).  With a
+    empty or b the whole space, the union has rank min(k + m, 6), a spans
+    the intersection and no value is near the threshold.  Otherwise both
+    answers depend only on the principal angles between the two spans, and
+    those come from a alone (Bjorck and Golub, Math. Comp. 27, 1973).  With
+    C = a b^T, the stacked rows have [a; b][a; b]^T = [[I, C], [C^T, I]],
+    whose eigenvalues are 1 + cos and 1 - cos for each cosine of C and 1
+    for each of the m - k rows left over.  The part of a off the span of b,
+    rest = a - C b, has rest rest^T = I - C C^T, so one SVD of the k x 6
+    matrix rest = u sine vh gives the sines, and cos = sqrt(1 - sine^2),
+    taken as 0 where rounding lifts a sine past 1.  In descending order,
+    the singular values of [a; b] are sqrt(1 + cos), then m - k ones, then
+    sine / sqrt(1 + cos), which is sqrt(1 - cos) without its cancellation;
+    only the first six count, as [a; b] has six columns.  The first m are
+    at least 1, so the rank is m plus the number of the next 6 - m above
+    RANK_RTOL times the largest sqrt(1 + cos), as from one SVD of [a; b],
+    and one near-threshold flag covers both answers.
 
-    The rank counts all of the first m values and the sines above the
-    threshold, so the columns of u past rank - m are those of the sines
-    below it.  Their images in the span of a lie in the span of b to
-    within the threshold, and span the intersection, of dimension k + m -
-    rank.  The columns are orthonormal and so are the rows of a, so the
-    rows of the image are too.
+    The columns of u past the sines counted, mapped through a, are
+    orthonormal rows that lie in the span of b to within the threshold and
+    span the intersection, of dimension k + m - rank.
     """
     if a.shape[-2] > b.shape[-2]:
         a, b = b, a
     k, m = a.shape[-2], b.shape[-2]
+    if k == 0 or m == 6:
+        return np.full(len(a), min(k + m, 6)), [(np.arange(len(a)), a)], np.zeros(len(a), bool)
     # a stacked @ rounds like the one-pair product
     u, sine, _ = np.linalg.svd(a - (a @ b.mT) @ b, full_matrices=False)
     wide = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - sine * sine, 0.0)))
-    s = np.concatenate(
-        [wide[..., ::-1], np.ones((len(a), m - k)), sine / wide], axis=-1
-    )[..., :6]
-    rank, near = _cutoff(s, s[..., 0])
-    meets = [(members, u[members, :, r - m:].mT @ a[members]) for r, members in _split(rank)]
-    return rank, meets, near
+    extra, near = _cutoff((sine / wide)[..., : 6 - m], wide[..., -1])
+    meets = [(members, u[members, :, e:].mT @ a[members]) for e, members in _split(extra)]
+    return m + extra, meets, near
 
 
 @dataclass

@@ -20,10 +20,6 @@ from .relations import AxisRef, RelationGraph
 from .topology import JointKind, RelationCode
 
 
-class OverlappingSupport(ValueError):
-    """poc_or received matrices with a common nonzero column."""
-
-
 # --------------------------------------------------------------------------
 # direction forms
 
@@ -341,39 +337,6 @@ class PocMatrix:
                 leg if any(self.r) and self.r[0] != 3 else None,
             ),
         )
-
-
-def poc_or(parts: list[PocMatrix]) -> PocMatrix:
-    """Combine segment POC matrices with disjoint column support.
-
-    The union of a serial chain's segment outputs before normalization is
-    the cellwise sum; overlapping nonzero cells are a usage error.
-    """
-    if not parts:
-        raise ValueError("poc_or needs at least one matrix")
-    width = parts[0].width
-    for m in parts:
-        if m.width != width:
-            raise ValueError("poc_or parts must share the same width")
-    t = [0] * width
-    r = [0] * width
-    owners = [None, None]
-    for m in parts:
-        for row_idx, (row, acc) in enumerate(((m.t, t), (m.r, r))):
-            for col, value in enumerate(row):
-                if value == 0:
-                    continue
-                if acc[col] != 0:
-                    raise OverlappingSupport(
-                        f"column {col + 1} of row {'tr'[row_idx]} is claimed twice"
-                    )
-                acc[col] = value
-            if m.owners[row_idx] is not None:
-                if owners[row_idx] is None:
-                    owners[row_idx] = m.owners[row_idx]
-                elif owners[row_idx] != m.owners[row_idx]:
-                    raise ValueError("poc_or parts belong to different legs")
-    return PocMatrix(tuple(t), tuple(r), (owners[0], owners[1]))
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from pmmobility import (
     MechanismTopology,
     PlatformRelations,
     PlatformSide,
+    PocMatrix,
     RelationCode,
     RelationGraph,
     build_relation_graph,
@@ -357,6 +358,48 @@ def reference_relation_graph(mech: MechanismTopology) -> RelationGraph:
                 raise InconsistentRelations(_describe_cycle(a, b, seeds))
             perp_pairs.update(((ra, rb), (rb, ra)))
     return RelationGraph(kinds, parallel_root, coaxial_root, frozenset(perp_pairs), seeds)
+
+
+# --------------------------------------------------------------------------
+# reference leg matrix
+
+
+class OverlappingSupport(ValueError):
+    """poc_or received matrices with a common nonzero column."""
+
+
+def poc_or(parts: list[PocMatrix]) -> PocMatrix:
+    """Combine segment POC matrices with disjoint column support.
+
+    The union of a serial chain's segment outputs before normalization is
+    the cellwise sum; overlapping nonzero cells are a usage error.  The
+    reference for subchains.segments_poc, which builds a leg's one matrix.
+    """
+    if not parts:
+        raise ValueError("poc_or needs at least one matrix")
+    width = parts[0].width
+    for m in parts:
+        if m.width != width:
+            raise ValueError("poc_or parts must share the same width")
+    t = [0] * width
+    r = [0] * width
+    owners = [None, None]
+    for m in parts:
+        for row_idx, (row, acc) in enumerate(((m.t, t), (m.r, r))):
+            for col, value in enumerate(row):
+                if value == 0:
+                    continue
+                if acc[col] != 0:
+                    raise OverlappingSupport(
+                        f"column {col + 1} of row {'tr'[row_idx]} is claimed twice"
+                    )
+                acc[col] = value
+            if m.owners[row_idx] is not None:
+                if owners[row_idx] is None:
+                    owners[row_idx] = m.owners[row_idx]
+                elif owners[row_idx] != m.owners[row_idx]:
+                    raise ValueError("poc_or parts belong to different legs")
+    return PocMatrix(tuple(t), tuple(r), (owners[0], owners[1]))
 
 
 # --------------------------------------------------------------------------

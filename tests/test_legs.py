@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pmmobility import analyze_leg, build_relation_graph, normalize, poc_or
+from pmmobility import analyze_leg, build_relation_graph, normalize
 from pmmobility.oracle import (
     Unsatisfiable,
     _leg_spaces,
@@ -22,6 +22,7 @@ from helpers import (
     make_mechanism,
     numeric_rank,
     pair_mechanism,
+    poc_or,
 )
 
 

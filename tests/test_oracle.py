@@ -372,6 +372,48 @@ def test_unions_match_the_direct_svd(monkeypatch, rtol, near):
     assert flagged >= 20 and tilted_meets >= 100
 
 
+def test_empty_and_full_space_unions_factor_nothing(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a union with a closed form was factored")
+
+    rng = np.random.default_rng(22)
+    pairs = [(k, m, *_tilted_pairs(rng, k, m, 20)) for k, m in ((0, 3), (2, 6))]
+    monkeypatch.setattr(oracle.np.linalg, "svd", no_svd)
+    for k, m, small, large in pairs:
+        for a, b in ((small, large), (large, small)):
+            rank, [(members, meet)], near = _unions(a, b)
+            assert rank.tolist() == [min(k + m, 6)] * 20, (k, m)
+            assert not near.any(), (k, m)
+            assert members.tolist() == list(range(20))
+            # the smaller operand lies in the larger, so it is the intersection
+            assert meet.shape == small.shape
+            assert np.allclose(meet.mT @ meet, small.mT @ small, atol=1e-12)
+
+
+def test_leg_spaces_rank_every_leg_in_one_cutoff(monkeypatch):
+    # three joint counts: three SVD calls, but one _cutoff for all of them
+    legs = [leg_from_relations(label, "R" * f, {}) for label, f in ((1, 3), (2, 4), (3, 5))]
+    mech = make_mechanism("three_counts", legs)
+    cutoffs, spaces = [], []
+
+    def cutoff_spy(*args):
+        cutoffs.append(args)
+        return _cutoff(*args)
+
+    def leg_spaces_spy(stacks):
+        before = len(cutoffs)
+        spaces.extend(_leg_spaces(stacks))
+        assert len(cutoffs) - before == 1
+        return spaces
+
+    monkeypatch.setattr(oracle, "_cutoff", cutoff_spy)
+    monkeypatch.setattr(oracle, "_leg_spaces", leg_spaces_spy)
+    plan = OraclePlan(mech, build_relation_graph(mech))
+    plan.rank(plan.sample(range(20)))
+    assert [rank.tolist() for rank, _, _ in spaces] == [[3] * 20, [4] * 20, [5] * 20]
+    assert not any(near.any() for _, _, near in spaces)
+
+
 def test_case_studies_agree_across_seeds(tricept, tricept_report, three_rrc, three_rrc_report):
     for mech, report in ((tricept, tricept_report), (three_rrc, three_rrc_report)):
         result = verify_mechanism(mech, report, seeds=range(20))

@@ -8,7 +8,6 @@ import pytest
 from pmmobility import (
     AxisRef,
     LoopRank,
-    OverlappingSupport,
     PocMatrix,
     analyze_leg,
     analyze_mechanism,
@@ -16,7 +15,6 @@ from pmmobility import (
     intersect_rotation,
     intersect_translation,
     normalize,
-    poc_or,
     union,
 )
 from pmmobility.oracle import Unsatisfiable, instantiate_geometry
@@ -29,6 +27,7 @@ from pmmobility.poc import (
     NormalPlane,
     SpanPlane,
     line_direction,
+    line_in_plane,
     lines_parallel,
     plane_direction,
     planes_parallel,
@@ -41,6 +40,7 @@ from helpers import (
     RRC_MATRIX,
     UP_MATRIX,
     UPS_MATRIX,
+    OverlappingSupport,
     labeled_random_mechanism,
     leg_and_graph,
     leg_from_relations,
@@ -49,6 +49,7 @@ from helpers import (
     numeric_intersection_dim,
     numeric_union_dim,
     pair_mechanism,
+    poc_or,
 )
 
 
@@ -402,6 +403,18 @@ def test_two_meet_lines_are_compared_without_raising(cells_graph):
     p = MeetLine(NormalPlane(AxisRef(1, 4)), NormalPlane(AxisRef(1, 6)))
     q = MeetLine(NormalPlane(AxisRef(1, 2)), NormalPlane(AxisRef(1, 6)))
     assert lines_parallel(cells_graph, p, q) in (None, False)
+
+
+def test_meet_line_is_not_in_the_plane_normal_to_it(cells_graph):
+    # the meet of the planes normal to x and y is z, so it does not lie in
+    # the plane normal to z: a decided no, which records no question
+    x, y, z = AxisRef(1, 1), AxisRef(1, 2), AxisRef(1, 3)
+    meet = MeetLine(NormalPlane(x), NormalPlane(y))
+    assert line_in_plane(cells_graph, meet, NormalPlane(z)) is False
+    ledger: list[str] = []
+    line, plane = line_direction(meet), plane_direction(NormalPlane(z))
+    assert intersect_translation(line, plane, cells_graph, ledger).rank == 0
+    assert ledger == []
 
 
 def test_span_with_a_meet_generator_equal_to_a_normal_plane_is_decided(cells_graph):
