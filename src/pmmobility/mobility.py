@@ -16,16 +16,11 @@ from dataclasses import dataclass, field
 
 from .legs import LegPoc, analyze_leg
 from .poc import (
-    AlongAxis,
-    DirectionDescriptor,
     LoopRank,
-    MeetLine,
-    NormalLine,
-    NormalPlane,
     PocMatrix,
-    SpanPlane,
     intersect_rotation,
     intersect_translation,
+    matrix_from_forms,
     rotation_view,
     translation_view,
 )
@@ -64,48 +59,6 @@ class MobilityReport:
 def classify(poc: PocMatrix) -> str:
     """Motion pattern name, e.g. '1T2R'."""
     return f"{poc.xi_t}T{poc.xi_r}R"
-
-
-def _anchor_axis(form) -> AxisRef:
-    """Joint axis whose column anchors a direction form in the POC matrix."""
-    if isinstance(form, (AlongAxis, NormalLine, NormalPlane)):
-        return form.axis
-    if isinstance(form, SpanPlane):
-        return _anchor_axis(form.u)
-    if isinstance(form, MeetLine):
-        return _anchor_axis(form.a)
-    raise TypeError(f"no anchor for {form!r}")
-
-
-def _row_from_descriptor(desc: DirectionDescriptor) -> tuple[tuple[int, ...], int | None]:
-    """Rebuild one POC matrix row (width 6) from a direction descriptor."""
-    row = [0] * 6
-    if desc.rank == 0:
-        return tuple(row), None
-    if desc.rank == 3:
-        row[0] = 3
-        return tuple(row), None
-    if desc.rank == 1:
-        axis = _anchor_axis(desc.line)
-        row[axis.joint - 1] = 1
-        return tuple(row), axis.leg
-    plane = desc.plane
-    if isinstance(plane, NormalPlane):
-        axis = plane.axis
-        row[axis.joint - 1] = 2
-        return tuple(row), axis.leg
-    ua, va = _anchor_axis(plane.u), _anchor_axis(plane.v)
-    row[ua.joint - 1] += 1
-    row[va.joint - 1] += 1
-    return tuple(row), ua.leg
-
-
-def _matrix_from_descriptors(
-    t_desc: DirectionDescriptor, r_desc: DirectionDescriptor
-) -> PocMatrix:
-    t_row, t_owner = _row_from_descriptor(t_desc)
-    r_row, r_owner = _row_from_descriptor(r_desc)
-    return PocMatrix(t_row, r_row, (t_owner, r_owner))
 
 
 def _joint_labels(g: RelationGraph, row: tuple[int, ...], owner: int | None) -> tuple[str, ...]:
@@ -155,7 +108,7 @@ def analyze_mechanism(mech: MechanismTopology) -> MobilityReport:
             # two rotation lines: the line-bound rule, which asks no question
             meet_r = intersect_rotation(state_r, leg_r, g)
         state_t, state_r = meet_t, meet_r
-        sub_pocs.append(_matrix_from_descriptors(state_t, state_r))
+        sub_pocs.append(matrix_from_forms(state_t, state_r))
 
     total = mech.total_joint_dof
     dof = total - sum(rank.xi for rank in loops)

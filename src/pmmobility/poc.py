@@ -5,16 +5,20 @@ output of a chain: row t for translations, row r for rotations, entries 0
 to 3.  Column i attributes an output to joint i of the owning leg.  A value
 of 3 means the full three dimensional output with no attributed direction.
 
-Direction bookkeeping is symbolic.  A rank 1 or rank 2 output carries a
-direction form built from joint axis references; the relation graph decides
-parallelism and containment questions.  A question the seeded relations
-leave open is answered no (general position) and appended to the caller's
-ledger when one is passed.
+Direction bookkeeping is symbolic.  A direction subspace is its form: a
+line (AlongAxis, NormalLine, MeetLine) or a plane (NormalPlane, SpanPlane)
+built from joint axis references, or EMPTY_DIRECTION / FULL_DIRECTION
+with no basis.  The rank is a class attribute of each line and plane form.
+The relation graph decides parallelism and containment questions.  A
+question the seeded relations leave open is answered no (general position)
+and appended to the caller's ledger when one is passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import ClassVar
 
 from .relations import AxisRef, RelationGraph
 from .topology import JointKind, RelationCode
@@ -28,6 +32,7 @@ from .topology import JointKind, RelationCode
 class AlongAxis:
     """Direction along the referenced joint axis."""
 
+    rank: ClassVar[int] = 1
     axis: AxisRef
 
     def __str__(self) -> str:
@@ -42,6 +47,7 @@ class NormalLine:
     not determined by the topology.
     """
 
+    rank: ClassVar[int] = 1
     axis: AxisRef
 
     def __str__(self) -> str:
@@ -52,6 +58,7 @@ class NormalLine:
 class NormalPlane:
     """The full plane of directions perpendicular to the referenced axis."""
 
+    rank: ClassVar[int] = 2
     axis: AxisRef
 
     def __str__(self) -> str:
@@ -62,6 +69,7 @@ class NormalPlane:
 class SpanPlane:
     """Plane spanned by two independent line directions."""
 
+    rank: ClassVar[int] = 2
     u: "LineForm"
     v: "LineForm"
 
@@ -73,6 +81,7 @@ class SpanPlane:
 class MeetLine:
     """Intersection direction of two non-parallel planes."""
 
+    rank: ClassVar[int] = 1
     a: "PlaneForm"
     b: "PlaneForm"
 
@@ -85,36 +94,15 @@ PlaneForm = NormalPlane | SpanPlane
 
 
 @dataclass(frozen=True)
-class DirectionDescriptor:
-    """A direction subspace of rank 0..3 with a symbolic basis.
-
-    rank 0 and rank 3 carry no basis; rank 1 carries a LineForm; rank 2 a
-    PlaneForm.
-    """
+class NoBasis:
+    """The rank 0 or rank 3 direction subspace, which needs no basis."""
 
     rank: int
-    line: LineForm | None = None
-    plane: PlaneForm | None = None
-
-    def __post_init__(self) -> None:
-        if self.rank not in (0, 1, 2, 3):
-            raise ValueError(f"rank {self.rank} out of range")
-        if (self.rank == 1) != (self.line is not None):
-            raise ValueError("rank 1 descriptors carry exactly one line form")
-        if (self.rank == 2) != (self.plane is not None):
-            raise ValueError("rank 2 descriptors carry exactly one plane form")
 
 
-EMPTY_DIRECTION = DirectionDescriptor(0)
-FULL_DIRECTION = DirectionDescriptor(3)
-
-
-def line_direction(line: LineForm) -> DirectionDescriptor:
-    return DirectionDescriptor(1, line=line)
-
-
-def plane_direction(plane: PlaneForm) -> DirectionDescriptor:
-    return DirectionDescriptor(2, plane=plane)
+EMPTY_DIRECTION = NoBasis(0)
+FULL_DIRECTION = NoBasis(3)
+DirectionDescriptor = NoBasis | LineForm | PlaneForm
 
 
 # --------------------------------------------------------------------------
@@ -282,6 +270,11 @@ def _resolve(value: bool | None, ledger: list[str] | None, question: str) -> boo
 # POC matrices
 
 
+def _owns(row: tuple[int, ...]) -> bool:
+    """A leg owns a row that has entries and is not full (3 alone first)."""
+    return any(row) and row[0] != 3
+
+
 @dataclass(frozen=True)
 class PocMatrix:
     """2 x f POC matrix with per-row owning leg numbers.
@@ -328,19 +321,14 @@ class PocMatrix:
         return PocMatrix(self.t + pad, self.r + pad, self.owners)
 
     def with_owner(self, leg: int) -> "PocMatrix":
-        """Leg owns every row with attributed entries: neither an empty row
-        nor a full one (3 alone in the first column)."""
+        """The same matrix, leg owning each row that _owns admits."""
         return replace(
-            self,
-            owners=(
-                leg if any(self.t) and self.t[0] != 3 else None,
-                leg if any(self.r) and self.r[0] != 3 else None,
-            ),
+            self, owners=(leg if _owns(self.t) else None, leg if _owns(self.r) else None)
         )
 
 
 # --------------------------------------------------------------------------
-# views: matrix rows as direction descriptors
+# views: matrix rows as direction forms, and back
 
 
 def _row_axis(owner: int | None, col: int) -> AxisRef:
@@ -351,45 +339,62 @@ def _row_axis(owner: int | None, col: int) -> AxisRef:
 
 def _translation_atom(g: RelationGraph, axis: AxisRef, value: int) -> DirectionDescriptor:
     if value == 2:
-        return plane_direction(NormalPlane(axis))
+        return NormalPlane(axis)
     if g.kind(axis) is JointKind.PRISMATIC:
-        return line_direction(AlongAxis(axis))
+        return AlongAxis(axis)
     # translation attributed to a revolute joint lies in its normal plane
-    return line_direction(NormalLine(axis))
+    return NormalLine(axis)
+
+
+def _view(row: tuple[int, ...], owner: int | None, atom) -> DirectionDescriptor:
+    rank = sum(row)
+    if rank == 0:
+        return EMPTY_DIRECTION
+    if rank >= 3:
+        return FULL_DIRECTION
+    atoms = [atom(_row_axis(owner, col), value) for col, value in enumerate(row) if value]
+    return atoms[0] if len(atoms) == 1 else SpanPlane(*atoms)
 
 
 def translation_view(m: PocMatrix, g: RelationGraph) -> DirectionDescriptor:
-    """Direction descriptor of the t row."""
-    rank = m.xi_t
-    if rank == 0:
-        return EMPTY_DIRECTION
-    if rank >= 3:
-        return FULL_DIRECTION
-    atoms = [
-        _translation_atom(g, _row_axis(m.owners[0], col), value)
-        for col, value in enumerate(m.t)
-        if value
-    ]
-    if len(atoms) == 1:
-        return atoms[0]
-    return plane_direction(SpanPlane(atoms[0].line, atoms[1].line))
+    """Direction form of the t row."""
+    return _view(m.t, m.owners[0], partial(_translation_atom, g))
 
 
 def rotation_view(m: PocMatrix, g: RelationGraph) -> DirectionDescriptor:
-    """Direction descriptor of the r row."""
-    rank = m.xi_r
-    if rank == 0:
-        return EMPTY_DIRECTION
-    if rank >= 3:
-        return FULL_DIRECTION
-    lines = [AlongAxis(_row_axis(m.owners[1], col)) for col, v in enumerate(m.r) if v]
-    if rank == 1:
-        return DirectionDescriptor(1, line=lines[0])
-    return DirectionDescriptor(2, plane=SpanPlane(lines[0], lines[1]))
+    """Direction form of the r row."""
+    return _view(m.r, m.owners[1], lambda axis, _: AlongAxis(axis))
+
+
+def _anchor_axis(form: LineForm | PlaneForm) -> AxisRef:
+    """Joint axis whose column anchors a direction form in the POC matrix."""
+    if isinstance(form, SpanPlane):
+        return _anchor_axis(form.u)
+    if isinstance(form, MeetLine):
+        return _anchor_axis(form.a)
+    return form.axis
+
+
+def _row_from_form(form: DirectionDescriptor) -> tuple[tuple[int, ...], int | None]:
+    """One POC matrix row (width 6) and its owner, rebuilt from a form."""
+    row = [0] * 6
+    if isinstance(form, NoBasis):
+        row[0] = form.rank
+        return tuple(row), None
+    parts = (form.u, form.v) if isinstance(form, SpanPlane) else (form,)
+    for part in parts:
+        row[_anchor_axis(part).joint - 1] += part.rank
+    return tuple(row), _anchor_axis(form).leg
+
+
+def matrix_from_forms(t: DirectionDescriptor, r: DirectionDescriptor) -> PocMatrix:
+    """The width 6 POC matrix that books each form on its anchor columns."""
+    (t_row, t_owner), (r_row, r_owner) = _row_from_form(t), _row_from_form(r)
+    return PocMatrix(t_row, r_row, (t_owner, r_owner))
 
 
 # --------------------------------------------------------------------------
-# intersection and union over direction descriptors
+# intersection and union over direction forms
 
 
 def _inside(
@@ -410,10 +415,10 @@ def _inside(
     if b.rank < a.rank:
         a, b = b, a
     if b.rank == 1:
-        return _resolve(lines_parallel(g, a.line, b.line), ledger, f"{a.line} is parallel to {b.line}")
+        return _resolve(lines_parallel(g, a, b), ledger, f"{a} is parallel to {b}")
     if a.rank == 1:
-        return _resolve(line_in_plane(g, a.line, b.plane), ledger, f"{a.line} lies in {b.plane}")
-    return _resolve(planes_parallel(g, a.plane, b.plane), ledger, f"{a.plane} equals {b.plane}")
+        return _resolve(line_in_plane(g, a, b), ledger, f"{a} lies in {b}")
+    return _resolve(planes_parallel(g, a, b), ledger, f"{a} equals {b}")
 
 
 def intersect_translation(
@@ -437,7 +442,7 @@ def intersect_translation(
     if _inside(a, b, g, ledger):
         return b if b.rank < a.rank else a
     if a.rank == b.rank == 2:
-        return line_direction(_plane_meet_line(g, a.plane, b.plane))
+        return _plane_meet_line(g, a, b)
     return EMPTY_DIRECTION
 
 
@@ -456,11 +461,7 @@ def intersect_rotation(
     analysis of intersect_translation.
     """
     if a.rank == 1 and b.rank == 1 and a != b:
-        if (
-            isinstance(a.line, AlongAxis)
-            and isinstance(b.line, AlongAxis)
-            and g.same_axis(a.line.axis, b.line.axis)
-        ):
+        if isinstance(a, AlongAxis) and isinstance(b, AlongAxis) and g.same_axis(a.axis, b.axis):
             return a
         return EMPTY_DIRECTION
     return intersect_translation(a, b, g, ledger)
@@ -487,7 +488,7 @@ def union(
     if _inside(a, b, g, ledger):
         return b if b.rank > a.rank else a
     if a.rank == b.rank == 1:
-        return plane_direction(_pair_plane(a.line, b.line, g, ledger))
+        return _pair_plane(a, b, g, ledger)
     return FULL_DIRECTION
 
 
@@ -541,76 +542,50 @@ def normalize(m: PocMatrix, g: RelationGraph, ledger: list[str] | None = None) -
     are dropped, and a translation span of three collapses the t row to
     (3, 0, ...).  The result is a fixed point of this function.
     """
-    width = m.width
+    full = (3,) + (0,) * (m.width - 1)
     t_owner, r_owner = m.owners
-
-    # rotation bookkeeping
-    extra_translations: list[tuple[int, int]] = []  # (col, value) in the owning leg
-    if m.xi_r >= 3 and m.r[0] == 3:
-        r_row = m.r
-        rotation_full = True
-    else:
-        classes: dict[AxisRef, int] = {}
-        seen_lines: set[AxisRef] = set()
-        kept_cols: list[int] = []
-        converted: list[int] = []
+    owner = t_owner if t_owner is not None else r_owner
+    counts = list(m.t)  # translation entries per column, converted rotations added
+    r_row = m.r
+    if r_row[:1] != (3,):
+        classes: set[AxisRef] = set()
+        lines: set[AxisRef] = set()
+        kept: list[int] = []
         for col, value in enumerate(m.r):
             if not value:
                 continue
             axis = _row_axis(r_owner, col)
             line = g.coaxial_class(axis)
-            if line in seen_lines:
+            if line in lines:
                 # a rotation about an already counted line adds nothing,
                 # not even the relative translation a parallel pair gives
                 continue
-            seen_lines.add(line)
+            lines.add(line)
             root = g.parallel_class(axis)
             if root in classes:
-                converted.append(col)
+                counts[col] += 1
             else:
-                classes[root] = col
-                kept_cols.append(col)
-        rotation_full = len(kept_cols) > 3
-        if rotation_full:
-            converted.extend(kept_cols[3:])
-            kept_cols = kept_cols[:3]
-            r_row = (3,) + (0,) * (width - 1)
-        else:
-            row = [0] * width
-            for col in kept_cols:
-                row[col] = 1
-            r_row = tuple(row)
-        for col in sorted(converted):
-            extra_translations.append((col, 1))
+                classes.add(root)
+                kept.append(col)
+        row = [0] * m.width
+        for col in kept[:3]:
+            row[col] = 1
+        for col in kept[3:]:
+            counts[col] += 1
+        r_row = tuple(row) if len(kept) <= 3 else full
 
-    # translation bookkeeping: fold atoms in column order, keeping gains
-    if m.xi_t >= 3 and m.t[0] == 3:
-        t_row = m.t
-    else:
-        per_col: dict[int, int] = {}
-        for col, value in enumerate(m.t):
-            if value:
-                per_col[col] = per_col.get(col, 0) + value
-        for col, value in extra_translations:
-            per_col[col] = per_col.get(col, 0) + value
+    # fold the translation atoms in column order, keeping each one's gain
+    t_row = m.t
+    if t_row[:1] != (3,):
         acc = EMPTY_DIRECTION
-        gains: dict[int, int] = {}
-        owner = t_owner if t_owner is not None else r_owner
-        for col in sorted(per_col):
-            atom = _translation_atom(g, _row_axis(owner, col), min(per_col[col], 2))
-            grown = union(acc, atom, g, ledger)
-            gains[col] = grown.rank - acc.rank
-            acc = grown
-        if acc.rank >= 3:
-            t_row = (3,) + (0,) * (width - 1)
-        else:
-            row = [0] * width
-            for col, gain in gains.items():
-                row[col] = gain
-            t_row = tuple(row)
-
-    new_t_owner = None if not any(t_row) else (t_owner if t_owner is not None else r_owner)
-    if t_row and t_row[0] == 3 and sum(t_row) == 3:
-        new_t_owner = None
-    new_r_owner = r_owner if (any(r_row) and not rotation_full) else None
-    return PocMatrix(t_row, r_row, (new_t_owner, new_r_owner))
+        row = [0] * m.width
+        for col, value in enumerate(counts):
+            if value:
+                atom = _translation_atom(g, _row_axis(owner, col), min(value, 2))
+                grown = union(acc, atom, g, ledger)
+                row[col] = grown.rank - acc.rank
+                acc = grown
+        t_row = full if acc.rank == 3 else tuple(row)
+    return PocMatrix(
+        t_row, r_row, (owner if _owns(t_row) else None, r_owner if _owns(r_row) else None)
+    )

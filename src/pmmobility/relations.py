@@ -276,10 +276,9 @@ def _describe_cycle(a: AxisRef, b: AxisRef, seeds) -> str:
             if nxt not in prev:
                 prev[nxt] = node
                 queue.append(nxt)
-    if b in prev:
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        chain = " ~ ".join(str(x) for x in reversed(path))
-        return f"axes {a} _|_ {b} conflict with the parallel chain {chain}"
-    return f"axes {a} _|_ {b} conflict with seeded parallel relations"
+    # a and b share a parallel root, so these seeds join them: b is reached
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    chain = " ~ ".join(str(x) for x in reversed(path))
+    return f"axes {a} _|_ {b} conflict with the parallel chain {chain}"

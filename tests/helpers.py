@@ -490,8 +490,8 @@ def numeric_basis(
     if desc.rank == 3:
         return _FULL
     if desc.rank == 1:
-        return _line_vector(desc.line, inst, cache, rng).reshape(1, 3)
-    return _plane_rows(desc.plane, inst, cache, rng)
+        return _line_vector(desc, inst, cache, rng).reshape(1, 3)
+    return _plane_rows(desc, inst, cache, rng)
 
 
 def numeric_rank(matrix: np.ndarray) -> int:

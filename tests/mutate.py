@@ -1,0 +1,136 @@
+"""Mutation census of the symbolic pipeline, stdlib only.
+
+Usage, from the root of a checkout::
+
+    python tests/mutate.py src/pmmobility/poc.py src/pmmobility/mobility.py
+
+Every mutation point of four operators in the named files is listed: swap a
+comparison (== and !=, < and >=, > and <=, is and is not, in and not in),
+swap and/or, negate an if test, flip a bool constant.  Forty points are
+drawn with random.Random(7), and each mutant is written into a temporary
+copy of src/ and tests/, never into the checkout, and run with pytest -x
+over the symbolic test files.  A mutant whose run passes survives.  The
+script prints each verdict, the survivors, and a sha256 over (file, line,
+operator, verdict) of the drawn mutants.  pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = 40
+TIMEOUT_S = 300
+# the fast ones first, as -x stops at the first failure
+SYMBOLIC_TESTS = (
+    "tests/test_poc_algebra.py",
+    "tests/test_mobility.py",
+    "tests/test_legs.py",
+    "tests/test_subchains.py",
+    "tests/test_relations.py",
+    "tests/test_acceptance.py",
+    "tests/test_cli.py",
+    "tests/test_symbolic_order.py",
+    "tests/test_frozen_answers.py",
+)
+_SWAPS = {
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
+    ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+    ast.In: ast.NotIn, ast.NotIn: ast.In,
+}
+
+
+def _operator(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Compare):
+        return "compare"
+    if isinstance(node, ast.BoolOp):
+        return "and-or"
+    if isinstance(node, ast.If):
+        return "negate-if"
+    if isinstance(node, ast.Constant) and isinstance(node.value, bool):
+        return "flip-bool"
+    return None
+
+
+def mutation_points(path: str) -> list[tuple[str, int, int, str]]:
+    """(file, line, node index in ast.walk order, operator) of each point."""
+    tree = ast.parse((ROOT / path).read_text())
+    return [
+        (path, node.lineno, index, op)
+        for index, node in enumerate(ast.walk(tree))
+        if (op := _operator(node))
+    ]
+
+
+def _mutate(node: ast.AST) -> None:
+    if isinstance(node, ast.Compare):
+        node.ops[0] = _SWAPS[type(node.ops[0])]()
+    elif isinstance(node, ast.BoolOp):
+        node.op = ast.Or() if isinstance(node.op, ast.And) else ast.And()
+    elif isinstance(node, ast.If):
+        node.test = ast.UnaryOp(ast.Not(), node.test)
+    else:
+        node.value = not node.value
+
+
+def mutant_source(source: str, index: int | None = None) -> str:
+    """The source unparsed, with the point at index mutated when given."""
+    tree = ast.parse(source)
+    if index is not None:
+        _mutate(list(ast.walk(tree))[index])
+    return ast.unparse(ast.fix_missing_locations(tree))
+
+
+def verdict(copy: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    command += SYMBOLIC_TESTS
+    try:
+        run = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "survived" if run.returncode == 0 else "killed"
+
+
+def main(paths: list[str]) -> int:
+    points = [point for path in paths for point in mutation_points(path)]
+    drawn = sorted(random.Random(7).sample(points, min(SAMPLE, len(points))))
+    digest = hashlib.sha256()
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        # each mutant differs from this baseline only by its mutation
+        originals = {path: (ROOT / path).read_text() for path in paths}
+        for path, source in originals.items():
+            (copy / path).write_text(mutant_source(source))
+        if verdict(copy) != "survived":
+            print("the symbolic tests fail without a mutant", file=sys.stderr)
+            return 1
+        for path, line, index, op in drawn:
+            (copy / path).write_text(mutant_source(originals[path], index))
+            result = verdict(copy)
+            (copy / path).write_text(mutant_source(originals[path]))
+            print(f"{result:8} {path}:{line} {op}", flush=True)
+            digest.update(f"{path}\0{line}\0{op}\0{result}\n".encode())
+            if result == "survived":
+                survivors.append(f"{path}:{line} {op}")
+    print(f"killed {len(drawn) - len(survivors)} of {len(drawn)}; survivors:")
+    for survivor in survivors:
+        print(f"  {survivor}")
+    print(f"sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

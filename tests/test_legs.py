@@ -6,12 +6,13 @@ import pytest
 from pmmobility import analyze_leg, build_relation_graph, normalize
 from pmmobility.oracle import (
     Unsatisfiable,
+    _cutoff,
     _leg_spaces,
     _one_seed_leg,
     _twists,
     instantiate_geometry,
 )
-from pmmobility.subchains import extract_subchains, segments_poc, subchain_poc
+from pmmobility.subchains import _CATALOG, extract_subchains, segments_poc, subchain_poc
 
 from helpers import (
     REFERENCE_LEGS,
@@ -137,3 +138,25 @@ def test_random_legs_match_numeric_twists():
                 assert rank == result.xi_t + result.xi_r, (mech.name, leg.label)
                 assert angular == result.xi_r, (mech.name, leg.label)
             checked += 1
+
+
+@pytest.mark.parametrize("pattern", _CATALOG, ids=lambda p: p.kind.name)
+def test_catalogue_pattern_matches_the_oracle_leg_twist_space(pattern):
+    # each pattern, built as a lone leg with exactly its tested relations,
+    # is one segment whose (xi_t, xi_r) the sampled leg twist space shares:
+    # the catalogue is sound, so a leg disagreement comes from composing
+    # segments
+    letters = "".join(kind.value for kind in pattern.joints)
+    leg = leg_from_relations(1, letters, {(i, j): code for i, j, code in pattern.tests})
+    mech = make_mechanism("pattern", [leg, leg_from_relations(2, "R", {})])
+    g = build_relation_graph(mech)
+    assert [s.kind for s in extract_subchains(leg, g)] == [pattern.kind]
+    result = analyze_leg(leg, g)
+    for seed in (0, 1, 2):
+        inst = instantiate_geometry(mech, g, seed=seed)
+        [(rank, vh, _)] = _leg_spaces([_twists(*_one_seed_leg(leg, inst))])
+        basis = vh[0, : int(rank[0])]
+        # the basis rows are orthonormal, so the angular rank is measured
+        # against 1, as the oracle measures the platform split
+        angular = int(_cutoff(np.linalg.svd(basis[:, :3], compute_uv=False), 1.0)[0])
+        assert (result.xi_t, result.xi_r) == (len(basis) - angular, angular), seed

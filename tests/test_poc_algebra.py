@@ -26,10 +26,8 @@ from pmmobility.poc import (
     NormalLine,
     NormalPlane,
     SpanPlane,
-    line_direction,
     line_in_plane,
     lines_parallel,
-    plane_direction,
     planes_parallel,
     rotation_view,
     translation_view,
@@ -189,7 +187,7 @@ def test_translation_view_of_up_leg():
     m = analyze_leg(leg, g).matrix
     desc = translation_view(m, g)
     assert desc.rank == 1
-    assert desc.line == AlongAxis(AxisRef(1, 3))
+    assert desc == AlongAxis(AxisRef(1, 3))
 
 
 def test_rotation_view_of_up_leg():
@@ -197,7 +195,7 @@ def test_rotation_view_of_up_leg():
     m = analyze_leg(leg, g).matrix
     desc = rotation_view(m, g)
     assert desc.rank == 2
-    assert desc.plane == SpanPlane(AlongAxis(AxisRef(1, 1)), AlongAxis(AxisRef(1, 2)))
+    assert desc == SpanPlane(AlongAxis(AxisRef(1, 1)), AlongAxis(AxisRef(1, 2)))
 
 
 def test_full_and_empty_views():
@@ -249,29 +247,27 @@ def _cells_forms():
     r4, r5, r6 = AxisRef(1, 4), AxisRef(1, 5), AxisRef(1, 6)
     w1, w2 = AxisRef(2, 1), AxisRef(2, 2)
     return {
-        "Lx": line_direction(AlongAxis(x1)),
-        "Lx2": line_direction(AlongAxis(r4)),
-        "Ly": line_direction(AlongAxis(y)),
-        "Lz": line_direction(AlongAxis(z)),
-        "Lw": line_direction(AlongAxis(w1)),
-        "Nx": line_direction(NormalLine(r4)),
-        "Lmeet": line_direction(MeetLine(NormalPlane(r4), NormalPlane(r6))),
-        "Pyz": plane_direction(NormalPlane(r4)),
-        "Pyz2": plane_direction(NormalPlane(r5)),
-        "Pxy": plane_direction(NormalPlane(r6)),
-        "Sxy": plane_direction(SpanPlane(AlongAxis(x1), AlongAxis(y))),
-        "Sgen": plane_direction(SpanPlane(AlongAxis(x1), AlongAxis(w1))),
-        "Rx": line_direction(AlongAxis(r4)),
-        "Rx2": line_direction(AlongAxis(r5)),
-        "Rz": line_direction(AlongAxis(r6)),
-        "Rz2": line_direction(AlongAxis(w2)),
-        "Rw": line_direction(AlongAxis(w1)),
-        "Sxz": plane_direction(SpanPlane(AlongAxis(r4), AlongAxis(r6))),
-        "Pxz": plane_direction(NormalPlane(y)),
-        "Sxy2": plane_direction(SpanPlane(AlongAxis(r4), AlongAxis(y))),
-        "Smeet": plane_direction(
-            SpanPlane(MeetLine(NormalPlane(r4), NormalPlane(r6)), AlongAxis(x1))
-        ),
+        "Lx": AlongAxis(x1),
+        "Lx2": AlongAxis(r4),
+        "Ly": AlongAxis(y),
+        "Lz": AlongAxis(z),
+        "Lw": AlongAxis(w1),
+        "Nx": NormalLine(r4),
+        "Lmeet": MeetLine(NormalPlane(r4), NormalPlane(r6)),
+        "Pyz": NormalPlane(r4),
+        "Pyz2": NormalPlane(r5),
+        "Pxy": NormalPlane(r6),
+        "Sxy": SpanPlane(AlongAxis(x1), AlongAxis(y)),
+        "Sgen": SpanPlane(AlongAxis(x1), AlongAxis(w1)),
+        "Rx": AlongAxis(r4),
+        "Rx2": AlongAxis(r5),
+        "Rz": AlongAxis(r6),
+        "Rz2": AlongAxis(w2),
+        "Rw": AlongAxis(w1),
+        "Sxz": SpanPlane(AlongAxis(r4), AlongAxis(r6)),
+        "Pxz": NormalPlane(y),
+        "Sxy2": SpanPlane(AlongAxis(r4), AlongAxis(y)),
+        "Smeet": SpanPlane(MeetLine(NormalPlane(r4), NormalPlane(r6)), AlongAxis(x1)),
     }
 
 
@@ -412,7 +408,7 @@ def test_meet_line_is_not_in_the_plane_normal_to_it(cells_graph):
     meet = MeetLine(NormalPlane(x), NormalPlane(y))
     assert line_in_plane(cells_graph, meet, NormalPlane(z)) is False
     ledger: list[str] = []
-    line, plane = line_direction(meet), plane_direction(NormalPlane(z))
+    line, plane = meet, NormalPlane(z)
     assert intersect_translation(line, plane, cells_graph, ledger).rank == 0
     assert ledger == []
 
@@ -424,7 +420,7 @@ def test_span_with_a_meet_generator_equal_to_a_normal_plane_is_decided(cells_gra
     # the numeric rank 2.
     forms = _cells_forms()
     a, b = forms["Smeet"], forms["Pxy"]
-    assert planes_parallel(cells_graph, a.plane, b.plane) is True
+    assert planes_parallel(cells_graph, a, b) is True
     assert intersect_translation(a, b, cells_graph).rank == 2
     inst = instantiate_geometry(CELLS, cells_graph, seed=0)
     cache: dict = {}
@@ -486,12 +482,12 @@ def _rotation_line_divergence(g, a, b):
     if a.rank != 1 or b.rank != 1 or a == b:
         return False
     if (
-        isinstance(a.line, AlongAxis)
-        and isinstance(b.line, AlongAxis)
-        and g.same_axis(a.line.axis, b.line.axis)
+        isinstance(a, AlongAxis)
+        and isinstance(b, AlongAxis)
+        and g.same_axis(a.axis, b.axis)
     ):
         return False
-    return lines_parallel(g, a.line, b.line) is True
+    return lines_parallel(g, a, b) is True
 
 
 def _descriptor_pools(mech, g):
