@@ -21,7 +21,6 @@ import os
 import sys
 from difflib import get_close_matches
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .mobility import analyze_mechanism
@@ -64,7 +63,8 @@ def _analyze_file(path: str, settings: _Settings, messages: list[str]) -> tuple[
     """The exit code and rendered report (None when there is none) of one
     file; its warnings and errors go onto messages."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as err:
         messages.append(f"{path}: {getattr(err, 'strerror', None) or err}")
         return PARSE_ERROR, None

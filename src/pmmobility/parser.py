@@ -35,17 +35,20 @@ accept ``R``/``P`` or 8/9.  Because ``#`` opens a comment at the start of
 a line, a coplanar relation in the first column of a matrix row must be
 written as the numeric code 4.
 
-Each line is split into whitespace-separated words.  Statement lines
-(``mechanism``, ``leg``, ``rel``, ``platform``) are then tokenized with the
-column of every word; matrix rows stay plain words, and a cell's column is
-found only when an error is reported at it.
+The parser makes one pass over the lines.  Each line is split once into
+whitespace-separated words and dispatched on its first word; statement
+lines (``mechanism``, ``leg``, ``rel``, ``platform``) read their words
+directly, and a matrix block keeps its rows as word lists and decodes each
+block at once.  Nothing is tokenized up front: only an error site finds the
+column of the word it names.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .topology import (
     MAX_LEG_JOINTS,
@@ -92,24 +95,6 @@ def _tokenize(line: str, number: int) -> list[_Token]:
     ]
 
 
-class _Row(NamedTuple):
-    """A content line as its words, without columns.
-
-    ``raw.split()`` and ``_tokenize`` split at the same whitespace, so word
-    k is ``token(k).text``; only error sites call ``token`` to find a column.
-    """
-
-    number: int
-    raw: str
-    words: list[str]
-
-    def tokens(self) -> list[_Token]:
-        return _tokenize(self.raw, self.number)
-
-    def token(self, k: int) -> _Token:
-        return self.tokens()[k]
-
-
 def _relation_cell(tok: _Token) -> RelationCode:
     if tok.text in RELATION_SYMBOLS:
         return RELATION_SYMBOLS[tok.text]
@@ -138,55 +123,34 @@ def _kind_cell(tok: _Token) -> JointKind:
 # the usual spellings of a matrix cell; any other goes through
 # _relation_cell or _kind_cell, which accept what int() accepts
 _RELATION_CELLS = {**RELATION_SYMBOLS, **{str(code.value): code for code in RelationCode}}
+_RELATION_SPELLINGS = frozenset(_RELATION_CELLS)
 _KIND_CELLS = {
     "R": JointKind.REVOLUTE,
     "P": JointKind.PRISMATIC,
     "8": JointKind.REVOLUTE,
     "9": JointKind.PRISMATIC,
 }
-
-
-def _relation_at(row: _Row, k: int) -> RelationCode:
-    code = _RELATION_CELLS.get(row.words[k])
-    return _relation_cell(row.token(k)) if code is None else code
-
-
-def _kind_at(row: _Row, k: int) -> JointKind:
-    kind = _KIND_CELLS.get(row.words[k])
-    return _kind_cell(row.token(k)) if kind is None else kind
-
-
-def _check_square(rows: list[_Row], size: int) -> None:
-    for row in rows:
-        if len(row.words) != size:
-            tok = row.token(0)
-            raise ParseError(
-                f"matrix row has {len(row.words)} entries, expected {size}", tok.line, tok.col
-            )
-
-
-def _make_leg(label: int, kinds: list[JointKind], rels: list[list[RelationCode]]) -> LegTopology:
-    return LegTopology(
-        label=label, joints=tuple(kinds), relations=tuple(tuple(row) for row in rels)
-    )
+_SIDES = {side.value: side for side in PlatformSide}
+_NO_MECHANISM = "a mechanism file starts with 'mechanism NAME'"
+_Matrix = tuple[tuple[RelationCode, ...], ...]
 
 
 class _Draft:
-    """The open block, from its header on: a leg, or a platform when side
-    is set.
+    """The open block, from its header on line ``line``: a leg, or a
+    platform when side is set.
 
     A joint-string leg collects kinds and sparse pair relations from its
-    tokenized header and ``rel`` lines; a matrix leg and a platform collect
-    their rows as untokenized ``_Row``s.
+    header and ``rel`` lines; a matrix leg and a platform collect their rows
+    as word lists.
     """
 
-    def __init__(self, header: _Token, label: int = 0, side: PlatformSide | None = None):
+    def __init__(self, line: int, label: int = 0, side: PlatformSide | None = None):
         self.label = label
-        self.header = header
+        self.line = line
         self.side = side
         self.kinds: list[JointKind] = []
         self.pairs: dict[tuple[int, int], RelationCode] = {}
-        self.rows: list[_Row] = []
+        self.rows: list[list[str]] = []
 
     def set_pair(self, i: int, j: int, code: RelationCode) -> None:
         self.pairs[(min(i, j), max(i, j))] = code
@@ -209,7 +173,9 @@ class _Draft:
                 f"leg {self.label}: joint pairs {pairs} have no stated relation, "
                 "treating them as arbitrary"
             )
-        return _make_leg(self.label, self.kinds, rels)
+        return LegTopology(
+            label=self.label, joints=tuple(self.kinds), relations=tuple(map(tuple, rels))
+        )
 
 
 class _Parser:
@@ -217,19 +183,34 @@ class _Parser:
         self.lines = text.splitlines()
         self.on_warning = on_warning or (lambda message: None)
         self.name: str | None = None
-        self.name_token: _Token | None = None
+        self.name_line = 0
         self.legs: list[LegTopology] = []
         self.platforms: dict[PlatformSide, PlatformRelations] = {}
         self.draft: _Draft | None = None
         self.last_line = max(len(self.lines), 1)
 
-    # -- line stream ------------------------------------------------------
+    def _token(self, number: int, k: int = 0) -> _Token:
+        """Word k of line ``number`` with its column; only errors ask.
 
-    def _content_lines(self) -> Iterator[_Row]:
-        for number, raw in enumerate(self.lines, start=1):
-            words = raw.split()
-            if words and not words[0].startswith("#"):
-                yield _Row(number, raw, words)
+        str.split and _tokenize split at the same whitespace, so word k of
+        ``raw.split()`` is the text of token k.
+        """
+        return _tokenize(self.lines[number - 1], number)[k]
+
+    def _error(self, message: str, number: int, k: int = 0) -> ParseError:
+        """An error at word k of line ``number``."""
+        tok = self._token(number, k)
+        return ParseError(message, tok.line, tok.col)
+
+    def _row_line(self, draft: _Draft, i: int) -> int:
+        """The number of the line that holds row i of a block: its i-th
+        content line after the header.  Only errors ask."""
+        content = (
+            number
+            for number, raw in enumerate(self.lines[draft.line :], start=draft.line + 1)
+            if (words := raw.split()) and words[0][0] != "#"
+        )
+        return next(islice(content, i, None))
 
     # -- block completion ---------------------------------------------------
 
@@ -242,249 +223,239 @@ class _Parser:
         elif draft.rows:
             self._finish_matrix_leg(draft)
         elif not draft.kinds:
-            raise ParseError(
-                f"leg {draft.label} has no joints", draft.header.line, draft.header.col
-            )
+            raise self._error(f"leg {draft.label} has no joints", draft.line)
         else:
             self.legs.append(draft.build(self.on_warning))
 
-    def _finish_matrix_leg(self, draft: _Draft) -> None:
-        rows = draft.rows
-        f = len(rows)
-        _check_square(rows, f)
-        if f > MAX_LEG_JOINTS:
-            raise ParseError(
-                f"leg {draft.label} has {f} joints, maximum is {MAX_LEG_JOINTS}",
-                draft.header.line,
-                draft.header.col,
+    def _check_square(self, draft: _Draft) -> int:
+        size = len(draft.rows)
+        for i, words in enumerate(draft.rows):
+            if len(words) != size:
+                raise self._error(
+                    f"matrix row has {len(words)} entries, expected {size}",
+                    self._row_line(draft, i),
+                )
+        return size
+
+    def _decode(self, draft: _Draft) -> tuple[tuple[JointKind, ...], _Matrix]:
+        """The diagonal kinds and the relation matrix of a square block.
+
+        The block's words are decoded at once, each by its usual spelling.
+        Only a block with another spelling or an asymmetry is walked cell by
+        cell, in row-major order, to decode the rest or raise at the first
+        bad cell: for a leg, that is also the first cell below the diagonal
+        that differs from its mirror; a platform then names the first pair
+        above the diagonal that differs.
+        """
+        size = len(draft.rows)
+        words = list(chain.from_iterable(draft.rows))
+        kinds = tuple(map(_KIND_CELLS.get, words[:: size + 1]))
+        if None in kinds:
+            kinds = tuple(
+                kind or _kind_cell(self._token(self._row_line(draft, i), i))
+                for i, kind in enumerate(kinds)
             )
-        kinds = [_kind_at(row, i) for i, row in enumerate(rows)]
-        # row-major: a cell below the diagonal meets the mirror cell that
-        # its row above already set
-        rels = [[RelationCode.ARBITRARY] * f for _ in range(f)]
-        for i, row in enumerate(rows):
-            out = rels[i]
-            for j in range(f):
-                if j == i:
-                    continue
-                code = _relation_at(row, j)
-                if j > i:
-                    out[j] = rels[j][i] = code
-                elif code is not out[j]:
-                    tok = row.token(j)
-                    raise ParseError(
+        # the diagonal decodes as ARBITRARY; zip groups the cells in rows
+        words[:: size + 1] = ["0"] * size
+        rels = tuple(zip(*[map(_RELATION_CELLS.get, words)] * size))
+        if _RELATION_SPELLINGS.issuperset(words) and rels == tuple(zip(*rels)):
+            return kinds, rels
+        matrix = [list(row) for row in rels]
+        for i, row in enumerate(matrix):
+            for j, code in enumerate(row):
+                if code is None:
+                    code = row[j] = _relation_cell(self._token(self._row_line(draft, i), j))
+                if draft.side is None and j < i and code is not matrix[j][i]:
+                    raise self._error(
                         f"entry ({i + 1},{j + 1}) = {SYMBOL_OF_RELATION[code]} conflicts "
-                        f"with ({j + 1},{i + 1}) = {SYMBOL_OF_RELATION[out[j]]}",
-                        tok.line,
-                        tok.col,
+                        f"with ({j + 1},{i + 1}) = {SYMBOL_OF_RELATION[matrix[j][i]]}",
+                        self._row_line(draft, i),
+                        j,
                     )
-        self.legs.append(_make_leg(draft.label, kinds, rels))
+        for i, row in enumerate(matrix):
+            for j in range(i + 1, size):
+                if row[j] is not matrix[j][i]:
+                    raise self._error(
+                        f"platform entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ",
+                        self._row_line(draft, i),
+                        j,
+                    )
+        return kinds, tuple(map(tuple, matrix))
+
+    def _finish_matrix_leg(self, draft: _Draft) -> None:
+        f = self._check_square(draft)
+        if f > MAX_LEG_JOINTS:
+            raise self._error(
+                f"leg {draft.label} has {f} joints, maximum is {MAX_LEG_JOINTS}", draft.line
+            )
+        kinds, rels = self._decode(draft)
+        self.legs.append(LegTopology(label=draft.label, joints=kinds, relations=rels))
 
     def _finish_platform(self, draft: _Draft) -> PlatformRelations:
-        side, header, rows = draft.side, draft.header, draft.rows
-        if not rows:
-            raise ParseError(f"platform {side.value} block has no rows", header.line, header.col)
-        k = len(rows)
-        _check_square(rows, k)
+        side = draft.side
+        if not draft.rows:
+            raise self._error(f"platform {side.value} block has no rows", draft.line)
+        k = self._check_square(draft)
         if k != len(self.legs):
-            raise ParseError(
+            raise self._error(
                 f"platform {side.value} matrix is {k}x{k} but there are {len(self.legs)} legs",
-                header.line,
-                header.col,
+                draft.line,
             )
-        diagonal = tuple(_kind_at(row, i) for i, row in enumerate(rows))
-        matrix = [
-            [RelationCode.ARBITRARY if i == j else _relation_at(row, j) for j in range(k)]
-            for i, row in enumerate(rows)
-        ]
-        for i in range(k):
-            for j in range(i + 1, k):
-                if matrix[i][j] is not matrix[j][i]:
-                    tok = rows[i].token(j)
-                    raise ParseError(
-                        f"platform entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ",
-                        tok.line,
-                        tok.col,
-                    )
+        diagonal, matrix = self._decode(draft)
         end = -1 if side is PlatformSide.MOVING else 0
         where = "ends" if side is PlatformSide.MOVING else "starts"
         for i, leg in enumerate(self.legs):
             if diagonal[i] is not leg.joints[end]:
-                tok = rows[i].token(i)
-                raise ParseError(
+                raise self._error(
                     f"platform {side.value} diagonal {i + 1} is {diagonal[i].value} "
                     f"but leg {leg.label} {where} with {leg.joints[end].value}",
-                    tok.line,
-                    tok.col,
+                    self._row_line(draft, i),
+                    i,
                 )
-        return PlatformRelations(
-            side=side,
-            diagonal=diagonal,
-            matrix=tuple(tuple(row) for row in matrix),
-        )
+        return PlatformRelations(side=side, diagonal=diagonal, matrix=matrix)
 
     # -- statements ---------------------------------------------------------
 
-    def _require_colon(self, tokens: list[_Token], index: int) -> list[_Token]:
-        """Split a trailing ':' off tokens[index], returning the remainder."""
-        tok = tokens[index]
-        if tok.text.endswith(":"):
-            head = tok.text[:-1]
-            rest = tokens[index + 1 :]
-        elif index + 1 < len(tokens) and tokens[index + 1].text == ":":
-            head = tok.text
-            rest = tokens[index + 2 :]
-        else:
-            raise ParseError("expected ':'", tok.line, tok.col + len(tok.text))
-        tokens[index] = _Token(head, tok.line, tok.col)
-        return rest
+    def _split_colon(self, words: list[str], number: int) -> tuple[str, int]:
+        """words[1] without the ':' that must end it or follow it, and the
+        index of the first word after the colon."""
+        word = words[1]
+        if word.endswith(":"):
+            return word[:-1], 2
+        if len(words) > 2 and words[2] == ":":
+            return word, 3
+        raise ParseError("expected ':'", number, self._token(number, 1).col + len(word))
 
-    def _stmt_mechanism(self, tokens: list[_Token]) -> None:
+    def _stmt_mechanism(self, words: list[str], number: int) -> None:
         if self.name is not None:
-            raise ParseError("duplicate mechanism line", tokens[0].line, tokens[0].col)
-        if len(tokens) < 2:
-            raise ParseError("mechanism needs a name", tokens[0].line, tokens[0].col)
-        self.name = " ".join(t.text for t in tokens[1:])
-        self.name_token = tokens[0]
+            raise self._error("duplicate mechanism line", number)
+        if len(words) < 2:
+            raise self._error("mechanism needs a name", number)
+        self.name = " ".join(words[1:])
+        self.name_line = number
 
-    def _stmt_leg(self, tokens: list[_Token]) -> None:
+    def _stmt_leg(self, words: list[str], number: int) -> None:
         self._finish_open_block()
-        if len(tokens) < 2:
-            raise ParseError("leg needs a number", tokens[0].line, tokens[0].col)
-        rest = self._require_colon(tokens, 1)
-        label_tok = tokens[1]
+        if len(words) < 2:
+            raise self._error("leg needs a number", number)
+        head, rest = self._split_colon(words, number)
         try:
-            label = int(label_tok.text)
+            label = int(head)
         except ValueError:
-            raise ParseError(
-                f"{label_tok.text!r} is not a leg number", label_tok.line, label_tok.col
-            ) from None
+            raise self._error(f"{head!r} is not a leg number", number, 1) from None
         expected = len(self.legs) + 1
         if label != expected:
-            raise ParseError(
+            raise self._error(
                 f"leg numbers must run 1, 2, ... in order; expected {expected}, got {label}",
-                label_tok.line,
-                label_tok.col,
+                number,
+                1,
             )
-        draft = self.draft = _Draft(tokens[0], label)
-        if rest:
-            self._parse_joint_string(draft, rest)
+        draft = self.draft = _Draft(number, label)
+        if rest < len(words):
+            self._parse_joint_string(draft, words, rest)
 
-    def _parse_joint_string(self, draft: _Draft, tokens: list[_Token]) -> None:
+    def _parse_joint_string(self, draft: _Draft, words: list[str], start: int) -> None:
         expect_joint = True
         pending_rel: RelationCode | None = None
-        for tok in tokens:
+        for k in range(start, len(words)):
+            word = words[k]
             if expect_joint:
-                if tok.text not in ("R", "P"):
-                    raise ParseError(
-                        f"expected a joint letter (R or P), got {tok.text!r}", tok.line, tok.col
+                if word not in ("R", "P"):
+                    raise self._error(
+                        f"expected a joint letter (R or P), got {word!r}", draft.line, k
                     )
-                draft.kinds.append(JointKind.from_letter(tok.text))
+                draft.kinds.append(JointKind.from_letter(word))
                 if pending_rel is not None:
                     draft.set_pair(len(draft.kinds) - 1, len(draft.kinds), pending_rel)
                     pending_rel = None
                 expect_joint = False
             else:
-                if tok.text not in RELATION_SYMBOLS:
-                    raise ParseError(
-                        f"expected a relation symbol between joints, got {tok.text!r}",
-                        tok.line,
-                        tok.col,
+                if word not in RELATION_SYMBOLS:
+                    raise self._error(
+                        f"expected a relation symbol between joints, got {word!r}", draft.line, k
                     )
-                pending_rel = RELATION_SYMBOLS[tok.text]
+                pending_rel = RELATION_SYMBOLS[word]
                 expect_joint = True
         if expect_joint:
-            last = tokens[-1]
-            raise ParseError("joint string ends with a relation", last.line, last.col)
+            raise self._error("joint string ends with a relation", draft.line, -1)
         if len(draft.kinds) > MAX_LEG_JOINTS:
-            raise ParseError(
+            raise self._error(
                 f"leg {draft.label} has {len(draft.kinds)} joints, maximum is {MAX_LEG_JOINTS}",
-                draft.header.line,
-                draft.header.col,
+                draft.line,
             )
 
-    def _stmt_rel(self, tokens: list[_Token]) -> None:
+    def _stmt_rel(self, words: list[str], number: int) -> None:
         draft = self.draft
         if draft is None or draft.rows or not draft.kinds:
-            raise ParseError(
-                "rel lines must follow a joint-string leg header", tokens[0].line, tokens[0].col
-            )
-        if len(tokens) != 4:
-            raise ParseError("expected: rel I J SYMBOL", tokens[0].line, tokens[0].col)
+            raise self._error("rel lines must follow a joint-string leg header", number)
+        if len(words) != 4:
+            raise self._error("expected: rel I J SYMBOL", number)
         indices = []
-        for tok in tokens[1:3]:
+        for k in (1, 2):
             try:
-                value = int(tok.text)
+                value = int(words[k])
             except ValueError:
-                raise ParseError(f"{tok.text!r} is not a joint index", tok.line, tok.col) from None
+                raise self._error(f"{words[k]!r} is not a joint index", number, k) from None
             if not 1 <= value <= len(draft.kinds):
-                raise ParseError(
-                    f"joint index {value} out of range 1..{len(draft.kinds)}", tok.line, tok.col
+                raise self._error(
+                    f"joint index {value} out of range 1..{len(draft.kinds)}", number, k
                 )
             indices.append(value)
         i, j = indices
         if i == j:
-            raise ParseError("rel needs two different joints", tokens[1].line, tokens[1].col)
-        draft.set_pair(i, j, _relation_cell(tokens[3]))
+            raise self._error("rel needs two different joints", number, 1)
+        code = _RELATION_CELLS.get(words[3])
+        draft.set_pair(i, j, _relation_cell(self._token(number, 3)) if code is None else code)
 
-    def _stmt_platform(self, tokens: list[_Token]) -> None:
+    def _stmt_platform(self, words: list[str], number: int) -> None:
         self._finish_open_block()
-        if len(tokens) < 2:
-            raise ParseError(
-                "expected 'platform moving:' or 'platform fixed:'", tokens[0].line, tokens[0].col
-            )
-        rest = self._require_colon(tokens, 1)
-        side_tok = tokens[1]
-        try:
-            side = PlatformSide(side_tok.text)
-        except ValueError:
-            raise ParseError(
-                f"platform side must be 'moving' or 'fixed', got {side_tok.text!r}",
-                side_tok.line,
-                side_tok.col,
-            ) from None
-        if rest:
-            raise ParseError("platform rows start on the next line", rest[0].line, rest[0].col)
+        if len(words) < 2:
+            raise self._error("expected 'platform moving:' or 'platform fixed:'", number)
+        head, rest = self._split_colon(words, number)
+        side = _SIDES.get(head)
+        if side is None:
+            raise self._error(f"platform side must be 'moving' or 'fixed', got {head!r}", number, 1)
+        if rest < len(words):
+            raise self._error("platform rows start on the next line", number, rest)
         if side in self.platforms:
-            raise ParseError(
-                f"duplicate platform {side.value} block", tokens[0].line, tokens[0].col
-            )
+            raise self._error(f"duplicate platform {side.value} block", number)
         if not self.legs:
-            raise ParseError(
-                "platform blocks must come after the legs", tokens[0].line, tokens[0].col
-            )
-        self.draft = _Draft(tokens[0], side=side)
+            raise self._error("platform blocks must come after the legs", number)
+        self.draft = _Draft(number, side=side)
+
+    # the statement of each first word, read up to any ':'
+    _STATEMENTS = {
+        "mechanism": _stmt_mechanism,
+        "leg": _stmt_leg,
+        "rel": _stmt_rel,
+        "platform": _stmt_platform,
+    }
 
     # -- driver -------------------------------------------------------------
 
     def parse(self) -> MechanismTopology:
-        statements = {
-            "mechanism": self._stmt_mechanism,
-            "leg": self._stmt_leg,
-            "rel": self._stmt_rel,
-            "platform": self._stmt_platform,
-        }
-        for row in self._content_lines():
-            head = row.words[0].split(":")[0]
-            if self.name is None and head != "mechanism":
-                tok = row.token(0)
-                raise ParseError("a mechanism file starts with 'mechanism NAME'", tok.line, tok.col)
-            statement = statements.get(head)
-            if statement is not None:
-                statement(row.tokens())
-            elif self.draft is not None:
-                if self.draft.kinds and not self.draft.rows:
-                    tok = row.token(0)
-                    raise ParseError(
-                        f"unexpected {tok.text!r} after an inline leg", tok.line, tok.col
-                    )
-                self.draft.rows.append(row)
+        statements = self._STATEMENTS
+        draft = None
+        for number, raw in enumerate(self.lines, start=1):
+            words = raw.split()
+            if not words or words[0][0] == "#":
+                continue
+            head = words[0].partition(":")[0]
+            if head in statements:
+                if self.name is None and head != "mechanism":
+                    raise self._error(_NO_MECHANISM, number)
+                statements[head](self, words, number)
+                draft = self.draft
+            elif draft is None:
+                message = _NO_MECHANISM if self.name is None else f"unexpected {words[0]!r}"
+                raise self._error(message, number)
+            elif draft.kinds:
+                raise self._error(f"unexpected {words[0]!r} after an inline leg", number)
             else:
-                tok = row.token(0)
-                raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+                draft.rows.append(words)
         self._finish_open_block()
         if self.name is None:
-            raise ParseError("a mechanism file starts with 'mechanism NAME'", self.last_line)
+            raise ParseError(_NO_MECHANISM, self.last_line)
         for side in PlatformSide:
             if side not in self.platforms:
                 raise ParseError(f"missing platform {side.value} block", self.last_line)
@@ -496,7 +467,7 @@ class _Parser:
         )
         problems = validate_mechanism(mech)
         if problems:
-            raise ParseError("; ".join(problems), self.name_token.line)
+            raise ParseError("; ".join(problems), self.name_line)
         return mech
 
 

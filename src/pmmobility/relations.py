@@ -12,6 +12,7 @@ The graph is immutable once built, so lookups are safe for concurrent use.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import NamedTuple
 
 from .topology import JointKind, MechanismTopology, RelationCode
@@ -259,20 +260,23 @@ def build_relation_graph(mech: MechanismTopology) -> RelationGraph:
 
 
 def _describe_cycle(a: AxisRef, b: AxisRef, seeds) -> str:
-    """Name the parallel chain that collapses a seeded perpendicular pair."""
+    """Name the parallel chain that collapses a seeded perpendicular pair:
+    the first path from a to b of a breadth-first search over the parallel
+    seeds that visits the neighbours of each axis in sorted order."""
     adjacency: dict[AxisRef, list[AxisRef]] = {}
     for (x, y), code in seeds.items():
         if code in (RelationCode.PARALLEL, RelationCode.COAXIAL):
             adjacency.setdefault(x, []).append(y)
             adjacency.setdefault(y, []).append(x)
-    # BFS from a to b over parallel seeds
+    for neighbours in adjacency.values():
+        neighbours.sort()
     prev: dict[AxisRef, AxisRef] = {a: a}
-    queue = [a]
+    queue = deque([a])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         if node == b:
             break
-        for nxt in sorted(adjacency.get(node, ())):
+        for nxt in adjacency[node]:
             if nxt not in prev:
                 prev[nxt] = node
                 queue.append(nxt)
@@ -280,5 +284,5 @@ def _describe_cycle(a: AxisRef, b: AxisRef, seeds) -> str:
     path = [b]
     while path[-1] != a:
         path.append(prev[path[-1]])
-    chain = " ~ ".join(str(x) for x in reversed(path))
+    chain = " ~ ".join(map(str, reversed(path)))
     return f"axes {a} _|_ {b} conflict with the parallel chain {chain}"

@@ -38,7 +38,7 @@ from pmmobility.poc import (
     NormalPlane,
     SpanPlane,
 )
-from pmmobility.relations import _UnionFind, _describe_cycle, _merge_codes
+from pmmobility.relations import _UnionFind, _merge_codes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -325,6 +325,32 @@ def _reference_seed_edges(mech: MechanismTopology):
             yield a, b, mech.fixed.matrix[i][j]
 
 
+def reference_describe_cycle(a: AxisRef, b: AxisRef, seeds) -> str:
+    """relations._describe_cycle by the plain walk: neighbours sorted on
+    every visit and a list for the queue."""
+    adjacency: dict[AxisRef, list[AxisRef]] = {}
+    for (x, y), code in seeds.items():
+        if code in (RelationCode.PARALLEL, RelationCode.COAXIAL):
+            adjacency.setdefault(x, []).append(y)
+            adjacency.setdefault(y, []).append(x)
+    # BFS from a to b over parallel seeds
+    prev: dict[AxisRef, AxisRef] = {a: a}
+    queue = [a]
+    while queue:
+        node = queue.pop(0)
+        if node == b:
+            break
+        for nxt in sorted(adjacency.get(node, ())):
+            if nxt not in prev:
+                prev[nxt] = node
+                queue.append(nxt)
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    chain = " ~ ".join(str(x) for x in reversed(path))
+    return f"axes {a} _|_ {b} conflict with the parallel chain {chain}"
+
+
 def reference_relation_graph(mech: MechanismTopology) -> RelationGraph:
     """build_relation_graph by the plain per-pair walk: two fresh AxisRefs
     for every off-diagonal pair of every matrix, each pair ordered and
@@ -355,7 +381,7 @@ def reference_relation_graph(mech: MechanismTopology) -> RelationGraph:
         if code is RelationCode.PERPENDICULAR:
             ra, rb = parallel_root[a], parallel_root[b]
             if ra == rb:
-                raise InconsistentRelations(_describe_cycle(a, b, seeds))
+                raise InconsistentRelations(reference_describe_cycle(a, b, seeds))
             perp_pairs.update(((ra, rb), (rb, ra)))
     return RelationGraph(kinds, parallel_root, coaxial_root, frozenset(perp_pairs), seeds)
 

@@ -127,6 +127,22 @@ def test_non_utf8_file_is_a_parse_error_in_a_batch(runner, fixtures_dir, tmp_pat
     assert "mechanism tricept" in result.stdout
 
 
+def test_unreadable_file_messages_are_exact(runner, tmp_path):
+    # a file that cannot be read or decoded is named with the reason the
+    # operating system or the UTF-8 codec gave
+    bad = tmp_path / "bad.mech"
+    bad.write_bytes(b"mechanism x\n\xff\xfe\n")
+    absent = tmp_path / "absent.mech"
+    result = runner.invoke(main, ["analyze", str(bad), str(absent), str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"{bad}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte\n"
+        f"{absent}: No such file or directory\n"
+        f"{tmp_path}: Is a directory\n"
+    )
+    assert result.stdout == ""
+
+
 def test_missing_file_exit_code(runner, tmp_path):
     result = runner.invoke(main, ["analyze", str(tmp_path / "absent.mech")])
     assert result.exit_code == 2

@@ -225,7 +225,8 @@ def test_error_location_for_misplaced_colon():
     assert (err.value.line, err.value.col) == (2, 6)
 
 
-# errors raised on matrix rows and unexpected lines, with the exact spot:
+# errors raised on matrix rows, statement lines and unexpected lines, with
+# the exact spot:
 # columns count characters from 1, so a tab or an ideographic space (U+3000)
 # is one column, and both separate cells like a blank
 LOCATED_ERRORS = [
@@ -293,6 +294,63 @@ LOCATED_ERRORS = [
         "platform fixed:\n  8 - -\n  - 8 -\n  - - 8\n",
         2, 1, "platform matrix size mismatch: moving is 2x2 for 3 legs",
         id="leg-after-platform-at-mechanism-line",
+    ),
+    # statement lines: the spot is the word the error names
+    pytest.param(
+        "mechanism m\n\tleg 1:\nleg 2: R\n",
+        2, 2, "leg 1 has no joints",
+        id="leg-header-tab-indent",
+    ),
+    pytest.param(
+        "mechanism m\n\u3000leg 1 R\n",
+        2, 7, "expected ':'",
+        id="leg-header-ideographic-space-no-colon",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\nleg 2: R\n\tplatform moving:\nplatform fixed:\n",
+        4, 2, "platform moving block has no rows",
+        id="platform-header-tab-indent",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\nleg 2: R\n\u3000platform\u3000top:\n",
+        4, 11, "platform side must be 'moving' or 'fixed', got 'top'",
+        id="platform-header-ideographic-space",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1 : R\nleg 3 : R\n",
+        3, 5, "leg numbers must run 1, 2, ... in order; expected 2, got 3",
+        id="detached-colon-wrong-leg-number",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\nleg 2: R\nplatform moving:  8 -\n",
+        4, 19, "platform rows start on the next line",
+        id="word-after-platform-colon",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\nleg 2: R\nplatform moving :\t8\n",
+        4, 19, "platform rows start on the next line",
+        id="word-after-detached-platform-colon",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\nleg 2: R\nplatform fixed:\n  8 -\n  - 8\n"
+        "  platform fixed:\n  8 -\n  - 8\n",
+        7, 3, "duplicate platform fixed block",
+        id="duplicate-platform-block",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R || R || P\nrel 1  4 ||\n",
+        3, 8, "joint index 4 out of range 1..3",
+        id="rel-index-out-of-range",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R || R || P\nrel\t0 3 ||\n",
+        3, 5, "joint index 0 out of range 1..3",
+        id="rel-index-zero",
+    ),
+    pytest.param(
+        "mechanism m\n  rel: 1 2 ||\n",
+        2, 3, "rel lines must follow a joint-string leg header",
+        id="statement-word-read-up-to-its-colon",
     ),
 ]
 
