@@ -16,6 +16,7 @@ and appended to the caller's ledger when one is passed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import ClassVar
@@ -127,81 +128,66 @@ def _axes_perpendicular(g: RelationGraph, a: AxisRef, b: AxisRef) -> bool | None
     return None
 
 
-def _plane_normal(plane: PlaneForm) -> AxisRef | None:
-    return plane.axis if isinstance(plane, NormalPlane) else None
+def _all(answers: Iterable[bool | None]) -> bool | None:
+    """True when every answer is True, False when one is False, else None."""
+    answers = list(answers)
+    if False in answers:
+        return False
+    return True if all(answers) else None
+
+
+def _inside_both(g: RelationGraph, span: SpanPlane, plane: PlaneForm) -> bool | None:
+    """Does a span lie in a plane?  It does when both its generators do."""
+    return _all(line_in_plane(g, gen, plane) for gen in (span.u, span.v))
 
 
 def lines_parallel(g: RelationGraph, p: LineForm, q: LineForm) -> bool | None:
     """Are two line directions the same direction?"""
     if p == q:
         return True
-    if isinstance(p, AlongAxis) and isinstance(q, AlongAxis):
+    if isinstance(q, AlongAxis):
+        p, q = q, p
+    if not isinstance(p, AlongAxis):
+        return None
+    if isinstance(q, AlongAxis):
         return _axes_parallel(g, p.axis, q.axis)
-    if isinstance(p, AlongAxis) and isinstance(q, NormalLine):
+    if isinstance(q, NormalLine):
         # a direction in the plane perpendicular to q.axis is never parallel
         # to an axis parallel to q.axis
-        if _axes_parallel(g, p.axis, q.axis):
-            return False
-        return None
-    if isinstance(p, NormalLine) and isinstance(q, AlongAxis):
-        return lines_parallel(g, q, p)
-    if isinstance(p, MeetLine) and isinstance(q, AlongAxis):
-        return _meet_parallel_to_axis(g, p, q.axis)
-    if isinstance(p, AlongAxis) and isinstance(q, MeetLine):
-        return _meet_parallel_to_axis(g, q, p.axis)
-    return None
+        return False if _axes_parallel(g, p.axis, q.axis) else None
+    return _meet_parallel_to_axis(g, q, p.axis)
 
 
 def _meet_parallel_to_axis(g: RelationGraph, meet: MeetLine, axis: AxisRef) -> bool | None:
-    na, nb = _plane_normal(meet.a), _plane_normal(meet.b)
-    if na is not None and nb is not None:
-        pa = _axes_perpendicular(g, axis, na)
-        pb = _axes_perpendicular(g, axis, nb)
-        if pa and pb:
-            # in 3-space the direction perpendicular to two non-parallel
-            # normals is unique, and the meet line is that direction
-            return True
-        if _axes_parallel(g, axis, na) or _axes_parallel(g, axis, nb):
-            # the meet lies in both planes, an axis parallel to a normal
-            # cannot lie in that plane
-            return False
+    """Is the meet of two normal planes along the axis?
+
+    In 3-space the meet is the one direction in both planes, so it is the
+    axis exactly when the axis lies in both.  Span parents are left open.
+    """
+    if isinstance(meet.a, NormalPlane) and isinstance(meet.b, NormalPlane):
+        return _all(line_in_plane(g, AlongAxis(axis), parent) for parent in (meet.a, meet.b))
     return None
 
 
 def line_in_plane(g: RelationGraph, line: LineForm, plane: PlaneForm) -> bool | None:
     """Does a line direction lie inside a plane of directions?"""
-    if isinstance(line, MeetLine):
-        for parent in (line.a, line.b):
-            if planes_parallel(g, parent, plane):
-                return True
+    if isinstance(line, MeetLine) and any(
+        planes_parallel(g, parent, plane) for parent in (line.a, line.b)
+    ):
+        return True
     if isinstance(plane, NormalPlane):
         if isinstance(line, AlongAxis):
             return _axes_perpendicular(g, line.axis, plane.axis)
         if isinstance(line, NormalLine):
-            if _axes_parallel(g, line.axis, plane.axis):
-                return True
-            return None
-        if isinstance(line, MeetLine):
-            na, nb = _plane_normal(line.a), _plane_normal(line.b)
-            if (
-                na is not None
-                and nb is not None
-                and _axes_perpendicular(g, plane.axis, na)
-                and _axes_perpendicular(g, plane.axis, nb)
-            ):
-                # the plane normal is then parallel to the meet direction
-                return False
-            return None
-    if isinstance(plane, SpanPlane):
-        for gen in (plane.u, plane.v):
-            if lines_parallel(g, line, gen):
-                return True
-        if isinstance(line, NormalLine) and _span_perpendicular_to(g, plane, line.axis):
-            # a span perpendicular to the axis is exactly the axis' normal
-            # plane, which contains every line perpendicular to the axis
-            return True
-        if isinstance(line, AlongAxis) and _span_perpendicular_to(g, plane, line.axis):
-            return False
+            return True if _axes_parallel(g, line.axis, plane.axis) else None
+        # a meet along the plane normal is not in the plane
+        return False if _meet_parallel_to_axis(g, line, plane.axis) else None
+    if any(lines_parallel(g, line, gen) for gen in (plane.u, plane.v)):
+        return True
+    if not isinstance(line, MeetLine) and _inside_both(g, plane, NormalPlane(line.axis)):
+        # the span is then the axis' normal plane, which holds every line
+        # normal to the axis and not the axis itself
+        return isinstance(line, NormalLine)
     return None
 
 
@@ -209,38 +195,11 @@ def planes_parallel(g: RelationGraph, p: PlaneForm, q: PlaneForm) -> bool | None
     """Are two planes of directions the same plane?"""
     if p == q:
         return True
-    np_, nq = _plane_normal(p), _plane_normal(q)
-    if np_ is not None and nq is not None:
-        return _axes_parallel(g, np_, nq)
-    if np_ is not None and isinstance(q, SpanPlane):
-        return _span_perpendicular_to(g, q, np_)
-    if nq is not None and isinstance(p, SpanPlane):
-        return _span_perpendicular_to(g, p, nq)
-    # two span planes: contained generators would prove equality
-    pu = line_in_plane(g, p.u, q)
-    pv = line_in_plane(g, p.v, q)
-    if pu and pv:
-        return True
-    if pu is False or pv is False:
-        return False
-    return None
-
-
-def _span_perpendicular_to(g: RelationGraph, span: SpanPlane, axis: AxisRef) -> bool | None:
-    """Is every direction of the span perpendicular to the axis?"""
-    results = []
-    for gen in (span.u, span.v):
-        if isinstance(gen, AlongAxis):
-            results.append(_axes_perpendicular(g, gen.axis, axis))
-        elif isinstance(gen, NormalLine):
-            results.append(True if _axes_parallel(g, gen.axis, axis) else None)
-        else:
-            results.append(line_in_plane(g, gen, NormalPlane(axis)))
-    if all(r is True for r in results):
-        return True
-    if any(r is False for r in results):
-        return False
-    return None
+    if isinstance(p, SpanPlane):
+        return _inside_both(g, p, q)
+    if isinstance(q, SpanPlane):
+        return _inside_both(g, q, p)
+    return _axes_parallel(g, p.axis, q.axis)
 
 
 def _plane_meet_line(g: RelationGraph, p: PlaneForm, q: PlaneForm) -> LineForm:

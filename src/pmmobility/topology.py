@@ -12,7 +12,7 @@ side relates the first joints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 MAX_LEG_JOINTS = 6

@@ -37,6 +37,8 @@ from pmmobility.poc import (
     NormalLine,
     NormalPlane,
     SpanPlane,
+    _axes_parallel,
+    _axes_perpendicular,
 )
 from pmmobility.relations import _UnionFind, _merge_codes
 
@@ -426,6 +428,118 @@ def poc_or(parts: list[PocMatrix]) -> PocMatrix:
                 elif owners[row_idx] != m.owners[row_idx]:
                     raise ValueError("poc_or parts belong to different legs")
     return PocMatrix(tuple(t), tuple(r), (owners[0], owners[1]))
+
+
+# --------------------------------------------------------------------------
+# reference direction predicates
+
+
+def _reference_plane_normal(plane) -> AxisRef | None:
+    return plane.axis if isinstance(plane, NormalPlane) else None
+
+
+def reference_lines_parallel(g: RelationGraph, p, q) -> bool | None:
+    """poc.lines_parallel by the mirrored case list: each (AlongAxis,
+    other) case written out in both orders."""
+    if p == q:
+        return True
+    if isinstance(p, AlongAxis) and isinstance(q, AlongAxis):
+        return _axes_parallel(g, p.axis, q.axis)
+    if isinstance(p, AlongAxis) and isinstance(q, NormalLine):
+        if _axes_parallel(g, p.axis, q.axis):
+            return False
+        return None
+    if isinstance(p, NormalLine) and isinstance(q, AlongAxis):
+        return reference_lines_parallel(g, q, p)
+    if isinstance(p, MeetLine) and isinstance(q, AlongAxis):
+        return _reference_meet_parallel_to_axis(g, p, q.axis)
+    if isinstance(p, AlongAxis) and isinstance(q, MeetLine):
+        return _reference_meet_parallel_to_axis(g, q, p.axis)
+    return None
+
+
+def _reference_meet_parallel_to_axis(g: RelationGraph, meet, axis: AxisRef) -> bool | None:
+    na, nb = _reference_plane_normal(meet.a), _reference_plane_normal(meet.b)
+    if na is not None and nb is not None:
+        pa = _axes_perpendicular(g, axis, na)
+        pb = _axes_perpendicular(g, axis, nb)
+        if pa and pb:
+            return True
+        if _axes_parallel(g, axis, na) or _axes_parallel(g, axis, nb):
+            return False
+    return None
+
+
+def reference_line_in_plane(g: RelationGraph, line, plane) -> bool | None:
+    """poc.line_in_plane with a separate case for each line form against
+    each plane form."""
+    if isinstance(line, MeetLine):
+        for parent in (line.a, line.b):
+            if reference_planes_parallel(g, parent, plane):
+                return True
+    if isinstance(plane, NormalPlane):
+        if isinstance(line, AlongAxis):
+            return _axes_perpendicular(g, line.axis, plane.axis)
+        if isinstance(line, NormalLine):
+            if _axes_parallel(g, line.axis, plane.axis):
+                return True
+            return None
+        if isinstance(line, MeetLine):
+            na, nb = _reference_plane_normal(line.a), _reference_plane_normal(line.b)
+            if (
+                na is not None
+                and nb is not None
+                and _axes_perpendicular(g, plane.axis, na)
+                and _axes_perpendicular(g, plane.axis, nb)
+            ):
+                return False
+            return None
+    if isinstance(plane, SpanPlane):
+        for gen in (plane.u, plane.v):
+            if reference_lines_parallel(g, line, gen):
+                return True
+        if isinstance(line, NormalLine) and _reference_span_perpendicular_to(g, plane, line.axis):
+            return True
+        if isinstance(line, AlongAxis) and _reference_span_perpendicular_to(g, plane, line.axis):
+            return False
+    return None
+
+
+def reference_planes_parallel(g: RelationGraph, p, q) -> bool | None:
+    """poc.planes_parallel by plane normals, with a span's perpendicularity
+    to an axis asked generator by generator."""
+    if p == q:
+        return True
+    np_, nq = _reference_plane_normal(p), _reference_plane_normal(q)
+    if np_ is not None and nq is not None:
+        return _axes_parallel(g, np_, nq)
+    if np_ is not None and isinstance(q, SpanPlane):
+        return _reference_span_perpendicular_to(g, q, np_)
+    if nq is not None and isinstance(p, SpanPlane):
+        return _reference_span_perpendicular_to(g, p, nq)
+    pu = reference_line_in_plane(g, p.u, q)
+    pv = reference_line_in_plane(g, p.v, q)
+    if pu and pv:
+        return True
+    if pu is False or pv is False:
+        return False
+    return None
+
+
+def _reference_span_perpendicular_to(g: RelationGraph, span, axis: AxisRef) -> bool | None:
+    results = []
+    for gen in (span.u, span.v):
+        if isinstance(gen, AlongAxis):
+            results.append(_axes_perpendicular(g, gen.axis, axis))
+        elif isinstance(gen, NormalLine):
+            results.append(True if _axes_parallel(g, gen.axis, axis) else None)
+        else:
+            results.append(reference_line_in_plane(g, gen, NormalPlane(axis)))
+    if all(r is True for r in results):
+        return True
+    if any(r is False for r in results):
+        return False
+    return None
 
 
 # --------------------------------------------------------------------------

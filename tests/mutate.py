@@ -10,8 +10,10 @@ swap and/or, negate an if test, flip a bool constant.  Forty points are
 drawn with random.Random(7), and each mutant is written into a temporary
 copy of src/ and tests/, never into the checkout, and run with pytest -x
 over the symbolic test files.  A mutant whose run passes survives.  The
-script prints each verdict, the survivors, and a sha256 over (file, line,
-operator, verdict) of the drawn mutants.  pytest does not collect it.
+script prints each verdict, the mutants not killed, and a sha256 over
+(file, line, operator, verdict) of the drawn mutants.  It exits 1 when a
+drawn mutant survives or times out, so a check can rest on it.  pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def main(paths: list[str]) -> int:
     points = [point for path in paths for point in mutation_points(path)]
     drawn = sorted(random.Random(7).sample(points, min(SAMPLE, len(points))))
     digest = hashlib.sha256()
-    survivors = []
+    missed = []
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
@@ -124,13 +126,13 @@ def main(paths: list[str]) -> int:
             (copy / path).write_text(mutant_source(originals[path]))
             print(f"{result:8} {path}:{line} {op}", flush=True)
             digest.update(f"{path}\0{line}\0{op}\0{result}\n".encode())
-            if result == "survived":
-                survivors.append(f"{path}:{line} {op}")
-    print(f"killed {len(drawn) - len(survivors)} of {len(drawn)}; survivors:")
-    for survivor in survivors:
-        print(f"  {survivor}")
+            if result != "killed":
+                missed.append(f"{path}:{line} {op} {result}")
+    print(f"killed {len(drawn) - len(missed)} of {len(drawn)}; not killed:")
+    for mutant in missed:
+        print(f"  {mutant}")
     print(f"sha256 {digest.hexdigest()}")
-    return 0
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import itertools
 import random
 
 import numpy as np
@@ -48,6 +50,9 @@ from helpers import (
     numeric_union_dim,
     pair_mechanism,
     poc_or,
+    reference_line_in_plane,
+    reference_lines_parallel,
+    reference_planes_parallel,
 )
 
 
@@ -428,6 +433,42 @@ def test_span_with_a_meet_generator_equal_to_a_normal_plane_is_decided(cells_gra
     na = numeric_basis(a, inst, cache, rng)
     nb = numeric_basis(b, inst, cache, rng)
     assert numeric_intersection_dim(na, nb) == 2
+
+
+def _predicate_forms():
+    """Lines and planes over the x, y, z triad and the arbitrary axis w of
+    CELLS: each axis' AlongAxis, NormalLine and NormalPlane, the meet of
+    each pair of normal planes, the span of each pair of those lines and
+    meets, and one meet with a span parent."""
+    x, y = AxisRef(1, 1), AxisRef(1, 2)
+    axes = (x, y, AxisRef(1, 3), AxisRef(2, 1))
+    planes = [NormalPlane(axis) for axis in axes]
+    lines = [form(axis) for axis in axes for form in (AlongAxis, NormalLine)]
+    lines += [MeetLine(a, b) for a, b in itertools.combinations(planes, 2)]
+    planes += [SpanPlane(u, v) for u, v in itertools.combinations(lines, 2)]
+    # the meet of the xy span and the plane normal to y is x, but a meet is
+    # compared with an axis only when both its parents are normal planes
+    lines.append(MeetLine(SpanPlane(AlongAxis(x), AlongAxis(y)), NormalPlane(y)))
+    return lines, planes
+
+
+def test_direction_predicates_match_the_reference(cells_graph):
+    # each predicate, asked of every ordered pair of forms it takes, gives
+    # the reference's tri-state answer, None included
+    lines, planes = _predicate_forms()
+    questions = (
+        (lines_parallel, reference_lines_parallel, itertools.product(lines, repeat=2)),
+        (line_in_plane, reference_line_in_plane, itertools.product(lines, planes)),
+        (planes_parallel, reference_planes_parallel, itertools.product(planes, repeat=2)),
+    )
+    answers = collections.Counter()
+    for new, reference, pairs in questions:
+        for p, q in pairs:
+            answer = new(cells_graph, p, q)
+            assert answer is reference(cells_graph, p, q), (new.__name__, p, q)
+            answers[new.__name__, answer] += 1
+    # each predicate gives each of the three answers somewhere
+    assert len(answers) == 9, answers
 
 
 # --------------------------------------------------------------------------
