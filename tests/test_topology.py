@@ -204,6 +204,20 @@ def test_validate_rejects_wrong_fixed_platform_diagonal():
     ]
 
 
+def test_validate_reports_sizes_before_diagonals():
+    # a wrong moving diagonal and a fixed platform of the wrong size: every
+    # size problem comes first, then the diagonals of the sides that fit
+    mech = pair_mechanism(UP_MATRIX)
+    moving = relation_platform(PlatformSide.MOVING, [JointKind.REVOLUTE] * 2)
+    fixed = relation_platform(PlatformSide.FIXED, [JointKind.REVOLUTE] * 3)
+    bad = type(mech)(name=mech.name, legs=mech.legs, moving=moving, fixed=fixed)
+    assert validate_mechanism(bad) == [
+        "platform matrix size mismatch: fixed is 3x3 for 2 legs",
+        "moving platform diagonal 1 is R, leg 1 ends with P",
+        "moving platform diagonal 2 is R, leg 2 ends with P",
+    ]
+
+
 def test_validate_rejects_out_of_order_labels():
     legs = (decode_leg(UP_MATRIX, label=2), decode_leg(UP_MATRIX, label=1))
     mech = make_mechanism("disorder", legs)
