@@ -39,16 +39,16 @@ The parser makes one pass over the lines.  Each line is split once into
 whitespace-separated words and dispatched on its first word; statement
 lines (``mechanism``, ``leg``, ``rel``, ``platform``) read their words
 directly, and a matrix block keeps its rows as word lists and decodes each
-block at once.  Nothing is tokenized up front: only an error site finds the
-column of the word it names.
+block at once.  An error names word k of its line, and only then is that
+word's column found, from the same split words: each word starts at the
+first match of its text after the end of the word before it.
 """
 
 from __future__ import annotations
 
-import re
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .topology import (
     MAX_LEG_JOINTS,
@@ -82,46 +82,32 @@ class ParseError(ValueError):
         self.reason = message
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(line: str, number: int) -> list[_Token]:
-    return [
-        _Token(m.group(), number, m.start() + 1)
-        for m in re.finditer(r"\S+", line)
-    ]
-
-
-def _relation_cell(tok: _Token) -> RelationCode:
-    if tok.text in RELATION_SYMBOLS:
-        return RELATION_SYMBOLS[tok.text]
+def _relation_code(word: str) -> RelationCode:
+    """The relation a symbol or code spells; ValueError says why not."""
+    if word in RELATION_SYMBOLS:
+        return RELATION_SYMBOLS[word]
     try:
-        value = int(tok.text)
+        value = int(word)
     except ValueError:
-        raise ParseError(f"{tok.text!r} is not a relation", tok.line, tok.col) from None
-    try:
-        return RelationCode(value)
-    except ValueError:
-        raise ParseError(f"{value} is not a relation code (0..5)", tok.line, tok.col) from None
+        raise ValueError(f"{word!r} is not a relation") from None
+    if not 0 <= value <= 5:
+        raise ValueError(f"{value} is not a relation code (0..5)")
+    return RelationCode(value)
 
 
-def _kind_cell(tok: _Token) -> JointKind:
+def _kind_code(word: str) -> JointKind:
+    """The joint kind a code spells; ValueError says why not."""
     try:
-        value = int(tok.text)
+        value = int(word)
     except ValueError:
-        raise ParseError(f"{tok.text!r} is not a joint kind", tok.line, tok.col) from None
-    if value == 8:
-        return JointKind.REVOLUTE
-    if value == 9:
-        return JointKind.PRISMATIC
-    raise ParseError(f"diagonal entry {value} is not a joint code (8, 9, R or P)", tok.line, tok.col)
+        raise ValueError(f"{word!r} is not a joint kind") from None
+    if value in (8, 9):
+        return JointKind.from_code(value)
+    raise ValueError(f"diagonal entry {value} is not a joint code (8, 9, R or P)")
 
 
 # the usual spellings of a matrix cell; any other goes through
-# _relation_cell or _kind_cell, which accept what int() accepts
+# _relation_code or _kind_code, which accept what int() accepts
 _RELATION_CELLS = {**RELATION_SYMBOLS, **{str(code.value): code for code in RelationCode}}
 _RELATION_SPELLINGS = frozenset(_RELATION_CELLS)
 _KIND_CELLS = {
@@ -151,9 +137,6 @@ class _Draft:
         self.kinds: list[JointKind] = []
         self.pairs: dict[tuple[int, int], RelationCode] = {}
         self.rows: list[list[str]] = []
-
-    def set_pair(self, i: int, j: int, code: RelationCode) -> None:
-        self.pairs[(min(i, j), max(i, j))] = code
 
     def build(self, on_warning: Callable[[str], None]) -> LegTopology:
         """The joint-string leg, warning about pairs no line relates."""
@@ -189,18 +172,29 @@ class _Parser:
         self.draft: _Draft | None = None
         self.last_line = max(len(self.lines), 1)
 
-    def _token(self, number: int, k: int = 0) -> _Token:
-        """Word k of line ``number`` with its column; only errors ask.
+    def _column(self, number: int, k: int = 0) -> int:
+        """The column of word k of line ``number``; only errors ask.
 
-        str.split and _tokenize split at the same whitespace, so word k of
-        ``raw.split()`` is the text of token k.
+        Word k of ``raw.split()`` is the first match of its text after the
+        end of word k - 1, since only whitespace lies between them.
         """
-        return _tokenize(self.lines[number - 1], number)[k]
+        raw = self.lines[number - 1]
+        end = 0
+        for word in raw.split()[: k + 1]:
+            start = raw.index(word, end)
+            end = start + len(word)
+        return start + 1
 
     def _error(self, message: str, number: int, k: int = 0) -> ParseError:
         """An error at word k of line ``number``."""
-        tok = self._token(number, k)
-        return ParseError(message, tok.line, tok.col)
+        return ParseError(message, number, self._column(number, k))
+
+    def _cell(self, decode: Callable[[str], object], number: int, k: int):
+        """decode(word k of line ``number``), its ValueError located there."""
+        try:
+            return decode(self.lines[number - 1].split()[k])
+        except ValueError as e:
+            raise self._error(str(e), number, k) from None
 
     def _row_line(self, draft: _Draft, i: int) -> int:
         """The number of the line that holds row i of a block: its i-th
@@ -252,7 +246,7 @@ class _Parser:
         kinds = tuple(map(_KIND_CELLS.get, words[:: size + 1]))
         if None in kinds:
             kinds = tuple(
-                kind or _kind_cell(self._token(self._row_line(draft, i), i))
+                kind or self._cell(_kind_code, self._row_line(draft, i), i)
                 for i, kind in enumerate(kinds)
             )
         # the diagonal decodes as ARBITRARY; zip groups the cells in rows
@@ -264,7 +258,7 @@ class _Parser:
         for i, row in enumerate(matrix):
             for j, code in enumerate(row):
                 if code is None:
-                    code = row[j] = _relation_cell(self._token(self._row_line(draft, i), j))
+                    code = row[j] = self._cell(_relation_code, self._row_line(draft, i), j)
                 if draft.side is None and j < i and code is not matrix[j][i]:
                     raise self._error(
                         f"entry ({i + 1},{j + 1}) = {SYMBOL_OF_RELATION[code]} conflicts "
@@ -324,7 +318,7 @@ class _Parser:
             return word[:-1], 2
         if len(words) > 2 and words[2] == ":":
             return word, 3
-        raise ParseError("expected ':'", number, self._token(number, 1).col + len(word))
+        raise ParseError("expected ':'", number, self._column(number, 1) + len(word))
 
     def _stmt_mechanism(self, words: list[str], number: int) -> None:
         if self.name is not None:
@@ -355,29 +349,23 @@ class _Parser:
             self._parse_joint_string(draft, words, rest)
 
     def _parse_joint_string(self, draft: _Draft, words: list[str], start: int) -> None:
-        expect_joint = True
-        pending_rel: RelationCode | None = None
+        """Joint letters at even offsets from start, pair symbols between."""
         for k in range(start, len(words)):
-            word = words[k]
-            if expect_joint:
+            word, m = words[k], (k - start) // 2 + 1
+            if (k - start) % 2 == 0:
                 if word not in ("R", "P"):
                     raise self._error(
                         f"expected a joint letter (R or P), got {word!r}", draft.line, k
                     )
-                draft.kinds.append(JointKind.from_letter(word))
-                if pending_rel is not None:
-                    draft.set_pair(len(draft.kinds) - 1, len(draft.kinds), pending_rel)
-                    pending_rel = None
-                expect_joint = False
+                draft.kinds.append(_KIND_CELLS[word])
+            elif word in RELATION_SYMBOLS:
+                draft.pairs[m, m + 1] = RELATION_SYMBOLS[word]
             else:
-                if word not in RELATION_SYMBOLS:
-                    raise self._error(
-                        f"expected a relation symbol between joints, got {word!r}", draft.line, k
-                    )
-                pending_rel = RELATION_SYMBOLS[word]
-                expect_joint = True
-        if expect_joint:
-            raise self._error("joint string ends with a relation", draft.line, -1)
+                raise self._error(
+                    f"expected a relation symbol between joints, got {word!r}", draft.line, k
+                )
+        if (len(words) - start) % 2 == 0:
+            raise self._error("joint string ends with a relation", draft.line, len(words) - 1)
         if len(draft.kinds) > MAX_LEG_JOINTS:
             raise self._error(
                 f"leg {draft.label} has {len(draft.kinds)} joints, maximum is {MAX_LEG_JOINTS}",
@@ -404,8 +392,7 @@ class _Parser:
         i, j = indices
         if i == j:
             raise self._error("rel needs two different joints", number, 1)
-        code = _RELATION_CELLS.get(words[3])
-        draft.set_pair(i, j, _relation_cell(self._token(number, 3)) if code is None else code)
+        draft.pairs[min(i, j), max(i, j)] = self._cell(_relation_code, number, 3)
 
     def _stmt_platform(self, words: list[str], number: int) -> None:
         self._finish_open_block()

@@ -250,22 +250,17 @@ def validate_mechanism(mech: MechanismTopology) -> list[str]:
     for idx, leg in enumerate(mech.legs, start=1):
         if leg.label != idx:
             problems.append(f"leg labels must be 1..{k} in order, got {leg.label} at position {idx}")
-    for side, plat in (("moving", mech.moving), ("fixed", mech.fixed)):
+    # each platform with the leg joint its diagonal names
+    sides = (("moving", mech.moving, -1, "ends"), ("fixed", mech.fixed, 0, "starts"))
+    for side, plat, _, _ in sides:
         if plat.size != k:
             problems.append(f"platform matrix size mismatch: {side} is {plat.size}x{plat.size} for {k} legs")
-    if mech.moving.size == k:
-        for i, leg in enumerate(mech.legs):
-            if mech.moving.diagonal[i] is not leg.joints[-1]:
+    for side, plat, end, verb in sides:
+        for i, (kind, leg) in enumerate(zip(plat.diagonal, mech.legs), start=1):
+            if plat.size == k and kind is not leg.joints[end]:
                 problems.append(
-                    f"moving platform diagonal {i + 1} is {mech.moving.diagonal[i].value}, "
-                    f"leg {leg.label} ends with {leg.joints[-1].value}"
-                )
-    if mech.fixed.size == k:
-        for i, leg in enumerate(mech.legs):
-            if mech.fixed.diagonal[i] is not leg.joints[0]:
-                problems.append(
-                    f"fixed platform diagonal {i + 1} is {mech.fixed.diagonal[i].value}, "
-                    f"leg {leg.label} starts with {leg.joints[0].value}"
+                    f"{side} platform diagonal {i} is {kind.value}, "
+                    f"leg {leg.label} {verb} with {leg.joints[end].value}"
                 )
     return problems
 
