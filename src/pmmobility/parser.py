@@ -431,6 +431,10 @@ class _Parser:
             if head in statements:
                 if self.name is None and head != "mechanism":
                     raise self._error(_NO_MECHANISM, number)
+                if len(words[0]) > len(head) + 1:
+                    glued = words[0][len(head) + 1 :]
+                    col = self._column(number) + len(head) + 1
+                    raise ParseError(f"unexpected {glued!r} after '{head}:'", number, col)
                 statements[head](self, words, number)
                 draft = self.draft
             elif draft is None:
@@ -461,8 +465,10 @@ class _Parser:
 def parse_mechanism_text(
     text: str, on_warning: Callable[[str], None] | None = None
 ) -> MechanismTopology:
-    """Parse mechanism file text into a validated MechanismTopology."""
-    return _Parser(text, on_warning).parse()
+    """Parse mechanism file text into a validated MechanismTopology.
+
+    One leading byte-order mark (U+FEFF) is dropped."""
+    return _Parser(text.removeprefix("\ufeff"), on_warning).parse()
 
 
 def parse_mechanism_file(

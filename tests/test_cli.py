@@ -127,6 +127,16 @@ def test_non_utf8_file_is_a_parse_error_in_a_batch(runner, fixtures_dir, tmp_pat
     assert "mechanism tricept" in result.stdout
 
 
+def test_file_saved_with_a_byte_order_mark_is_analyzed(runner, fixtures_dir, tmp_path):
+    hinge = fixtures_dir / "toy_hinge.mech"
+    bom = tmp_path / "toy_hinge.mech"
+    bom.write_bytes(b"\xef\xbb\xbf" + hinge.read_bytes())
+    expected = runner.invoke(main, ["analyze", str(hinge)])
+    result = runner.invoke(main, ["analyze", str(bom)])
+    assert (result.exit_code, result.stdout, result.stderr) == (0, expected.stdout, "")
+    assert "mechanism toy-hinge" in result.stdout
+
+
 def test_unreadable_file_messages_are_exact(runner, tmp_path):
     # a file that cannot be read or decoded is named with the reason the
     # operating system or the UTF-8 codec gave

@@ -352,6 +352,22 @@ LOCATED_ERRORS = [
         2, 3, "rel lines must follow a joint-string leg header",
         id="statement-word-read-up-to-its-colon",
     ),
+    # a statement word takes nothing glued after its colon
+    pytest.param(
+        "mechanism:junk door\n",
+        1, 11, "unexpected 'junk' after 'mechanism:'",
+        id="text-glued-to-mechanism-colon",
+    ),
+    pytest.param(
+        "mechanism m\nleg:7 1: R\n",
+        2, 5, "unexpected '7' after 'leg:'",
+        id="text-glued-to-leg-colon",
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\nleg 2: R\n\tplatform:x moving:\n",
+        4, 11, "unexpected 'x' after 'platform:'",
+        id="text-glued-to-platform-colon",
+    ),
 ]
 
 
@@ -360,6 +376,20 @@ def test_error_locations_in_rows(text, line, col, reason):
     with pytest.raises(ParseError) as err:
         parse_mechanism_text(text)
     assert (err.value.line, err.value.col, err.value.reason) == (line, col, reason)
+
+
+def test_statement_colon_with_nothing_glued_is_accepted():
+    mech, _ = parse(_two_leg_doc("leg 1: R").replace("mechanism m", "mechanism: door"))
+    assert mech.name == "door"
+
+
+def test_a_leading_byte_order_mark_is_dropped(fixtures_dir, tmp_path):
+    text = (fixtures_dir / "toy_hinge.mech").read_text(encoding="utf-8")
+    bom = tmp_path / "bom.mech"
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    assert parse_mechanism_file(bom) == parse_mechanism_text(text)
+    with pytest.raises(ParseError, match="line 1, col 1: a mechanism file starts"):
+        parse_mechanism_text("\ufeff\ufeff" + text)
 
 
 def test_colon_may_stand_alone_after_the_leg_number():
