@@ -58,6 +58,7 @@ from .topology import (
     PlatformRelations,
     PlatformSide,
     RelationCode,
+    _LEG_END,
     validate_mechanism,
 )
 
@@ -84,8 +85,8 @@ class ParseError(ValueError):
 
 def _relation_code(word: str) -> RelationCode:
     """The relation a symbol or code spells; ValueError says why not."""
-    if word in RELATION_SYMBOLS:
-        return RELATION_SYMBOLS[word]
+    if word in _RELATION_CELLS:
+        return _RELATION_CELLS[word]
     try:
         value = int(word)
     except ValueError:
@@ -189,10 +190,10 @@ class _Parser:
         """An error at word k of line ``number``."""
         return ParseError(message, number, self._column(number, k))
 
-    def _cell(self, decode: Callable[[str], object], number: int, k: int):
-        """decode(word k of line ``number``), its ValueError located there."""
+    def _cell(self, decode: Callable[[str], object], word: str, number: int, k: int):
+        """decode(word), word k of line ``number``, its ValueError located there."""
         try:
-            return decode(self.lines[number - 1].split()[k])
+            return decode(word)
         except ValueError as e:
             raise self._error(str(e), number, k) from None
 
@@ -246,7 +247,7 @@ class _Parser:
         kinds = tuple(map(_KIND_CELLS.get, words[:: size + 1]))
         if None in kinds:
             kinds = tuple(
-                kind or self._cell(_kind_code, self._row_line(draft, i), i)
+                kind or self._cell(_kind_code, draft.rows[i][i], self._row_line(draft, i), i)
                 for i, kind in enumerate(kinds)
             )
         # the diagonal decodes as ARBITRARY; zip groups the cells in rows
@@ -258,7 +259,9 @@ class _Parser:
         for i, row in enumerate(matrix):
             for j, code in enumerate(row):
                 if code is None:
-                    code = row[j] = self._cell(_relation_code, self._row_line(draft, i), j)
+                    code = row[j] = self._cell(
+                        _relation_code, draft.rows[i][j], self._row_line(draft, i), j
+                    )
                 if draft.side is None and j < i and code is not matrix[j][i]:
                     raise self._error(
                         f"entry ({i + 1},{j + 1}) = {SYMBOL_OF_RELATION[code]} conflicts "
@@ -296,13 +299,12 @@ class _Parser:
                 draft.line,
             )
         diagonal, matrix = self._decode(draft)
-        end = -1 if side is PlatformSide.MOVING else 0
-        where = "ends" if side is PlatformSide.MOVING else "starts"
+        end, verb = _LEG_END[side]
         for i, leg in enumerate(self.legs):
             if diagonal[i] is not leg.joints[end]:
                 raise self._error(
                     f"platform {side.value} diagonal {i + 1} is {diagonal[i].value} "
-                    f"but leg {leg.label} {where} with {leg.joints[end].value}",
+                    f"but leg {leg.label} {verb} with {leg.joints[end].value}",
                     self._row_line(draft, i),
                     i,
                 )
@@ -392,7 +394,7 @@ class _Parser:
         i, j = indices
         if i == j:
             raise self._error("rel needs two different joints", number, 1)
-        draft.pairs[min(i, j), max(i, j)] = self._cell(_relation_code, number, 3)
+        draft.pairs[min(i, j), max(i, j)] = self._cell(_relation_code, words[3], number, 3)
 
     def _stmt_platform(self, words: list[str], number: int) -> None:
         self._finish_open_block()

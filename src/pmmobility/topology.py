@@ -189,6 +189,11 @@ class PlatformSide(Enum):
     FIXED = "fixed"
 
 
+# the index of the leg joint a side's platform diagonal names, and the verb
+# that says which end of the leg that joint is
+_LEG_END = {PlatformSide.MOVING: (-1, "ends"), PlatformSide.FIXED: (0, "starts")}
+
+
 @dataclass(frozen=True)
 class PlatformRelations:
     """Axis relations between the platform-adjacent joints of the k legs.
@@ -250,16 +255,16 @@ def validate_mechanism(mech: MechanismTopology) -> list[str]:
     for idx, leg in enumerate(mech.legs, start=1):
         if leg.label != idx:
             problems.append(f"leg labels must be 1..{k} in order, got {leg.label} at position {idx}")
-    # each platform with the leg joint its diagonal names
-    sides = (("moving", mech.moving, -1, "ends"), ("fixed", mech.fixed, 0, "starts"))
-    for side, plat, _, _ in sides:
+    sides = ((PlatformSide.MOVING, mech.moving), (PlatformSide.FIXED, mech.fixed))
+    for side, plat in sides:
         if plat.size != k:
-            problems.append(f"platform matrix size mismatch: {side} is {plat.size}x{plat.size} for {k} legs")
-    for side, plat, end, verb in sides:
+            problems.append(f"platform matrix size mismatch: {side.value} is {plat.size}x{plat.size} for {k} legs")
+    for side, plat in sides:
+        end, verb = _LEG_END[side]
         for i, (kind, leg) in enumerate(zip(plat.diagonal, mech.legs), start=1):
             if plat.size == k and kind is not leg.joints[end]:
                 problems.append(
-                    f"{side} platform diagonal {i} is {kind.value}, "
+                    f"{side.value} platform diagonal {i} is {kind.value}, "
                     f"leg {leg.label} {verb} with {leg.joints[end].value}"
                 )
     return problems

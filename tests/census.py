@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python tests/census.py [--check]
+    python tests/census.py
 
 A census leg is a joint letter string with one relation code on each of
 its joint pairs, in the order (1,2), (1,3), ..., (2,3), ...  It is built
@@ -15,8 +15,8 @@ it; it disagrees when any of the three seeds differs.
 
 Run as a script, this sweeps every 4-joint leg with codes 0-2 (about 7 s)
 and prints the analyzable, disagreeing and unsatisfiable counts with a
-sha256 over the sorted disagreeing legs.  --check exits 1 unless all four
-equal the values pinned here.  tests/test_leg_census.py pins the 3-joint
+sha256 over the sorted disagreeing legs, and exits 1 unless all four equal
+the values pinned here.  tests/test_leg_census.py pins the 3-joint
 sweep, codes 0-5, leg by leg in tier-1; pytest does not collect this file.
 """
 
@@ -27,14 +27,12 @@ import itertools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 if __name__ == "__main__":  # run from a checkout without installing
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from helpers import leg_from_relations, make_mechanism  # noqa: E402
+from helpers import leg_from_relations, make_mechanism, oracle_leg_spaces  # noqa: E402
 from pmmobility import InconsistentRelations, Unsatisfiable, analyze_mechanism  # noqa: E402
-from pmmobility.oracle import OraclePlan, _cutoff, _leg_spaces, _twists  # noqa: E402
+from pmmobility.oracle import OraclePlan, _twists  # noqa: E402
 
 # 4 joints, codes 0-2: analyzable, disagreeing, unsatisfiable, digest
 PINNED = (7504, 802, 16, "71effe325c5476a8832412d0f65b153d7de5c49b935ff0476b55f2ae3c60ad5a")
@@ -64,16 +62,9 @@ def sweep(joints: int, codes) -> tuple[int, list[tuple[str, tuple[int, ...]]], i
             twists = _twists(
                 direction[:, plan._axis_class], point[:, plan._axis_anchor], plan._revolute
             )
-            [(rank, vh, _)] = _leg_spaces([twists[:, :joints]])
             leg = report.legs[0]
-            for seed in range(3):
-                basis = vh[seed, : int(rank[seed])]
-                # the basis rows are orthonormal, so the angular rank is
-                # measured against 1, as the oracle measures the platform split
-                angular = int(_cutoff(np.linalg.svd(basis[:, :3], compute_uv=False), 1.0)[0])
-                if (leg.xi_t, leg.xi_r) != (len(basis) - angular, angular):
-                    disagreeing.append((letters, combo))
-                    break
+            if any(space != (leg.xi_t, leg.xi_r) for space in oracle_leg_spaces(twists[:, :joints])):
+                disagreeing.append((letters, combo))
     return analyzable, disagreeing, unsatisfiable
 
 
@@ -83,20 +74,17 @@ def digest(disagreeing) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def main(argv: list[str]) -> int:
-    if argv not in ([], ["--check"]):
-        print("usage: python tests/census.py [--check]", file=sys.stderr)
-        return 2
+def main() -> int:
     analyzable, disagreeing, unsatisfiable = sweep(4, range(3))
     found = (analyzable, len(disagreeing), unsatisfiable, digest(disagreeing))
     print(f"4-joint legs, codes 0-2: {found[0]} analyzable, {found[1]} disagree, "
           f"{found[2]} unsatisfiable")
     print(f"sha256 {found[3]}")
-    if argv and found != PINNED:
+    if found != PINNED:
         print(f"expected {PINNED}", file=sys.stderr)
         return 1
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -643,6 +643,21 @@ def numeric_rank(matrix: np.ndarray) -> int:
     return int(np.sum(s > oracle.RANK_RTOL * s[0]))
 
 
+def oracle_leg_spaces(twists: np.ndarray) -> list[tuple[int, int]]:
+    """Per seed, (xi_t, xi_r) of the oracle's leg twist space spanned by a
+    stack of twist matrices (seeds x f x 6): its rank less its angular
+    rank, and its angular rank."""
+    [(rank, vh, _)] = oracle._leg_spaces([twists])
+    spaces = []
+    for seed_rank, seed_vh in zip(rank, vh):
+        basis = seed_vh[: int(seed_rank)]
+        # the basis rows are orthonormal, so the angular rank is measured
+        # against 1, as the oracle measures the platform split
+        angular = int(oracle._cutoff(np.linalg.svd(basis[:, :3], compute_uv=False), 1.0)[0])
+        spaces.append((len(basis) - angular, angular))
+    return spaces
+
+
 def numeric_union_dim(a: np.ndarray, b: np.ndarray) -> int:
     if a.shape[0] == 0:
         return numeric_rank(b)

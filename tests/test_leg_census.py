@@ -3,7 +3,7 @@ census leg is built and compared with the oracle).
 
 The pinned set is a ratchet: a change that fixes a leg removes it here in
 the same commit, and no change may add one.  The 4-joint sweep runs in CI
-as ``python tests/census.py --check``.
+as ``python tests/census.py``.
 """
 
 from __future__ import annotations

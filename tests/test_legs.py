@@ -6,7 +6,6 @@ import pytest
 from pmmobility import analyze_leg, build_relation_graph, normalize
 from pmmobility.oracle import (
     Unsatisfiable,
-    _cutoff,
     _leg_spaces,
     _one_seed_leg,
     _twists,
@@ -22,6 +21,7 @@ from helpers import (
     leg_from_relations,
     make_mechanism,
     numeric_rank,
+    oracle_leg_spaces,
     pair_mechanism,
     poc_or,
 )
@@ -154,9 +154,5 @@ def test_catalogue_pattern_matches_the_oracle_leg_twist_space(pattern):
     result = analyze_leg(leg, g)
     for seed in (0, 1, 2):
         inst = instantiate_geometry(mech, g, seed=seed)
-        [(rank, vh, _)] = _leg_spaces([_twists(*_one_seed_leg(leg, inst))])
-        basis = vh[0, : int(rank[0])]
-        # the basis rows are orthonormal, so the angular rank is measured
-        # against 1, as the oracle measures the platform split
-        angular = int(_cutoff(np.linalg.svd(basis[:, :3], compute_uv=False), 1.0)[0])
-        assert (result.xi_t, result.xi_r) == (len(basis) - angular, angular), seed
+        [space] = oracle_leg_spaces(_twists(*_one_seed_leg(leg, inst)))
+        assert (result.xi_t, result.xi_r) == space, seed
