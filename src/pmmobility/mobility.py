@@ -24,7 +24,7 @@ from .poc import (
     rotation_view,
     translation_view,
 )
-from .relations import AxisRef, RelationGraph, build_relation_graph
+from .relations import RelationGraph, build_relation_graph, leg_axes
 from .topology import InvalidMechanism, MechanismTopology, validate_mechanism
 
 
@@ -64,11 +64,8 @@ def classify(poc: PocMatrix) -> str:
 def _joint_labels(g: RelationGraph, row: tuple[int, ...], owner: int | None) -> tuple[str, ...]:
     if owner is None:
         return ()
-    labels = []
-    for col, value in enumerate(row):
-        if value:
-            labels.append(g.label(AxisRef(owner, col + 1)))
-    return tuple(labels)
+    axes = leg_axes(owner, len(row))
+    return tuple(g.label(axis) for axis, value in zip(axes, row) if value)
 
 
 def analyze_mechanism(mech: MechanismTopology) -> MobilityReport:

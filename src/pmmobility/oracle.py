@@ -54,7 +54,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .relations import AxisRef, RelationGraph, Unsatisfiable, _UnionFind, build_relation_graph
+from .relations import AxisRef, RelationGraph, Unsatisfiable, build_relation_graph
+from .relations import join_classes, leg_axes
 from .topology import JointKind, MechanismTopology, RelationCode
 
 RANK_RTOL = 1e-8
@@ -186,15 +187,15 @@ class OraclePlan:
         # two lines in R^3 meet exactly when they are coplanar.  Parallel
         # lines always are, and parallel lines that meet are one line; any
         # other pair meets when (p_b - p_a) . (d_a x d_b) = 0, one row each
-        lines = _UnionFind(axes)
+        line_root, line_members = dict(zip(axes, axes)), {}
         meets = []
         for a, b, code in g.seeded_pairs():
             if self._class_of[a] != self._class_of[b]:
                 if code in (RelationCode.COPLANAR, RelationCode.COMMON_POINT):
                     meets.append((a, b))
             elif code is RelationCode.COMMON_POINT:
-                lines.union(g.coaxial_class(a), g.coaxial_class(b))
-        line_of = {a: lines.find(g.coaxial_class(a)) for a in axes}
+                join_classes(line_root, line_members, g.coaxial_class(a), g.coaxial_class(b))
+        line_of = {a: line_root[g.coaxial_class(a)] for a in axes}
         line_index = {root: i for i, root in enumerate(sorted(set(line_of.values())))}
         self._anchor_of = {a: line_index[line] for a, line in line_of.items()}
         # row k takes the anchor difference p_b - p_a of meets[k]
@@ -209,9 +210,7 @@ class OraclePlan:
 
         # the parallel-class and anchor index of every joint axis in leg
         # order, and where each leg's joints end
-        joint_axes = [
-            AxisRef(leg.label, j) for leg in mech.legs for j in range(1, len(leg.joints) + 1)
-        ]
+        joint_axes = [a for leg in mech.legs for a in leg_axes(leg.label, leg.f)]
         self._axis_class = np.array([self._class_of[a] for a in joint_axes], dtype=np.intp)
         self._axis_anchor = np.array([self._anchor_of[a] for a in joint_axes], dtype=np.intp)
         self._revolute = _revolute_mask([kind for leg in mech.legs for kind in leg.joints])
@@ -338,7 +337,7 @@ def _leg_spaces(legs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np
 def _one_seed_leg(leg, inst: GeometricInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A leg's joint directions and points as a stack of one seed, and its
     revolute mask."""
-    axes = [AxisRef(leg.label, j) for j in range(1, len(leg.joints) + 1)]
+    axes = leg_axes(leg.label, leg.f)
     d = np.array([inst.direction[axis] for axis in axes])
     p = np.array([inst.point[axis] for axis in axes])
     return d[None], p[None], _revolute_mask(leg.joints)

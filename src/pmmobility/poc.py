@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import ClassVar
 
-from .relations import AxisRef, RelationGraph
+from .relations import AxisRef, RelationGraph, leg_axes
 from .topology import JointKind, RelationCode
 
 
@@ -293,7 +293,7 @@ class PocMatrix:
 def _row_axis(owner: int | None, col: int) -> AxisRef:
     if owner is None:
         raise ValueError("row has entries but no owning leg")
-    return AxisRef(owner, col + 1)
+    return leg_axes(owner, col + 1)[col]
 
 
 def _translation_atom(g: RelationGraph, axis: AxisRef, value: int) -> DirectionDescriptor:

@@ -13,9 +13,13 @@ The graph is immutable once built, so lookups are safe for concurrent use.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import NamedTuple
 
-from .topology import JointKind, MechanismTopology, RelationCode
+from .topology import MAX_LEG_JOINTS, JointKind, MechanismTopology, RelationCode
+
+# bound once, as reading a member off its enum class is a Python-level lookup
+ARBITRARY, PARALLEL, PERPENDICULAR, COAXIAL = map(RelationCode, range(4))
 
 
 class AxisRef(NamedTuple):
@@ -32,6 +36,15 @@ class AxisRef(NamedTuple):
         return f"{self.leg}.{self.joint}"
 
 
+@lru_cache(maxsize=256)  # a parsed mechanism's legs fill at most 36 entries
+def leg_axes(label: int, f: int) -> tuple[AxisRef, ...]:
+    """The axes of joints 1..f of leg label: one cached tuple per (label, f),
+    sharing one AxisRef per (leg, joint), which is a saving and not API."""
+    if f < MAX_LEG_JOINTS:
+        return leg_axes(label, MAX_LEG_JOINTS)[:f]
+    return tuple(AxisRef(label, j) for j in range(1, f + 1))
+
+
 class UnknownAxis(KeyError):
     """An AxisRef does not name a joint of the mechanism."""
 
@@ -43,28 +56,6 @@ class InconsistentRelations(ValueError):
 
 class Unsatisfiable(ValueError):
     """The seeded relations admit no generic geometric instance."""
-
-
-class _UnionFind:
-    def __init__(self, items) -> None:
-        self.parent: dict[AxisRef, AxisRef] = {x: x for x in items}
-
-    def find(self, x: AxisRef) -> AxisRef:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: AxisRef, b: AxisRef) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller ref as root, so every root is the minimum of
-            # its class and results do not depend on order
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
 
 class RelationGraph:
@@ -153,15 +144,15 @@ class RelationGraph:
         if a not in self._coaxial or b not in self._coaxial:
             self._require(a, b)
         if a == b:
-            return RelationCode.PARALLEL
+            return PARALLEL
         if self._coaxial[a] == self._coaxial[b]:
-            return RelationCode.COAXIAL
+            return COAXIAL
         pa, pb = self._parallel[a], self._parallel[b]
         if pa == pb:
-            return RelationCode.PARALLEL
+            return PARALLEL
         if (pa, pb) in self._perp_pairs:
-            return RelationCode.PERPENDICULAR
-        return self._seeded.get((a, b) if a < b else (b, a), RelationCode.ARBITRARY)
+            return PERPENDICULAR
+        return self._seeded.get((a, b) if a < b else (b, a), ARBITRARY)
 
     # -- constraint enumeration (used by the numeric oracle) -------------
 
@@ -190,15 +181,27 @@ _STRENGTH = {
 
 def _merge_codes(old: RelationCode, new: RelationCode, a: AxisRef, b: AxisRef) -> RelationCode:
     """Combine two seeds for the same pair, rejecting contradictions."""
-    if old == new:
-        return old
-    pair = {old, new}
-    if RelationCode.PERPENDICULAR in pair and pair & {RelationCode.PARALLEL, RelationCode.COAXIAL}:
-        raise InconsistentRelations(
-            f"axes {a} and {b} are seeded both perpendicular and parallel"
-        )
+    if {old, new} in ({PERPENDICULAR, PARALLEL}, {PERPENDICULAR, COAXIAL}):
+        raise InconsistentRelations(f"axes {a} and {b} are seeded both perpendicular and parallel")
     # keep the more constraining code
     return old if _STRENGTH[old] >= _STRENGTH[new] else new
+
+
+def join_classes(root: dict, members: dict, a: AxisRef, b: AxisRef) -> None:
+    """Merge the classes of a and b by relabelling the larger root's class.
+
+    root maps each axis to the smallest axis of its class (its values are
+    its own keys); members maps each root of two or more axes to its class.
+    """
+    ra, rb = root[a], root[b]
+    if ra is rb:
+        return
+    if rb < ra:
+        ra, rb = rb, ra
+    moved = members.pop(rb, None) or [rb]
+    for axis in moved:
+        root[axis] = ra
+    members.setdefault(ra, [ra]).extend(moved)
 
 
 def build_relation_graph(mech: MechanismTopology) -> RelationGraph:
@@ -212,12 +215,12 @@ def build_relation_graph(mech: MechanismTopology) -> RelationGraph:
     seeds: dict[tuple[AxisRef, AxisRef], RelationCode] = {}
     first, last = [], []
     for leg in mech.legs:
-        refs = [AxisRef(leg.label, i) for i in range(1, leg.f + 1)]
+        refs = leg_axes(leg.label, leg.f)
         kinds.update(zip(refs, leg.joints))
         # the upper triangle only: its pairs come ordered (smaller, larger)
         for i, (a, row) in enumerate(zip(refs, leg.relations), start=1):
             for b, code in zip(refs[i:], row[i:]):
-                if code != RelationCode.ARBITRARY:
+                if code is not ARBITRARY:
                     seeds[a, b] = code
         first.append(refs[0])
         last.append(refs[-1])
@@ -233,28 +236,26 @@ def build_relation_graph(mech: MechanismTopology) -> RelationGraph:
                 code = matrix[i][j]
                 if pair in seeds:
                     seeds[pair] = _merge_codes(seeds[pair], code, a, b)
-                elif code != RelationCode.ARBITRARY:
+                elif code is not ARBITRARY:
                     seeds[pair] = code
 
-    parallel = _UnionFind(kinds)
-    coaxial = _UnionFind(kinds)
+    parallel_root, parallel_members = dict(zip(kinds, kinds)), {}
+    coaxial_root, coaxial_members = parallel_root.copy(), {}
     for (a, b), code in seeds.items():
-        if code in (RelationCode.PARALLEL, RelationCode.COAXIAL):
-            parallel.union(a, b)
-        if code == RelationCode.COAXIAL:
-            coaxial.union(a, b)
-    parallel_root = {axis: parallel.find(axis) for axis in kinds}
-    coaxial_root = {axis: coaxial.find(axis) for axis in kinds}
+        if code is PARALLEL:
+            join_classes(parallel_root, parallel_members, a, b)
+        elif code is COAXIAL:
+            join_classes(parallel_root, parallel_members, a, b)
+            join_classes(coaxial_root, coaxial_members, a, b)
 
     perp_pairs: set[tuple[AxisRef, AxisRef]] = set()
     for (a, b), code in seeds.items():
-        if code is not RelationCode.PERPENDICULAR:
+        if code is not PERPENDICULAR:
             continue
         ra, rb = parallel_root[a], parallel_root[b]
-        if ra == rb:
+        if ra is rb:
             raise InconsistentRelations(_describe_cycle(a, b, seeds))
-        perp_pairs.add((ra, rb))
-        perp_pairs.add((rb, ra))
+        perp_pairs.update(((ra, rb), (rb, ra)))
 
     return RelationGraph(kinds, parallel_root, coaxial_root, frozenset(perp_pairs), seeds)
 
@@ -265,7 +266,7 @@ def _describe_cycle(a: AxisRef, b: AxisRef, seeds) -> str:
     seeds that visits the neighbours of each axis in sorted order."""
     adjacency: dict[AxisRef, list[AxisRef]] = {}
     for (x, y), code in seeds.items():
-        if code in (RelationCode.PARALLEL, RelationCode.COAXIAL):
+        if code is PARALLEL or code is COAXIAL:
             adjacency.setdefault(x, []).append(y)
             adjacency.setdefault(y, []).append(x)
     for neighbours in adjacency.values():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .poc import PocMatrix
-from .relations import AxisRef, RelationGraph
+from .relations import RelationGraph, leg_axes
 from .topology import JointKind, LegTopology, RelationCode
 
 R = JointKind.REVOLUTE
@@ -163,7 +163,7 @@ def extract_subchains(leg: LegTopology, g: RelationGraph) -> tuple[Segment, ...]
     The segments cover every joint exactly once.
     """
     letters = leg.signature
-    axes = [AxisRef(leg.label, j) for j in range(1, len(letters) + 1)]
+    axes = leg_axes(leg.label, len(letters))
     relation = g.relation_between
     segments: list[Segment] = []
     pos = 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 
 MAX_LEG_JOINTS = 6
 MAX_LEGS = 6
@@ -128,9 +129,9 @@ class LegTopology:
         """Joint DOF of the leg (one per single-DOF joint)."""
         return len(self.joints)
 
-    @property
+    @cached_property
     def signature(self) -> str:
-        """Joint letters base to platform, e.g. 'RRPRRR'."""
+        """Joint letters base to platform, e.g. 'RRPRRR', joined on first read."""
         return "".join(k.value for k in self.joints)
 
     def relation(self, i: int, j: int) -> RelationCode:

@@ -40,7 +40,7 @@ from pmmobility.poc import (
     _axes_parallel,
     _axes_perpendicular,
 )
-from pmmobility.relations import _UnionFind, _merge_codes
+from pmmobility.relations import _merge_codes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -353,6 +353,27 @@ def reference_describe_cycle(a: AxisRef, b: AxisRef, seeds) -> str:
     return f"axes {a} _|_ {b} conflict with the parallel chain {chain}"
 
 
+def reference_class_roots(axes, pairs) -> dict[AxisRef, AxisRef]:
+    """relations.join_classes by a union-find: each axis mapped to the
+    smallest axis of its class, in the order of axes."""
+    parent = {x: x for x in axes}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            # the smaller ref stays the root, so every root is its class's minimum
+            parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in axes}
+
+
 def reference_relation_graph(mech: MechanismTopology) -> RelationGraph:
     """build_relation_graph by the plain per-pair walk: two fresh AxisRefs
     for every off-diagonal pair of every matrix, each pair ordered and
@@ -369,15 +390,11 @@ def reference_relation_graph(mech: MechanismTopology) -> RelationGraph:
         elif code != RelationCode.ARBITRARY:
             seeds[pair] = code
 
-    parallel = _UnionFind(kinds)
-    coaxial = _UnionFind(kinds)
-    for (a, b), code in seeds.items():
-        if code in (RelationCode.PARALLEL, RelationCode.COAXIAL):
-            parallel.union(a, b)
-        if code == RelationCode.COAXIAL:
-            coaxial.union(a, b)
-    parallel_root = {axis: parallel.find(axis) for axis in kinds}
-    coaxial_root = {axis: coaxial.find(axis) for axis in kinds}
+    directions = (RelationCode.PARALLEL, RelationCode.COAXIAL)
+    parallel_root = reference_class_roots(kinds, [p for p, code in seeds.items() if code in directions])
+    coaxial_root = reference_class_roots(
+        kinds, [p for p, code in seeds.items() if code == RelationCode.COAXIAL]
+    )
     perp_pairs = set()
     for (a, b), code in seeds.items():
         if code is RelationCode.PERPENDICULAR:

@@ -12,6 +12,7 @@ from pmmobility import (
     build_relation_graph,
     decode_leg,
 )
+from pmmobility.relations import join_classes, leg_axes
 
 from helpers import (
     PRRRR_MATRIX,
@@ -24,6 +25,7 @@ from helpers import (
     make_mechanism,
     pair_mechanism,
     random_mechanism,
+    reference_class_roots,
     reference_relation_graph,
 )
 
@@ -336,6 +338,47 @@ def test_axis_ref_hashes_sorts_and_prints_like_its_pair():
     table = {AxisRef(2, 3): "first"}
     table[AxisRef(2, 3)] = "second"
     assert table == {AxisRef(2, 3): "second"}
+
+
+def test_leg_axes_are_shared_refs_equal_to_their_pairs():
+    for label in (1, 2, 6, 9):
+        full = leg_axes(label, 6)
+        for f in range(1, 7):
+            axes = leg_axes(label, f)
+            assert axes is leg_axes(label, f)
+            assert axes == tuple(AxisRef(label, j) for j in range(1, f + 1))
+            assert axes == tuple((label, j) for j in range(1, f + 1))
+            assert all(a is b for a, b in zip(axes, full))
+    # a graph holds the shared refs, and fresh equal refs still look up
+    mech, g = corpus_graphs()[0]
+    assert all(axis is leg_axes(axis.leg, 6)[axis.joint - 1] for axis in g.axes())
+    for leg in mech.legs:
+        for j in range(1, leg.f + 1):
+            assert g.kind(AxisRef(leg.label, j)) is g.kind(leg_axes(leg.label, leg.f)[j - 1])
+
+
+def test_relabelling_matches_the_union_find():
+    # every root the smallest axis of its class, in the order of the axes,
+    # and the member lists exactly the classes of two or more axes
+    rng = random.Random(27)
+    refs = [AxisRef(leg, j) for leg in range(1, 7) for j in range(1, 7)]
+    merged = 0
+    for _ in range(500):
+        axes = rng.sample(refs, rng.randint(1, 20))
+        pairs = [(rng.choice(axes), rng.choice(axes)) for _ in range(rng.randint(0, 15))]
+        root, members = dict(zip(axes, axes)), {}
+        for a, b in pairs:
+            join_classes(root, members, a, b)
+        expected = reference_class_roots(axes, pairs)
+        assert list(root.items()) == list(expected.items()), pairs
+        classes: dict[AxisRef, list[AxisRef]] = {}
+        for axis in axes:
+            classes.setdefault(expected[axis], []).append(axis)
+        assert {r: sorted(m) for r, m in members.items()} == {
+            r: sorted(m) for r, m in classes.items() if len(m) > 1
+        }
+        merged += len(members)
+    assert merged > 500
 
 
 @pytest.mark.parametrize("generator", [random_mechanism, labeled_random_mechanism])

@@ -56,6 +56,15 @@ def test_decode_rrc_leg():
     )
 
 
+def test_signature_is_kept_without_touching_equality_hash_or_repr():
+    leg, fresh = decode_leg(UP_MATRIX, label=1), decode_leg(UP_MATRIX, label=1)
+    before = (hash(leg), repr(leg))
+    assert leg.signature == "RRP"
+    assert leg.signature is leg.signature
+    assert (hash(leg), repr(leg)) == before
+    assert leg == fresh and hash(leg) == hash(fresh) and repr(leg) == repr(fresh)
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_LEGS))
 def test_encode_decode_round_trip(name):
     matrix, _ = REFERENCE_LEGS[name]
