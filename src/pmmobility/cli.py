@@ -21,7 +21,7 @@ import os
 import sys
 from difflib import get_close_matches
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .mobility import analyze_mechanism
 from .parser import ParseError, parse_mechanism_text
@@ -63,8 +63,8 @@ def _analyze_file(path: str, settings: _Settings, messages: list[str]) -> tuple[
     """The exit code and rendered report (None when there is none) of one
     file; its warnings and errors go onto messages."""
     try:
-        with open(path, encoding="utf-8") as file:
-            text = file.read()
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         messages.append(f"{path}: {getattr(err, 'strerror', None) or err}")
         return PARSE_ERROR, None
@@ -303,36 +303,56 @@ def _write(stream, text: str) -> None:
         stream.flush()
 
 
+# the JSON text of a leaf, by the exact type of its value
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
 def _json(value: Any, out: list[str], indent: str = "") -> None:
     """Append value to out as ``json.dumps(value, indent=2)`` writes it, without
-    json's pure-Python indenting encoder; only dict, list, str, bool, None and int."""
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    json's pure-Python indenting encoder; only dict, list, str, bool, None and
+    int, by exact type.  A dict writes its leaf values inline and a list of
+    leaves is one join; only containers recurse."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        out.append(leaf(value))
+        return
+    inner = indent + "  "
+    if type(value) is dict:
         if not value:
             out.append("{}")
             return
-        inner = indent + "  "
         sep = "{\n" + inner
         for key, item in value.items():
-            out.append(sep + _quote(key) + ": ")
-            _json(item, out, inner)
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                out.append(f"{sep}{_quote(key)}: ")
+                _json(item, out, inner)
+            else:
+                out.append(f"{sep}{_quote(key)}: {leaf(item)}")
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
-    elif isinstance(value, list):
+    elif type(value) is list:
         if not value:
             out.append("[]")
             return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in value:
-            out.append(sep)
+        sep = ",\n" + inner
+        try:
+            texts = [_LEAVES[type(item)](item) for item in value]
+        except KeyError:  # an item that is not a leaf
+            texts = None
+        if texts is not None:
+            out.append(f"[\n{inner}{sep.join(texts)}\n{indent}]")
+            return
+        out.append("[\n" + inner)
+        for n, item in enumerate(value):
+            if n:
+                out.append(sep)
             _json(item, out, inner)
-            sep = ",\n" + inner
         out.append("\n" + indent + "]")
     else:
         raise TypeError(f"cannot write {type(value).__name__} as report JSON")

@@ -52,6 +52,8 @@ from typing import Callable
 
 from .topology import (
     MAX_LEG_JOINTS,
+    MAX_LEGS,
+    MIN_LEGS,
     JointKind,
     LegTopology,
     MechanismTopology,
@@ -458,9 +460,11 @@ class _Parser:
             moving=self.platforms[PlatformSide.MOVING],
             fixed=self.platforms[PlatformSide.FIXED],
         )
-        problems = validate_mechanism(mech)
-        if problems:
-            raise ParseError("; ".join(problems), self.name_line)
+        # the blocks checked the labels, sizes and diagonals as they closed:
+        # only the leg count, or a leg after a platform block, is left over
+        k = len(self.legs)
+        if not MIN_LEGS <= k <= MAX_LEGS or mech.moving.size != k or mech.fixed.size != k:
+            raise ParseError("; ".join(validate_mechanism(mech)), self.name_line)
         return mech
 
 
@@ -469,7 +473,8 @@ def parse_mechanism_text(
 ) -> MechanismTopology:
     """Parse mechanism file text into a validated MechanismTopology.
 
-    One leading byte-order mark (U+FEFF) is dropped."""
+    The mechanism-level rules of validate_mechanism are checked where the
+    text states them.  One leading byte-order mark (U+FEFF) is dropped."""
     return _Parser(text.removeprefix("\ufeff"), on_warning).parse()
 
 

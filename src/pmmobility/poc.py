@@ -16,13 +16,16 @@ and appended to the caller's ledger when one is passed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import ClassVar
 
-from .relations import AxisRef, RelationGraph, leg_axes
-from .topology import JointKind, RelationCode
+from .relations import COAXIAL, PARALLEL, PERPENDICULAR, AxisRef, RelationGraph, leg_axes
+from .topology import JointKind
+
+# bound once, as reading a member off its enum class is a Python-level lookup
+PRISMATIC = JointKind.PRISMATIC
 
 
 # --------------------------------------------------------------------------
@@ -112,18 +115,18 @@ DirectionDescriptor = NoBasis | LineForm | PlaneForm
 
 def _axes_parallel(g: RelationGraph, a: AxisRef, b: AxisRef) -> bool | None:
     rel = g.relation_between(a, b)
-    if rel in (RelationCode.PARALLEL, RelationCode.COAXIAL):
+    if rel in (PARALLEL, COAXIAL):
         return True
-    if rel is RelationCode.PERPENDICULAR:
+    if rel is PERPENDICULAR:
         return False
     return None
 
 
 def _axes_perpendicular(g: RelationGraph, a: AxisRef, b: AxisRef) -> bool | None:
     rel = g.relation_between(a, b)
-    if rel is RelationCode.PERPENDICULAR:
+    if rel is PERPENDICULAR:
         return True
-    if rel in (RelationCode.PARALLEL, RelationCode.COAXIAL):
+    if rel in (PARALLEL, COAXIAL):
         return False
     return None
 
@@ -216,11 +219,12 @@ def _plane_meet_line(g: RelationGraph, p: PlaneForm, q: PlaneForm) -> LineForm:
     return MeetLine(p, q)
 
 
-def _resolve(value: bool | None, ledger: list[str] | None, question: str) -> bool:
-    """Collapse a tri-state answer: an open question is no, noted in the ledger."""
+def _resolve(value: bool | None, ledger: list[str] | None, question: str, *forms) -> bool:
+    """Collapse a tri-state answer: an open question is no, noted in the
+    ledger as question formatted with the forms, only then."""
     if value is None:
         if ledger is not None:
-            ledger.append(f"cannot decide whether {question}")
+            ledger.append("cannot decide whether " + question.format(*forms))
         return False
     return value
 
@@ -232,6 +236,9 @@ def _resolve(value: bool | None, ledger: list[str] | None, question: str) -> boo
 def _owns(row: tuple[int, ...]) -> bool:
     """A leg owns a row that has entries and is not full (3 alone first)."""
     return any(row) and row[0] != 3
+
+
+_POC_VALUES = frozenset((0, 1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -250,9 +257,9 @@ class PocMatrix:
         if len(self.t) != len(self.r):
             raise ValueError("t and r rows must have the same width")
         for row in (self.t, self.r):
-            for value in row:
-                if value not in (0, 1, 2, 3):
-                    raise ValueError(f"POC entry {value} out of range 0..3")
+            if not _POC_VALUES.issuperset(row):
+                bad = next(value for value in row if value not in _POC_VALUES)
+                raise ValueError(f"POC entry {bad} out of range 0..3")
             if 3 in row and (row[0] != 3 or sum(row) != 3):
                 raise ValueError("an entry of 3 must be alone in the first column")
 
@@ -290,16 +297,19 @@ class PocMatrix:
 # views: matrix rows as direction forms, and back
 
 
-def _row_axis(owner: int | None, col: int) -> AxisRef:
-    if owner is None:
+def _row_axes(owner: int | None, row: Sequence[int]) -> tuple[AxisRef, ...]:
+    """The axes of a row's columns; a row with entries needs an owner."""
+    if owner is not None:
+        return leg_axes(owner, len(row))
+    if any(row):
         raise ValueError("row has entries but no owning leg")
-    return leg_axes(owner, col + 1)[col]
+    return ()
 
 
 def _translation_atom(g: RelationGraph, axis: AxisRef, value: int) -> DirectionDescriptor:
     if value == 2:
         return NormalPlane(axis)
-    if g.kind(axis) is JointKind.PRISMATIC:
+    if g.kind(axis) is PRISMATIC:
         return AlongAxis(axis)
     # translation attributed to a revolute joint lies in its normal plane
     return NormalLine(axis)
@@ -311,7 +321,7 @@ def _view(row: tuple[int, ...], owner: int | None, atom) -> DirectionDescriptor:
         return EMPTY_DIRECTION
     if rank >= 3:
         return FULL_DIRECTION
-    atoms = [atom(_row_axis(owner, col), value) for col, value in enumerate(row) if value]
+    atoms = [atom(axis, value) for axis, value in zip(_row_axes(owner, row), row) if value]
     return atoms[0] if len(atoms) == 1 else SpanPlane(*atoms)
 
 
@@ -374,10 +384,10 @@ def _inside(
     if b.rank < a.rank:
         a, b = b, a
     if b.rank == 1:
-        return _resolve(lines_parallel(g, a, b), ledger, f"{a} is parallel to {b}")
+        return _resolve(lines_parallel(g, a, b), ledger, "{} is parallel to {}", a, b)
     if a.rank == 1:
-        return _resolve(line_in_plane(g, a, b), ledger, f"{a} lies in {b}")
-    return _resolve(planes_parallel(g, a, b), ledger, f"{a} equals {b}")
+        return _resolve(line_in_plane(g, a, b), ledger, "{} lies in {}", a, b)
+    return _resolve(planes_parallel(g, a, b), ledger, "{} equals {}", a, b)
 
 
 def intersect_translation(
@@ -476,15 +486,12 @@ def _pair_plane(a: LineForm, b: LineForm, g: RelationGraph, ledger: list[str] | 
     plane so later membership tests can recognize it.
     """
     if isinstance(a, NormalLine) and isinstance(b, NormalLine):
-        if _resolve(_axes_parallel(g, a.axis, b.axis), ledger, f"{a} and {b} share a plane"):
+        if _resolve(_axes_parallel(g, a.axis, b.axis), ledger, "{} and {} share a plane", a, b):
             return NormalPlane(a.axis)
     for line, other in ((a, b), (b, a)):
         if isinstance(line, NormalLine) and isinstance(other, AlongAxis):
-            if _resolve(
-                _axes_perpendicular(g, line.axis, other.axis),
-                ledger,
-                f"{other} lies in the plane of {line}",
-            ):
+            perpendicular = _axes_perpendicular(g, line.axis, other.axis)
+            if _resolve(perpendicular, ledger, "{} lies in the plane of {}", other, line):
                 return NormalPlane(line.axis)
     return SpanPlane(a, b)
 
@@ -510,10 +517,11 @@ def normalize(m: PocMatrix, g: RelationGraph, ledger: list[str] | None = None) -
         classes: set[AxisRef] = set()
         lines: set[AxisRef] = set()
         kept: list[int] = []
+        axes = _row_axes(r_owner, m.r)
         for col, value in enumerate(m.r):
             if not value:
                 continue
-            axis = _row_axis(r_owner, col)
+            axis = axes[col]
             line = g.coaxial_class(axis)
             if line in lines:
                 # a rotation about an already counted line adds nothing,
@@ -538,9 +546,10 @@ def normalize(m: PocMatrix, g: RelationGraph, ledger: list[str] | None = None) -
     if t_row[:1] != (3,):
         acc = EMPTY_DIRECTION
         row = [0] * m.width
+        axes = _row_axes(owner, counts)
         for col, value in enumerate(counts):
             if value:
-                atom = _translation_atom(g, _row_axis(owner, col), min(value, 2))
+                atom = _translation_atom(g, axes[col], min(value, 2))
                 grown = union(acc, atom, g, ledger)
                 row[col] = grown.rank - acc.rank
                 acc = grown

@@ -90,15 +90,17 @@ class RelationGraph:
     def axes(self) -> tuple[AxisRef, ...]:
         return tuple(sorted(self._kinds))
 
-    def _require(self, *axes: AxisRef) -> None:
-        for axis in axes:
-            if axis not in self._kinds:
-                raise UnknownAxis(f"axis {axis} is not a joint of this mechanism")
+    def _unknown(self, *axes: AxisRef) -> UnknownAxis:
+        """The error for the first of axes that is not a joint of this
+        mechanism; the lookups index first and ask only on a KeyError."""
+        axis = next(axis for axis in axes if axis not in self._kinds)
+        return UnknownAxis(f"axis {axis} is not a joint of this mechanism")
 
     def kind(self, axis: AxisRef) -> JointKind:
-        if axis not in self._kinds:
-            self._require(axis)
-        return self._kinds[axis]
+        try:
+            return self._kinds[axis]
+        except KeyError:
+            raise self._unknown(axis) from None
 
     def label(self, axis: AxisRef) -> str:
         """Short joint name like R41 (kind, leg, joint index)."""
@@ -106,33 +108,38 @@ class RelationGraph:
 
     def same_axis(self, a: AxisRef, b: AxisRef) -> bool:
         """True when a and b are the same line: equal refs or coaxial."""
-        if a not in self._coaxial or b not in self._coaxial:
-            self._require(a, b)
-        return a == b or self._coaxial[a] == self._coaxial[b]
+        try:
+            return self._coaxial[a] == self._coaxial[b] or a == b
+        except KeyError:
+            raise self._unknown(a, b) from None
 
     def parallel(self, a: AxisRef, b: AxisRef) -> bool:
         """True when the directions of a and b are known parallel."""
-        if a not in self._parallel or b not in self._parallel:
-            self._require(a, b)
-        return self._parallel[a] == self._parallel[b]
+        try:
+            return self._parallel[a] == self._parallel[b]
+        except KeyError:
+            raise self._unknown(a, b) from None
 
     def perpendicular(self, a: AxisRef, b: AxisRef) -> bool:
         """True when the directions of a and b are known perpendicular."""
-        if a not in self._parallel or b not in self._parallel:
-            self._require(a, b)
-        return (self._parallel[a], self._parallel[b]) in self._perp_pairs
+        try:
+            return (self._parallel[a], self._parallel[b]) in self._perp_pairs
+        except KeyError:
+            raise self._unknown(a, b) from None
 
     def parallel_class(self, axis: AxisRef) -> AxisRef:
         """Smallest axis parallel to the given one."""
-        if axis not in self._parallel:
-            self._require(axis)
-        return self._parallel[axis]
+        try:
+            return self._parallel[axis]
+        except KeyError:
+            raise self._unknown(axis) from None
 
     def coaxial_class(self, axis: AxisRef) -> AxisRef:
         """Smallest axis on the same line as the given one."""
-        if axis not in self._coaxial:
-            self._require(axis)
-        return self._coaxial[axis]
+        try:
+            return self._coaxial[axis]
+        except KeyError:
+            raise self._unknown(axis) from None
 
     def relation_between(self, a: AxisRef, b: AxisRef) -> RelationCode:
         """Strongest derivable relation between two axes.
@@ -141,11 +148,13 @@ class RelationGraph:
         any seeded positional code, else Arbitrary.  An axis is parallel to
         itself.
         """
-        if a not in self._coaxial or b not in self._coaxial:
-            self._require(a, b)
+        try:
+            ca, cb = self._coaxial[a], self._coaxial[b]
+        except KeyError:
+            raise self._unknown(a, b) from None
         if a == b:
             return PARALLEL
-        if self._coaxial[a] == self._coaxial[b]:
+        if ca == cb:
             return COAXIAL
         pa, pb = self._parallel[a], self._parallel[b]
         if pa == pb:

@@ -19,7 +19,7 @@ FORMAT_VERSION = 1
 
 
 def _fmt_row(row: tuple[int, ...]) -> str:
-    return "[" + " ".join(str(v) for v in row) + "]"
+    return "[" + " ".join(map(str, row)) + "]"
 
 
 def _join_names(labels: tuple[str, ...]) -> str:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property
 
 MAX_LEG_JOINTS = 6
 MAX_LEGS = 6
@@ -49,6 +48,9 @@ class JointKind(Enum):
         if letter == "P":
             return cls.PRISMATIC
         raise InvalidDiagonal(f"joint letter {letter!r} is not R or P")
+
+
+_REVOLUTE = JointKind.REVOLUTE
 
 
 class RelationCode(IntEnum):
@@ -108,7 +110,9 @@ class LegTopology:
 
     joints are ordered base to platform.  relations is a symmetric f x f
     matrix of RelationCode; the diagonal is ignored and stored as ARBITRARY.
-    label is the 1-based leg number inside its mechanism.
+    label is the 1-based leg number inside its mechanism.  signature, the
+    joint letters base to platform (e.g. 'RRPRRR'), is set at construction
+    and is not a field, so equality, hashing and repr ignore it.
     """
 
     label: int
@@ -123,16 +127,13 @@ class LegTopology:
                 f"leg {self.label} has {len(self.joints)} joints, maximum is {MAX_LEG_JOINTS}"
             )
         _check_relation_matrix(self.relations, len(self.joints))
+        letters = ["R" if kind is _REVOLUTE else "P" for kind in self.joints]
+        object.__setattr__(self, "signature", "".join(letters))
 
     @property
     def f(self) -> int:
         """Joint DOF of the leg (one per single-DOF joint)."""
         return len(self.joints)
-
-    @cached_property
-    def signature(self) -> str:
-        """Joint letters base to platform, e.g. 'RRPRRR', joined on first read."""
-        return "".join(k.value for k in self.joints)
 
     def relation(self, i: int, j: int) -> RelationCode:
         """Seeded relation between joints i and j (1-based)."""

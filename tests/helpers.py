@@ -282,6 +282,24 @@ def labeled_random_mechanism(rng: random.Random, max_legs: int = 3) -> Mechanism
     return make_mechanism(f"labeled-{rng.random():.6f}", legs, moving, fixed)
 
 
+def mech_text(mech: MechanismTopology) -> str:
+    """Matrix-form mechanism text for a topology: every leg and platform as
+    its block of numeric codes, with 8/9 on the diagonal."""
+
+    def rows(kinds, matrix) -> list[str]:
+        return [
+            "  " + " ".join(str(kind.code if i == j else int(code)) for j, code in enumerate(row))
+            for i, (kind, row) in enumerate(zip(kinds, matrix))
+        ]
+
+    lines = [f"mechanism {mech.name}"]
+    for leg in mech.legs:
+        lines += [f"leg {leg.label}:", *rows(leg.joints, leg.relations)]
+    for plat in (mech.moving, mech.fixed):
+        lines += [f"platform {plat.side.value}:", *rows(plat.diagonal, plat.matrix)]
+    return "\n".join(lines) + "\n"
+
+
 @functools.lru_cache(maxsize=None)
 def corpus_mechanisms() -> tuple[MechanismTopology, ...]:
     """The fixtures and the roadmap corpus: 300 random_mechanism and 300

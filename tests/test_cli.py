@@ -137,6 +137,28 @@ def test_file_saved_with_a_byte_order_mark_is_analyzed(runner, fixtures_dir, tmp
     assert "mechanism toy-hinge" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "variant, encode",
+    [
+        ("crlf", lambda data: data.replace(b"\n", b"\r\n")),
+        ("cr", lambda data: data.replace(b"\n", b"\r")),
+        ("bom", lambda data: b"\xef\xbb\xbf" + data),
+    ],
+)
+def test_line_ends_and_a_byte_order_mark_give_the_same_report(
+    runner, fixtures_dir, tmp_path, variant, encode
+):
+    for path in sorted(fixtures_dir.glob("*.mech")):
+        copy = tmp_path / path.name
+        copy.write_bytes(encode(path.read_bytes()))
+        for options in ([], ["--trace", "--format", "structured"]):
+            expected = runner.invoke(main, ["analyze", *options, str(path)])
+            result = runner.invoke(main, ["analyze", *options, str(copy)])
+            assert result.exit_code == expected.exit_code == 0
+            assert result.stdout == expected.stdout, (variant, path.name)
+            assert result.stderr == expected.stderr.replace(str(path), str(copy))
+
+
 def test_unreadable_file_messages_are_exact(runner, tmp_path):
     # a file that cannot be read or decoded is named with the reason the
     # operating system or the UTF-8 codec gave

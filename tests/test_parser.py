@@ -12,7 +12,9 @@ from helpers import (
     RRC_MATRIX,
     UP_MATRIX,
     UPS_MATRIX,
+    corpus_mechanisms,
     labeled_random_mechanism,
+    mech_text,
     random_mechanism,
 )
 from pmmobility import (
@@ -25,7 +27,9 @@ from pmmobility import (
     encode_leg,
     parse_mechanism_file,
     parse_mechanism_text,
+    validate_mechanism,
 )
+from pmmobility import parser as parser_module
 from pmmobility.parser import RELATION_SYMBOLS, SYMBOL_OF_RELATION
 
 R, P = JointKind.REVOLUTE, JointKind.PRISMATIC
@@ -521,3 +525,77 @@ def test_parse_outcomes_are_frozen(fixtures_dir):
             outcome = (repr(mech), warnings)
         digest.update(repr(outcome).encode("utf-8") + b"\n")
     assert digest.hexdigest() == PARSE_OUTCOMES_DIGEST
+
+
+# the texts this file's tests parse successfully, beside the fixtures
+PARSED_CASES = [
+    _two_leg_doc("leg 1: R || R || R || P\nrel 1 3 ||\nrel 1 4 ||\nrel 2 4 ||", "9 -\n  - 8"),
+    _two_leg_doc("leg 1:\n  8 1 1 1\n  1 8 1 1\n  1 1 8 1\n  1 1 1 9", "9 -\n  - 8"),
+    *(_two_leg_doc(f"leg 1: R {symbol} R\nrel 1 2 {symbol}") for symbol in RELATION_SYMBOLS),
+    _two_leg_doc("leg 1:\n  8 0\n  0 8"),
+    _two_leg_doc("leg 1:\n  8 #\n  4 8"),
+    _two_leg_doc("leg 1: R").replace("mechanism m", "mechanism two hinge door"),
+    _two_leg_doc("leg 1: R || R || P", "9 -\n  - 8"),
+    _two_leg_doc("leg 1:\n  8 0 0\n  0 8 0\n  0 0 9", "9 -\n  - 8"),
+    _two_leg_doc("leg 1: R").replace("mechanism m", "mechanism: door"),
+    "mechanism m\nleg 1 : R\nleg 2 : R || P\n" + TAIL.replace("- 8\n\nplatform", "- 9\n\nplatform"),
+    "mechanism m\nleg 1:\n  08 0\n  0 +9\nleg 2: R\n"
+    "platform moving:\n  +9 -\n  - 08\nplatform fixed:\n  8 -\n  - 8\n",
+]
+
+
+def test_every_parsed_text_passes_validate_mechanism(fixtures_dir):
+    # the parser checks labels, platform sizes and diagonals block by block
+    # and runs validate_mechanism only when those checks can have missed
+    # something, so whatever it accepts must have no violation: this file's
+    # cases, the fixtures, the roadmap corpus as matrix-form text, and the
+    # mutants of all of them that still parse
+    fixtures = [p.read_text(encoding="utf-8") for p in sorted(fixtures_dir.glob("*.mech"))]
+    corpus = [mech_text(mech) for mech in corpus_mechanisms()]
+    texts = PARSED_CASES + fixtures + corpus
+    for text, mech in zip(corpus, corpus_mechanisms()):
+        assert parse_mechanism_text(text) == mech
+    rng = random.Random(2)
+    mutants = [_mutate(rng.choice(texts), rng) for _ in range(3000)]
+    accepted = 0
+    for text in texts + mutants:
+        try:
+            mech = parse_mechanism_text(text, on_warning=lambda message: None)
+        except ParseError:
+            continue
+        assert validate_mechanism(mech) == [], text
+        accepted += 1
+    # every unmutated text parses, and some dozens of the mutants too
+    assert accepted >= len(texts) + 50
+
+
+def _platforms(k: int) -> str:
+    rows = "".join(
+        "  " + " ".join("8" if i == j else "-" for j in range(k)) + "\n" for i in range(k)
+    )
+    return f"platform moving:\n{rows}platform fixed:\n{rows}"
+
+
+def test_validate_mechanism_runs_only_where_the_blocks_cannot_check(monkeypatch, fixtures_dir):
+    calls = []
+    real = parser_module.validate_mechanism
+    monkeypatch.setattr(
+        parser_module, "validate_mechanism", lambda mech: calls.append(mech) or real(mech)
+    )
+    for text in PARSED_CASES + [p.read_text() for p in sorted(fixtures_dir.glob("*.mech"))]:
+        parse_mechanism_text(text)
+    assert calls == []
+    legs = "".join(f"leg {n}: R\n" for n in range(1, 8))
+    refused = {
+        "mechanism m\nleg 1: R\n" + _platforms(1): "leg count 1 < 2",
+        "mechanism m\n" + legs + _platforms(7): "leg count 7 > 6",
+        "mechanism m\nleg 1: R\nleg 2: R\nplatform moving:\n  8 -\n  - 8\nleg 3: R\n"
+        "platform fixed:\n  8 - -\n  - 8 -\n  - - 8\n": (
+            "platform matrix size mismatch: moving is 2x2 for 3 legs"
+        ),
+    }
+    for text, reason in refused.items():
+        with pytest.raises(ParseError) as err:
+            parse_mechanism_text(text)
+        assert (err.value.line, err.value.col, err.value.reason) == (1, 1, reason)
+    assert len(calls) == len(refused)

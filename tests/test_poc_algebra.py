@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import random
 
@@ -70,6 +71,26 @@ def test_poc_matrix_rejects_misplaced_three():
         PocMatrix((0, 3), (0, 0))
     with pytest.raises(ValueError):
         PocMatrix((3, 1), (0, 0))
+
+
+def test_poc_matrix_errors_name_the_first_bad_value():
+    for t, r, message in (
+        ((0, 4), (0, 0), "POC entry 4 out of range 0..3"),
+        ((0, 0), (1, -1), "POC entry -1 out of range 0..3"),
+        ((1, 5, 4), (0, 0, 0), "POC entry 5 out of range 0..3"),
+        ((0, 3), (0, 0), "an entry of 3 must be alone in the first column"),
+        ((0, 0), (0, 3), "an entry of 3 must be alone in the first column"),
+    ):
+        with pytest.raises(ValueError) as err:
+            PocMatrix(t, r)
+        assert str(err.value) == message
+
+
+def test_poc_matrix_is_an_immutable_hashable_value():
+    m = PocMatrix((0, 1, 0), (1, 0, 0), owners=(2, 2))
+    assert hash(m) == hash(PocMatrix((0, 1, 0), (1, 0, 0), owners=(2, 2)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.t = (0, 0, 0)
 
 
 def test_poc_matrix_rejects_ragged_rows():
