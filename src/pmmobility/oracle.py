@@ -31,10 +31,11 @@ Only the anchor projection runs per call: it moves each seed's uniform draw
 onto the points where every pair of lines that must meet does.
 
 The ranker keeps the seeds stacked from the leg SVDs to the platform
-split: the loop fold holds a list of groups, each some seeds and their
-stacked bases, and splits a group only where a rank differs between its
-seeds, so a stack whose seeds agree stays one group.  One _cutoff call
-ranks all legs.  A loop union with an empty operand or one of all six
+split.  Each leg's stack is factored and ranked on its own.  The loop fold
+holds a list of groups, each some seeds, their stacked bases and the loop
+ranks they share, and splits a group only where a rank differs between its
+seeds, so a stack whose seeds agree stays one group, which a slice indexes
+without a copy.  A loop union with an empty operand or one of all six
 dimensions has a closed form; any other factors only the smaller of its
 two bases projected off the larger, whose singular values (the sines of
 the principal angles) alone give the union rank and whose left singular
@@ -61,6 +62,9 @@ from .topology import JointKind, MechanismTopology, RelationCode
 RANK_RTOL = 1e-8
 RESIDUAL_TOL = 1e-9
 NEAR_FACTOR = 10.0
+# the positions of every seed of a stack, which index it without a copy
+_ALL = slice(None)
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # the cross product's index orders
 
 
 @lru_cache(maxsize=512)
@@ -99,7 +103,7 @@ def _draws(
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis, rounded like np.cross, without its overhead."""
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -170,49 +174,56 @@ class OraclePlan:
         axes = g.axes()
         perpendicular = g.perpendicular_classes()
         # the most constrained classes first, so that no class is left only
-        # the one direction its earlier perpendiculars allow; ties keep order
-        classes = sorted(perpendicular)
-        self._roots = roots = sorted(classes, key=lambda r: -len(perpendicular[r]))
+        # the one direction its earlier perpendiculars allow; ties by root
+        self._roots = roots = sorted(perpendicular, key=lambda r: (-len(perpendicular[r]), r))
         class_index = {root: i for i, root in enumerate(roots)}
         # each class that must be perpendicular to earlier classes, with those
-        # (a tuple, so that it keys the draw cache)
+        # (a tuple, so that it keys the draw cache); the classes without a
+        # perpendicular come last
         constrained = []
         for i, root in enumerate(roots):
+            if not perpendicular[root]:
+                break
             earlier = sorted(j for j in map(class_index.get, perpendicular[root]) if j < i)
             if earlier:
                 constrained.append((i, tuple(earlier)))
         self._constrained = tuple(constrained)
-        self._class_of = {a: class_index[g.parallel_class(a)] for a in axes}
+        self._class_of = class_of = {a: class_index[g.parallel_class(a)] for a in axes}
 
         # two lines in R^3 meet exactly when they are coplanar.  Parallel
         # lines always are, and parallel lines that meet are one line; any
-        # other pair meets when (p_b - p_a) . (d_a x d_b) = 0, one row each
+        # other pair meets when (p_b - p_a) . (d_a x d_b) = 0, one row each;
+        # meets holds the a and the b of each such pair
         line_root, line_members = dict(zip(axes, axes)), {}
-        meets = []
+        meets: tuple[list[AxisRef], list[AxisRef]] = ([], [])
         for a, b, code in g.seeded_pairs():
-            if self._class_of[a] != self._class_of[b]:
-                if code in (RelationCode.COPLANAR, RelationCode.COMMON_POINT):
-                    meets.append((a, b))
-            elif code is RelationCode.COMMON_POINT:
-                join_classes(line_root, line_members, g.coaxial_class(a), g.coaxial_class(b))
-        line_of = {a: line_root[g.coaxial_class(a)] for a in axes}
-        line_index = {root: i for i, root in enumerate(sorted(set(line_of.values())))}
-        self._anchor_of = {a: line_index[line] for a, line in line_of.items()}
-        # row k takes the anchor difference p_b - p_a of meets[k]
-        anchors = np.eye(len(line_index))
-        self._incidence = np.array(
-            [anchors[self._anchor_of[b]] - anchors[self._anchor_of[a]] for a, b in meets]
-        ).reshape(-1, len(line_index))
-        self._meet_classes = np.array(
-            [(self._class_of[a], self._class_of[b]) for a, b in meets], dtype=np.intp
-        ).reshape(-1, 2).T
+            if code is RelationCode.COPLANAR or code is RelationCode.COMMON_POINT:
+                if class_of[a] != class_of[b]:
+                    meets[0].append(a)
+                    meets[1].append(b)
+                elif code is RelationCode.COMMON_POINT:
+                    join_classes(line_root, line_members, g.coaxial_class(a), g.coaxial_class(b))
+        # a line's root is its smallest axis, so numbering the lines as the
+        # sorted axes reach them numbers them in the order of their roots
+        line_index: dict[AxisRef, int] = {}
+        self._anchor_of = anchor_of = {
+            a: line_index.setdefault(line_root[g.coaxial_class(a)], len(line_index)) for a in axes
+        }
+        # row k takes the anchor difference p_b - p_a of the k-th meet
+        rows = np.arange(len(meets[0]))
+        self._meet_classes = np.array([[class_of[a] for a in side] for side in meets], dtype=np.intp)
+        anchors = np.array([[anchor_of[a] for a in side] for side in meets], dtype=np.intp)
+        self._incidence = np.zeros((len(rows), len(line_index)))
+        self._incidence[rows, anchors[0]] = -1.0
+        self._incidence[rows, anchors[1]] = 1.0
         self._overlap = self._incidence @ self._incidence.T
 
         # the parallel-class and anchor index of every joint axis in leg
         # order, and where each leg's joints end
         joint_axes = [a for leg in mech.legs for a in leg_axes(leg.label, leg.f)]
-        self._axis_class = np.array([self._class_of[a] for a in joint_axes], dtype=np.intp)
-        self._axis_anchor = np.array([self._anchor_of[a] for a in joint_axes], dtype=np.intp)
+        self._axis_class, self._axis_anchor = np.array(
+            [[index[a] for a in joint_axes] for index in (class_of, anchor_of)], dtype=np.intp
+        )
         self._revolute = _revolute_mask([kind for leg in mech.legs for kind in leg.joints])
         ends = list(accumulate(len(leg.joints) for leg in mech.legs))
         self._leg_bounds = list(zip([0, *ends], ends))
@@ -294,13 +305,12 @@ def instantiate_geometry(
 
 def _cutoff(s: np.ndarray, reference) -> tuple[np.ndarray, np.ndarray]:
     """Ranks of stacked singular values s (..., k) against RANK_RTOL times
-    reference (...), and whether any of them lies within NEAR_FACTOR of that
-    threshold on either side."""
-    reference = np.asarray(reference)
-    threshold = (RANK_RTOL * reference)[..., None]
+    reference (..., 1, or a number), and whether any of them lies within
+    NEAR_FACTOR of that threshold on either side.  A zero reference ranks
+    nothing and flags nothing, as no singular value is above zero."""
+    threshold = RANK_RTOL * reference
     near = (s > threshold / NEAR_FACTOR) & (s <= NEAR_FACTOR * threshold)
-    live = reference >= 1e-300
-    return np.where(live, (s > threshold).sum(-1), 0), live & near.any(-1)
+    return (s > threshold).sum(-1), near.any(-1)
 
 
 def _twists(d: np.ndarray, p: np.ndarray, revolute: np.ndarray) -> np.ndarray:
@@ -313,25 +323,14 @@ def _twists(d: np.ndarray, p: np.ndarray, revolute: np.ndarray) -> np.ndarray:
 
 def _leg_spaces(legs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per leg, the ranks, right singular vectors and near flags of its
-    stack of twist matrices (seeds x f x 6).
-
-    Legs with equal joint counts share one SVD call; LAPACK factors each
-    matrix on its own, so sharing does not change a bit.  One _cutoff call
-    ranks all legs from a zero-filled legs x seeds x 6 array of their
-    singular values, as a zero is never above a threshold or near it.
-    """
-    by_count: dict[int, list[int]] = {}
-    for k, leg in enumerate(legs):
-        by_count.setdefault(leg.shape[-2], []).append(k)
-    s = np.zeros((len(legs), len(legs[0]), 6))
-    vh: dict[int, np.ndarray] = {}
-    for members in by_count.values():
-        stack = legs[members[0]][None] if len(members) == 1 else np.stack([legs[k] for k in members])
-        _, values, bases = np.linalg.svd(stack, full_matrices=False)
-        s[members, :, : values.shape[-1]] = values
-        vh.update(zip(members, bases))
-    rank, near = _cutoff(s, s[..., 0])
-    return [(rank[k], vh[k], near[k]) for k in range(len(legs))]
+    stack of twist matrices (seeds x f x 6), each ranked against its own
+    largest singular value."""
+    spaces = []
+    for leg in legs:
+        _, s, vh = np.linalg.svd(leg, full_matrices=False)
+        rank, near = _cutoff(s, s[..., :1])
+        spaces.append((rank, vh, near))
+    return spaces
 
 
 def _one_seed_leg(leg, inst: GeometricInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,21 +342,27 @@ def _one_seed_leg(leg, inst: GeometricInstance) -> tuple[np.ndarray, np.ndarray,
     return d[None], p[None], _revolute_mask(leg.joints)
 
 
-def _split(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Each distinct key of a stack, ascending, with the positions that hold it."""
+def _split(keys: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
+    """Each distinct key of a stack, ascending, with the positions that hold
+    it: _ALL when every seed holds the one key, the usual case."""
     distinct = set(keys.tolist())
-    if len(distinct) == 1:  # the usual case: every seed agrees
-        return [(distinct.pop(), np.arange(len(keys)))]
+    if len(distinct) == 1:
+        return [(distinct.pop(), _ALL)]
     return [(key, np.flatnonzero(keys == key)) for key in sorted(distinct)]
+
+
+def _take(index: slice | np.ndarray, members: slice | np.ndarray) -> slice | np.ndarray:
+    """The positions in the stack of the seeds at positions members of index."""
+    return members if index is _ALL else index[members]
 
 
 def _unions(
     a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Union ranks, intersection bases and near flags of stacked pairs of
+) -> tuple[list[tuple[int, slice | np.ndarray, np.ndarray]], np.ndarray]:
+    """Union ranks and intersection bases, and near flags, of stacked pairs of
     row-orthonormal subspaces a (n x ka x 6) and b (n x kb x 6).  Bases of
     different dimensions cannot share an array, so the intersection bases
-    come as one stack per union rank, each with the positions of its pairs.
+    come as one stack per union rank, with that rank and its positions.
 
     Call the smaller operand a (k rows) and the larger b (m rows).  With a
     empty or b the whole space, the union has rank min(k + m, 6), a spans
@@ -385,13 +390,13 @@ def _unions(
         a, b = b, a
     k, m = a.shape[-2], b.shape[-2]
     if k == 0 or m == 6:
-        return np.full(len(a), min(k + m, 6)), [(np.arange(len(a)), a)], np.zeros(len(a), bool)
+        return [(min(k + m, 6), _ALL, a)], np.zeros(len(a), bool)
     # a stacked @ rounds like the one-pair product
-    u, sine, _ = np.linalg.svd(a - (a @ b.mT) @ b, full_matrices=False)
+    u, sine, _ = np.linalg.svd(a - (a @ b.mT) @ b)
     wide = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - sine * sine, 0.0)))
-    extra, near = _cutoff((sine / wide)[..., : 6 - m], wide[..., -1])
-    meets = [(members, u[members, :, e:].mT @ a[members]) for e, members in _split(extra)]
-    return m + extra, meets, near
+    extra, near = _cutoff((sine / wide)[..., : 6 - m], wide[..., -1:])
+    meets = [(m + e, members, u[members, :, e:].mT @ a[members]) for e, members in _split(extra)]
+    return meets, near
 
 
 @dataclass
@@ -410,56 +415,51 @@ def _numeric_mobility(total_dof: int, legs: list[np.ndarray]) -> list[NumericMob
     """Fold a stack of seeds' legs numerically; legs holds per leg its
     twist matrices (seeds x f x 6).
 
-    The fold keeps a list of groups, each the indices of some seeds and
-    their stacked bases (seeds x k x 6).  A group splits only where a leg
-    or union rank differs between its seeds, so a stack whose seeds agree
-    stays one group from the first leg to the platform split.
+    The fold keeps a list of groups, each the positions of some seeds,
+    their stacked bases (seeds x k x 6) and the loop ranks they share.  A
+    group splits only where a leg or union rank differs between its seeds,
+    so a stack whose seeds agree stays one group, at _ALL, from the first
+    leg to the platform split.
     """
     spaces = _leg_spaces(legs)
-    n = legs[0].shape[0]
+    n = len(legs[0])
     near = np.zeros(n, dtype=bool)
     for _, _, leg_near in spaces:
         near |= leg_near
-    loops = np.zeros((n, len(legs) - 1), dtype=np.intp)
 
     rank, vh, _ = spaces[0]
-    groups = [(members, vh[members, :r]) for r, members in _split(rank)]
-    for j, (rank, vh, _) in enumerate(spaces[1:]):
+    groups = [(members, vh[members, :r], ()) for r, members in _split(rank)]
+    for rank, vh, _ in spaces[1:]:
         folded = []
-        for index, current in groups:
+        for index, current, loops in groups:
             for kb, members in _split(rank[index]):
-                ids = index[members]
-                union, meets, loop_near = _unions(current[members], vh[ids, :kb])
-                loops[ids, j] = union
+                ids = _take(index, members)
+                meets, loop_near = _unions(current[members], vh[ids, :kb])
                 near[ids] |= loop_near
-                folded += [(ids[m], meet) for m, meet in meets]
+                folded += [(_take(ids, m), meet, (*loops, union)) for union, m, meet in meets]
         groups = folded
 
-    dim = np.zeros(n, dtype=np.intp)
-    xi_r = np.zeros(n, dtype=np.intp)
-    for index, current in groups:
-        dim[index] = current.shape[-2]
-        if current.shape[-2]:
+    mobility: list = [None] * n
+    for index, current, loops in groups:
+        dim, dof = current.shape[-2], total_dof - sum(loops)
+        xi_r = [0] * len(current)
+        if dim:
             # the basis rows are orthonormal, so the angular block is measured
             # against 1: against its own largest value, a block of rounding
             # noise would count as full rank
             split, split_near = _cutoff(np.linalg.svd(current[..., :3], compute_uv=False), 1.0)
-            xi_r[index] = split
             near[index] |= split_near
-    dof = total_dof - loops.sum(axis=1)
-    return [
-        NumericMobility(
-            loop_ranks=tuple(loop),
-            platform_dim=d,
-            platform_xi_t=d - r,
-            platform_xi_r=r,
-            dof=f,
-            near_threshold=flag,
-        )
-        for loop, d, r, f, flag in zip(
-            loops.tolist(), dim.tolist(), xi_r.tolist(), dof.tolist(), near.tolist()
-        )
-    ]
+            xi_r = split.tolist()
+        for i, r, flag in zip(np.arange(n)[index].tolist(), xi_r, near[index].tolist()):
+            mobility[i] = NumericMobility(
+                loop_ranks=loops,
+                platform_dim=dim,
+                platform_xi_t=dim - r,
+                platform_xi_r=r,
+                dof=dof,
+                near_threshold=flag,
+            )
+    return mobility
 
 
 def numeric_loop_and_platform(mech: MechanismTopology, inst: GeometricInstance) -> NumericMobility:

@@ -591,12 +591,12 @@ def reference_unions(a: np.ndarray, b: np.ndarray):
     orthonormal rows spanning the intersection, of dimension ka + kb - rank.
     """
     u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-2), full_matrices=True)
-    rank, near = oracle._cutoff(s, s[..., 0])
+    rank, near = oracle._cutoff(s, s[..., :1])
     meets = [
-        (members, np.sqrt(2.0) * (u[members, : a.shape[-2], r:].mT @ a[members]))
+        (r, members, np.sqrt(2.0) * (u[members, : a.shape[-2], r:].mT @ a[members]))
         for r, members in oracle._split(rank)
     ]
-    return rank, meets, near
+    return meets, near
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Mutation census of the symbolic pipeline, stdlib only.
+"""Mutation census of the symbolic pipeline and the oracle, stdlib only.
 
 Usage, from the root of a checkout::
 
@@ -6,14 +6,18 @@ Usage, from the root of a checkout::
 
 Every mutation point of four operators in the named files is listed: swap a
 comparison (== and !=, < and >=, > and <=, is and is not, in and not in),
-swap and/or, negate an if test, flip a bool constant.  Forty points are
-drawn with random.Random(7), and each mutant is written into a temporary
-copy of src/ and tests/, never into the checkout, and run with pytest -x
-over the symbolic test files.  A mutant whose run passes survives.  The
-script prints each verdict, the mutants not killed, and a sha256 over
-(file, line, operator, verdict) of the drawn mutants.  It exits 1 when a
-drawn mutant survives or times out, so a check can rest on it.  pytest
-does not collect it.
+swap and/or, negate an if test, flip a bool constant.  Each point is keyed
+by its file, its operator, the unparsed text of the node it mutates (an
+if's test, else the node) and how many points of that file, operator and
+text come before it in ast.walk order.  The forty points whose keys hash
+lowest are drawn, so an edit elsewhere in a file leaves the draw as it
+was.  Each mutant is written into a temporary copy of src/ and tests/,
+never into the checkout, and run with pytest -x over the tests of its
+file: the oracle's own test files for oracle.py, the symbolic test files
+for any other.  A mutant whose run passes survives.  The script prints each verdict, the
+mutants not killed, and a sha256 over the keys and verdicts of the drawn
+mutants.  It exits 1 when a drawn mutant survives or times out, so a check
+can rest on it.  pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import ast
 import hashlib
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -44,6 +47,15 @@ SYMBOLIC_TESTS = (
     "tests/test_symbolic_order.py",
     "tests/test_frozen_answers.py",
 )
+# the oracle's own tests first, as they kill most of its mutants
+ORACLE_TESTS = (
+    "tests/test_oracle.py",
+    "tests/test_frozen_answers.py",
+    "tests/test_oracle_corpus.py",
+    "tests/test_legs.py",
+    "tests/test_cli.py",
+)
+TESTS = {"src/pmmobility/oracle.py": ORACLE_TESTS}
 _SWAPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
     ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -63,14 +75,24 @@ def _operator(node: ast.AST) -> str | None:
     return None
 
 
-def mutation_points(path: str) -> list[tuple[str, int, int, str]]:
-    """(file, line, node index in ast.walk order, operator) of each point."""
+def mutation_points(path: str) -> list[tuple[str, int, int, str, str]]:
+    """(file, line, node index in ast.walk order, operator, key) of each
+    point; the key names the point by what it mutates, not where."""
     tree = ast.parse((ROOT / path).read_text())
-    return [
-        (path, node.lineno, index, op)
-        for index, node in enumerate(ast.walk(tree))
-        if (op := _operator(node))
-    ]
+    seen: dict[tuple[str, str], int] = {}
+    points = []
+    for index, node in enumerate(ast.walk(tree)):
+        if op := _operator(node):
+            text = ast.unparse(node.test if isinstance(node, ast.If) else node)
+            occurrence = seen[op, text] = seen.get((op, text), -1) + 1
+            points.append((path, node.lineno, index, op, f"{path}\0{op}\0{text}\0{occurrence}"))
+    return points
+
+
+def draw(points: list[tuple[str, int, int, str, str]]) -> list[tuple[str, int, int, str, str]]:
+    """The SAMPLE points whose keys hash lowest, in file and line order."""
+    lowest = sorted(points, key=lambda point: hashlib.sha256(point[-1].encode()).digest())
+    return sorted(lowest[:SAMPLE])
 
 
 def _mutate(node: ast.AST) -> None:
@@ -92,10 +114,10 @@ def mutant_source(source: str, index: int | None = None) -> str:
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
-def verdict(copy: Path) -> str:
+def verdict(copy: Path, tests: tuple[str, ...]) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-    command += SYMBOLIC_TESTS
+    command += tests
     try:
         run = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -104,8 +126,7 @@ def verdict(copy: Path) -> str:
 
 
 def main(paths: list[str]) -> int:
-    points = [point for path in paths for point in mutation_points(path)]
-    drawn = sorted(random.Random(7).sample(points, min(SAMPLE, len(points))))
+    drawn = draw([point for path in paths for point in mutation_points(path)])
     digest = hashlib.sha256()
     missed = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -117,15 +138,16 @@ def main(paths: list[str]) -> int:
         originals = {path: (ROOT / path).read_text() for path in paths}
         for path, source in originals.items():
             (copy / path).write_text(mutant_source(source))
-        if verdict(copy) != "survived":
-            print("the symbolic tests fail without a mutant", file=sys.stderr)
-            return 1
-        for path, line, index, op in drawn:
+        for tests in sorted({TESTS.get(path, SYMBOLIC_TESTS) for path in paths}):
+            if verdict(copy, tests) != "survived":
+                print(f"{' '.join(tests)} fail without a mutant", file=sys.stderr)
+                return 1
+        for path, line, index, op, key in drawn:
             (copy / path).write_text(mutant_source(originals[path], index))
-            result = verdict(copy)
+            result = verdict(copy, TESTS.get(path, SYMBOLIC_TESTS))
             (copy / path).write_text(mutant_source(originals[path]))
             print(f"{result:8} {path}:{line} {op}", flush=True)
-            digest.update(f"{path}\0{line}\0{op}\0{result}\n".encode())
+            digest.update(f"{key}\0{result}\n".encode())
             if result != "killed":
                 missed.append(f"{path}:{line} {op} {result}")
     print(f"killed {len(drawn) - len(missed)} of {len(drawn)}; not killed:")

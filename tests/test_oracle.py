@@ -77,8 +77,8 @@ def _leg_space(mech, leg_index, inst):
 def _union_pair(a, b):
     """Union rank, intersection basis and near flag of two row-orthonormal
     subspaces, from a stack of one pair."""
-    rank, [(_, meet)], near = _unions(a[None], b[None])
-    return int(rank[0]), meet[0], bool(near[0])
+    [(rank, _, meet)], near = _unions(a[None], b[None])
+    return rank, meet[0], bool(near[0])
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -180,7 +180,7 @@ def test_rank_uses_caller_scale_for_blocks():
     # a block of rounding noise must not count as full rank against itself
     block = np.eye(3) * 1e-17
     s = np.linalg.svd(block[None], compute_uv=False)
-    assert _cutoff(s, s[..., 0])[0][0] == 3
+    assert _cutoff(s, s[..., :1])[0][0] == 3
     assert _cutoff(s, 1.0)[0][0] == 0
 
 
@@ -204,6 +204,20 @@ def test_coplanar_axes_are_anchored_to_meet():
     for seed in (0, 1, 2):
         inst = instantiate_geometry(mech, g, seed=seed)
         assert _line_distance(inst, AxisRef(1, 1), AxisRef(1, 2)) <= RESIDUAL_TOL
+
+
+def test_coplanar_residual_measures_the_distance_off_the_plane():
+    legs = [leg_from_relations(1, "RR", {(1, 2): 4}), leg_from_relations(2, "R", {})]
+    mech = make_mechanism("flat", legs)
+    g = build_relation_graph(mech)
+    inst = instantiate_geometry(mech, g, seed=0)
+    a, b = AxisRef(1, 1), AxisRef(1, 2)
+    assert [label for label, _ in inst.residuals(g)] == ["1.1#1.2"]
+    assert dict(inst.residuals(g))["1.1#1.2"] <= RESIDUAL_TOL
+    # the sampled lines are not parallel, so they span one plane
+    normal = np.cross(inst.direction[a], inst.direction[b])
+    inst.point[b] = inst.point[b] + 0.5 * normal / np.linalg.norm(normal)
+    assert dict(inst.residuals(g))["1.1#1.2"] == pytest.approx(0.5)
 
 
 # 1.1 * 2.1 and 1.1 # 1.3 once fixed all three lines before 1.3 # 2.1 was
@@ -323,11 +337,12 @@ def _tilted_pairs(rng, ka, kb, n):
     return a, b
 
 
-def _projectors(n, meets):
+def _per_seed(n, meets):
+    """Per seed, the union rank and the projector onto the intersection."""
     out = [None] * n
-    for members, basis in meets:
-        for i, rows in zip(members, basis):
-            out[i] = rows.T @ rows
+    for rank, members, basis in meets:
+        for i, rows in zip(np.arange(n)[members], basis):
+            out[i] = rank, rows.T @ rows
     return out
 
 
@@ -344,21 +359,21 @@ def test_unions_match_the_direct_svd(monkeypatch, rtol, near):
         if ka == kb == 0:
             continue
         a, b = _tilted_pairs(rng, ka, kb, 20)
-        rank, meets, near_flag = _unions(a, b)
-        expected_rank, _, expected_near = reference_unions(a, b)
-        assert rank.tolist() == expected_rank.tolist(), (ka, kb)
+        meets, near_flag = _unions(a, b)
+        expected_meets, expected_near = reference_unions(a, b)
+        rank = [r for r, _ in _per_seed(20, meets)]
+        assert rank == [r for r, _ in _per_seed(20, expected_meets)], (ka, kb)
         assert near_flag.tolist() == expected_near.tolist(), (ka, kb)
         flagged += int(near_flag.sum())
         # the reference's intersection lies in its first operand's span and
         # _unions' in the smaller one's, which differ by the angles below
         # the threshold: compare with the reference in that order
         small, large = (a, b) if ka <= kb else (b, a)
-        _, expected_meets, _ = reference_unions(small, large)
+        expected_meets, _ = reference_unions(small, large)
         s = np.linalg.svd(np.concatenate([small, large], axis=-2), compute_uv=False)
-        for i, (got, want) in enumerate(
-            zip(_projectors(20, meets), _projectors(20, expected_meets))
+        for i, ((r, got), (_, want)) in enumerate(
+            zip(_per_seed(20, meets), _per_seed(20, expected_meets))
         ):
-            r = int(rank[i])
             # a tilted direction counted as shared: more than the generic
             # intersection of ka + kb - 6 rows
             tilted_meets += ka + kb - r > max(0, ka + kb - 6)
@@ -367,7 +382,7 @@ def test_unions_match_the_direct_svd(monkeypatch, rtol, near):
             # ulps moves it by about 1e-16 / gap (Wedin), bounded with room
             gap = s[i, r - 1] - (s[i, r] if r < s.shape[-1] else 0.0)
             assert np.abs(got - want).max() <= max(1e-12, 1e-14 / gap), (ka, kb, i, gap)
-        for _, basis in meets:
+        for _, _, basis in meets:
             assert np.allclose(basis @ basis.mT, np.eye(basis.shape[-2]), atol=1e-12)
     assert flagged >= 20 and tilted_meets >= 100
 
@@ -381,37 +396,31 @@ def test_empty_and_full_space_unions_factor_nothing(monkeypatch):
     monkeypatch.setattr(oracle.np.linalg, "svd", no_svd)
     for k, m, small, large in pairs:
         for a, b in ((small, large), (large, small)):
-            rank, [(members, meet)], near = _unions(a, b)
-            assert rank.tolist() == [min(k + m, 6)] * 20, (k, m)
+            [(rank, members, meet)], near = _unions(a, b)
+            assert rank == min(k + m, 6), (k, m)
             assert not near.any(), (k, m)
-            assert members.tolist() == list(range(20))
+            assert np.arange(20)[members].tolist() == list(range(20))
             # the smaller operand lies in the larger, so it is the intersection
             assert meet.shape == small.shape
             assert np.allclose(meet.mT @ meet, small.mT @ small, atol=1e-12)
 
 
-def test_leg_spaces_rank_every_leg_in_one_cutoff(monkeypatch):
-    # three joint counts: three SVD calls, but one _cutoff for all of them
+def test_leg_spaces_rank_each_leg_against_its_own_scale():
+    # three joint counts, each leg ranked against its own largest singular
+    # value: a leg scaled far down keeps its ranks, as its threshold scales
     legs = [leg_from_relations(label, "R" * f, {}) for label, f in ((1, 3), (2, 4), (3, 5))]
     mech = make_mechanism("three_counts", legs)
-    cutoffs, spaces = [], []
-
-    def cutoff_spy(*args):
-        cutoffs.append(args)
-        return _cutoff(*args)
-
-    def leg_spaces_spy(stacks):
-        before = len(cutoffs)
-        spaces.extend(_leg_spaces(stacks))
-        assert len(cutoffs) - before == 1
-        return spaces
-
-    monkeypatch.setattr(oracle, "_cutoff", cutoff_spy)
-    monkeypatch.setattr(oracle, "_leg_spaces", leg_spaces_spy)
     plan = OraclePlan(mech, build_relation_graph(mech))
-    plan.rank(plan.sample(range(20)))
+    direction, point = plan.sample(range(20))
+    twists = _twists(direction[:, plan._axis_class], point[:, plan._axis_anchor], plan._revolute)
+    stacks = [twists[:, :3], 1e-12 * twists[:, 3:7], twists[:, 7:]]
+    spaces = _leg_spaces(stacks)
     assert [rank.tolist() for rank, _, _ in spaces] == [[3] * 20, [4] * 20, [5] * 20]
     assert not any(near.any() for _, _, near in spaces)
+    for stack, (_, vh, _) in zip(stacks, spaces):
+        # one right singular vector per joint, and they span the leg's rows
+        assert vh.shape == stack.shape
+        assert np.allclose(stack @ vh.mT @ vh, stack, atol=1e-12 * np.abs(stack).max())
 
 
 def test_case_studies_agree_across_seeds(tricept, tricept_report, three_rrc, three_rrc_report):
@@ -456,6 +465,32 @@ def test_structured_report_lists_oracle_mismatches():
     assert [f"  seed {m['seed']}: {m['detail']}" for m in doc["mismatches"]] == [
         line for line in human if line.startswith("  seed ")
     ]
+
+
+def test_mismatch_details_name_each_differing_number(fixtures_dir):
+    mech = parse_mechanism_file(fixtures_dir / "three_rrc.mech")
+    g = build_relation_graph(mech)
+    n = numeric_loop_and_platform(mech, instantiate_geometry(mech, g, 0))
+    assert (n.loop_ranks, n.platform_dim, n.platform_xi_t, n.platform_xi_r, n.dof) == (
+        (5, 4), 3, 3, 0, 3
+    )
+
+    def detail(loops=(5, 4), dim=3, xi_t=3, xi_r=0, dof=3):
+        # a report that differs from the oracle's seed 0 where asked
+        report = SimpleNamespace(
+            loop_ranks=tuple(SimpleNamespace(xi=r) for r in loops),
+            poc=SimpleNamespace(rank=dim, xi_t=xi_t, xi_r=xi_r),
+            dof=dof,
+            graph=g,
+        )
+        [comparison] = verify_mechanism(mech, report, [0]).comparisons
+        return comparison.detail
+
+    assert detail() == "ok"
+    assert detail(loops=(5, 5), dof=2) == "loop ranks (5, 4) != (5, 5); dof 3 != 2"
+    assert detail(dim=4) == "platform dim 3 != 4"
+    assert detail(xi_t=2, xi_r=1) == "split (3T,0R) != (2T,1R)"
+    assert detail(dim=2, xi_t=2) == "platform dim 3 != 2; split (3T,0R) != (2T,0R)"
 
 
 def test_oracle_flags_concurrent_quad_overstatement():
@@ -595,6 +630,9 @@ def test_writing_into_a_sample_leaves_later_samples_alone(fixtures_dir, name):
     point[...] = 0.0
     again = plan.sample(range(5))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(again, expected))
+    # the cache hands out its stacks read-only, so no caller can write them
+    shape = (len(plan._roots), plan._incidence.shape[1], plan._constrained)
+    assert not any(a.flags.writeable for a in oracle._draws(tuple(range(5)), *shape))
 
 
 def test_unsatisfiable_shape_raises_on_every_call():
@@ -716,9 +754,9 @@ def test_fold_splits_groups_where_seed_ranks_differ(monkeypatch, fixtures_dir):
     calls = []
 
     def spy(a, b):
-        rank, meets, near = _unions(a, b)
+        meets, near = _unions(a, b)
         calls.append((len(a), b.shape[-2], len(meets)))
-        return rank, meets, near
+        return meets, near
 
     monkeypatch.setattr(oracle, "_unions", spy)
     leg_split = union_split = 0

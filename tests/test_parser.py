@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import re
@@ -567,6 +568,99 @@ def test_every_parsed_text_passes_validate_mechanism(fixtures_dir):
         accepted += 1
     # every unmutated text parses, and some dozens of the mutants too
     assert accepted >= len(texts) + 50
+
+
+def _with_pair(matrix, i: int, j: int, code: RelationCode):
+    """matrix with cells (i, j) and (j, i) set to code."""
+    rows = [list(row) for row in matrix]
+    rows[i][j] = rows[j][i] = code
+    return tuple(map(tuple, rows))
+
+
+def _flip(kind: JointKind) -> JointKind:
+    return P if kind is R else R
+
+
+def _edit_topology(mech, rng: random.Random):
+    """One edit that keeps a topology well formed: a relation pair of a leg
+    or a platform changed in both of its cells, or an end joint's kind
+    changed together with the platform diagonal that names it."""
+    legs = list(mech.legs)
+    if rng.random() < 0.5:
+        block = rng.choice([leg for leg in legs if leg.f > 1] + ["moving", "fixed"])
+        matrix = getattr(mech, block).matrix if isinstance(block, str) else block.relations
+        i, j = rng.sample(range(len(matrix)), 2)
+        code = rng.choice([c for c in RelationCode if c is not matrix[i][j]])
+        matrix = _with_pair(matrix, i, j, code)
+        if isinstance(block, str):
+            plat = dataclasses.replace(getattr(mech, block), matrix=matrix)
+            return dataclasses.replace(mech, **{block: plat})
+        legs[legs.index(block)] = dataclasses.replace(block, relations=matrix)
+        return dataclasses.replace(mech, legs=tuple(legs))
+    k = rng.randrange(len(legs))
+    joints = list(legs[k].joints)
+    end = rng.choice((0, -1))
+    joints[end] = _flip(joints[end])
+    legs[k] = dataclasses.replace(legs[k], joints=tuple(joints))
+    # the moving platform names each leg's last joint, the fixed its first;
+    # a one-joint leg's only joint is both
+    sides = {}
+    for side, ends in (("moving", -1), ("fixed", 0)):
+        plat = getattr(mech, side)
+        diagonal = list(plat.diagonal)
+        diagonal[k] = legs[k].joints[ends]
+        sides[side] = dataclasses.replace(plat, diagonal=tuple(diagonal))
+    return dataclasses.replace(mech, legs=tuple(legs), **sides)
+
+
+def _break_mirror(text: str, rng: random.Random) -> tuple[str, tuple[int, int, str]]:
+    """text with one off-diagonal cell of one block changed, and the
+    (line, col, reason) of the ParseError that names that pair."""
+    lines = text.splitlines()
+    headers = [n for n, line in enumerate(lines) if line.startswith(("leg ", "platform "))]
+    header = rng.choice([n for n in headers if len(lines[n + 1].split()) > 1])
+    size = len(lines[header + 1].split())
+    i, j = rng.sample(range(size), 2)
+    row = lines[header + 1 + i].split()
+    old = RelationCode(int(row[j]))
+    new = rng.choice([c for c in RelationCode if c is not old])
+    row[j] = str(int(new))
+    lines[header + 1 + i] = "  " + " ".join(row)
+    # the parser refuses a leg at the pair's cell below the diagonal and a
+    # platform at its cell above: row a, column b
+    a, b = min(i, j), max(i, j)
+    if lines[header].startswith("leg "):
+        code = {(i, j): new, (j, i): old}
+        a, b = b, a
+        reason = (
+            f"entry ({a + 1},{b + 1}) = {SYMBOL_OF_RELATION[code[a, b]]} conflicts "
+            f"with ({b + 1},{a + 1}) = {SYMBOL_OF_RELATION[code[b, a]]}"
+        )
+    else:
+        reason = f"platform entries ({a + 1},{b + 1}) and ({b + 1},{a + 1}) differ"
+    # every cell is one digit, so word b of a row starts at column 3 + 2b
+    return "\n".join(lines) + "\n", (header + 2 + a, 3 + 2 * b, reason)
+
+
+def test_edited_topologies_parse_back_and_one_broken_mirror_is_located():
+    # token edits rarely keep a numeric matrix symmetric, so this edits the
+    # topology and writes it out again: every edit must parse back equal,
+    # and one cell then changed without its mirror must be refused at it
+    rng = random.Random(29)
+    mechs = corpus_mechanisms()
+    kind_edits = 0
+    for _ in range(400):
+        mech = rng.choice(mechs)
+        edited = _edit_topology(mech, rng)
+        assert edited != mech
+        kind_edits += any(a.joints != b.joints for a, b in zip(edited.legs, mech.legs))
+        text = mech_text(edited)
+        assert parse_mechanism_text(text) == edited, text
+        broken, expected = _break_mirror(text, rng)
+        with pytest.raises(ParseError) as err:
+            parse_mechanism_text(broken)
+        assert (err.value.line, err.value.col, err.value.reason) == expected, broken
+    assert 150 <= kind_edits <= 250
 
 
 def _platforms(k: int) -> str:
