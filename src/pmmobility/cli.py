@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import sys
 from difflib import get_close_matches
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
@@ -217,7 +218,7 @@ def _read_group(args: list[str]) -> tuple[bool, list[str]]:
 
 def _read_analyze(args: list[str]) -> str | _Settings:
     """The settings of ``analyze ARGS``, or its help screen when asked for."""
-    given: dict[str, Any] = {}  # option -> last value, in order of first use
+    given: dict[str, Any] = {}  # option -> last value (None for a flag), in order of first use
     files: list[str] = []
     i = 0
     while i < len(args):
@@ -233,7 +234,6 @@ def _read_analyze(args: list[str]) -> str | _Settings:
         if name in _FLAGS:
             if value is not None:
                 raise _UsageError(f"Option {name!r} does not take a value.")
-            value = True
         elif value is None:
             if i == len(args):
                 raise _UsageError(f"Option {name!r} requires an argument.")
@@ -310,13 +310,25 @@ _LEAVES: dict[type, Callable[[Any], str]] = {
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): lambda value: "null",
 }
+_LEAF_TYPES = frozenset(_LEAVES)
+
+
+# typed: each item's exact type is part of the key, as 1 == True
+@lru_cache(maxsize=1024, typed=True)
+def _leaf_list(indent: str, *items: Any) -> str:
+    """The JSON text of a non-empty list of leaves, written once per distinct
+    list and indent."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    texts = [_LEAVES[type(item)](item) for item in items]
+    return f"[\n{inner}{sep.join(texts)}\n{indent}]"
 
 
 def _json(value: Any, out: list[str], indent: str = "") -> None:
     """Append value to out as ``json.dumps(value, indent=2)`` writes it, without
     json's pure-Python indenting encoder; only dict, list, str, bool, None and
     int, by exact type.  A dict writes its leaf values inline and a list of
-    leaves is one join; only containers recurse."""
+    leaves is one cached text; only containers recurse."""
     leaf = _LEAVES.get(type(value))
     if leaf is not None:
         out.append(leaf(value))
@@ -340,14 +352,10 @@ def _json(value: Any, out: list[str], indent: str = "") -> None:
         if not value:
             out.append("[]")
             return
-        sep = ",\n" + inner
-        try:
-            texts = [_LEAVES[type(item)](item) for item in value]
-        except KeyError:  # an item that is not a leaf
-            texts = None
-        if texts is not None:
-            out.append(f"[\n{inner}{sep.join(texts)}\n{indent}]")
+        if _LEAF_TYPES.issuperset(map(type, value)):
+            out.append(_leaf_list(indent, *value))
             return
+        sep = ",\n" + inner
         out.append("[\n" + inner)
         for n, item in enumerate(value):
             if n:

@@ -2,11 +2,13 @@
 
 Two output shapes: a fixed-width human text report and a JSON-friendly
 dict.  Both are deterministic functions of the report, so rendered output
-can be compared byte for byte.
+can be compared byte for byte.  Each distinct POC row is formatted once
+per process, from a bounded cache.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 from .mobility import MobilityReport, classify
@@ -18,7 +20,10 @@ if TYPE_CHECKING:
 FORMAT_VERSION = 1
 
 
-def _fmt_row(row: tuple[int, ...]) -> str:
+# typed: True == 1, but a row holding True prints True
+@lru_cache(maxsize=256, typed=True)
+def _fmt_row(*row: int) -> str:
+    """A POC row as ``[3 0 0 0 0 0]``, formatted once per distinct row."""
     return "[" + " ".join(map(str, row)) + "]"
 
 
@@ -56,9 +61,10 @@ def _describe_rotation(poc: PocMatrix, labels: tuple[str, ...]) -> str:
 def _trace_steps(report: MobilityReport) -> list[dict[str, Any]]:
     """The analysis walkthrough, rebuilt from the report's results."""
     topology = {f"leg {lp.leg.label}": f"{lp.leg.signature} (f={lp.leg.f})" for lp in report.legs}
+    # an enum's stored _value_, as its .value is a Python-level property
     leg_pocs = {
-        f"leg {lp.leg.label}": " + ".join(s.kind.value for s in lp.segments)
-        + f"; t={_fmt_row(lp.matrix.t)} r={_fmt_row(lp.matrix.r)}"
+        f"leg {lp.leg.label}": " + ".join([s.kind._value_ for s in lp.segments])
+        + f"; t={_fmt_row(*lp.matrix.t)} r={_fmt_row(*lp.matrix.r)}"
         for lp in report.legs
     }
     sections: list[tuple[str, dict[str, Any]]] = [
@@ -71,12 +77,16 @@ def _trace_steps(report: MobilityReport) -> list[dict[str, Any]]:
             "xi_t": rank.xi_t,
             "xi_r": rank.xi_r,
             "xi": rank.xi,
-            "sub-PM t": _fmt_row(sub.t),
-            "sub-PM r": _fmt_row(sub.r),
+            "sub-PM t": _fmt_row(*sub.t),
+            "sub-PM r": _fmt_row(*sub.r),
         }
         sections.append((f"loop {i}: legs 1..{i} with leg {i + 1}", loop))
     xi_sum = sum(rank.xi for rank in report.loop_ranks)
-    poc = {"t": _fmt_row(report.poc.t), "r": _fmt_row(report.poc.r), "class": report.classification}
+    poc = {
+        "t": _fmt_row(*report.poc.t),
+        "r": _fmt_row(*report.poc.r),
+        "class": report.classification,
+    }
     sections.append(("DOF", {"F": f"{report.total_joint_dof} - {xi_sum} = {report.dof}"}))
     sections.append(("moving platform POC", poc))
     return [{"step": n, "title": t, "data": d} for n, (t, d) in enumerate(sections, start=1)]
@@ -110,7 +120,7 @@ def render_human(
     for lp in report.legs:
         lines.append(
             f"  leg {lp.leg.label}  {lp.leg.signature:<6}  f={lp.leg.f}"
-            f"  t={_fmt_row(lp.matrix.t)}  r={_fmt_row(lp.matrix.r)}"
+            f"  t={_fmt_row(*lp.matrix.t)}  r={_fmt_row(*lp.matrix.r)}"
             f"  {classify(lp.matrix)}"
         )
     lines.append("")
@@ -127,11 +137,11 @@ def render_human(
     lines.append("")
     lines.append("moving platform POC")
     lines.append(
-        f"  t={_fmt_row(report.poc.t)}  "
+        f"  t={_fmt_row(*report.poc.t)}  "
         + _describe_translation(report.poc, report.translation_joints)
     )
     lines.append(
-        f"  r={_fmt_row(report.poc.r)}  "
+        f"  r={_fmt_row(*report.poc.r)}  "
         + _describe_rotation(report.poc, report.rotation_joints)
     )
     lines.append(f"  class = {report.classification}")
@@ -183,7 +193,7 @@ def render_structured(
                 "t": list(lp.matrix.t),
                 "r": list(lp.matrix.r),
                 "class": classify(lp.matrix),
-                "segments": [segment.kind.value for segment in lp.segments],
+                "segments": [segment.kind._value_ for segment in lp.segments],
             }
             for lp in report.legs
         ],

@@ -13,11 +13,13 @@ text come before it in ast.walk order.  The forty points whose keys hash
 lowest are drawn, so an edit elsewhere in a file leaves the draw as it
 was.  Each mutant is written into a temporary copy of src/ and tests/,
 never into the checkout, and run with pytest -x over the tests of its
-file: the oracle's own test files for oracle.py, the symbolic test files
-for any other.  A mutant whose run passes survives.  The script prints each verdict, the
-mutants not killed, and a sha256 over the keys and verdicts of the drawn
-mutants.  It exits 1 when a drawn mutant survives or times out, so a check
-can rest on it.  pytest does not collect it.
+file: the oracle's own test files for oracle.py, the CLI, contract,
+acceptance, frozen-answer and lazy-oracle tests for cli.py and report.py,
+the symbolic test files for any other.  A mutant whose run passes
+survives.  The script prints each verdict, the mutants not killed, and a
+sha256 over the keys and verdicts of the drawn mutants.  It exits 1 when
+a drawn mutant survives or times out, so a check can rest on it.  pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -55,7 +57,20 @@ ORACLE_TESTS = (
     "tests/test_legs.py",
     "tests/test_cli.py",
 )
-TESTS = {"src/pmmobility/oracle.py": ORACLE_TESTS}
+# the report layer: the writer's and the renderer's byte-exact tests, and
+# the check that the CLI loads the oracle only under --oracle
+REPORT_TESTS = (
+    "tests/test_cli.py",
+    "tests/test_cli_contract.py",
+    "tests/test_acceptance.py",
+    "tests/test_frozen_answers.py",
+    "tests/test_lazy_oracle.py",
+)
+TESTS = {
+    "src/pmmobility/oracle.py": ORACLE_TESTS,
+    "src/pmmobility/cli.py": REPORT_TESTS,
+    "src/pmmobility/report.py": REPORT_TESTS,
+}
 _SWAPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
     ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Is: ast.IsNot, ast.IsNot: ast.Is,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -10,9 +11,11 @@ from pmmobility import (
     analyze_mechanism,
     parse_mechanism_file,
     parse_mechanism_text,
+    render_human,
     render_structured,
 )
-from pmmobility.cli import _json, main, run
+from pmmobility.cli import _json, _leaf_list, main, run
+from pmmobility.report import _fmt_row
 
 SKEW_PAIR = """mechanism skew-pair
 
@@ -257,6 +260,27 @@ def test_oracle_disagreement_exit_code(runner, tmp_path):
     assert "oracle: 0/3 agree" in result.output
 
 
+def test_human_oracle_lines_list_each_disagreeing_seed(runner, fixtures_dir, tmp_path):
+    skew = tmp_path / "skew.mech"
+    skew.write_text(SKEW_PAIR, encoding="utf-8")
+    result = runner.invoke(main, ["analyze", "--oracle", "--seeds", "3", str(skew)])
+    lines = result.stdout.splitlines()
+    seeds = [line.split(":")[0] for line in lines if line.startswith("  seed ")]
+    assert seeds == ["  seed 0", "  seed 1", "  seed 2"]
+    tricept = str(fixtures_dir / "tricept.mech")
+    result = runner.invoke(main, ["analyze", "--oracle", "--seeds", "3", tricept])
+    assert "oracle: 3/3 agree" in result.stdout
+    assert "  seed " not in result.stdout
+
+
+def test_reports_leave_the_walkthrough_out_unless_asked(fixtures_dir):
+    report = analyze_mechanism(parse_mechanism_file(fixtures_dir / "tricept.mech"))
+    assert "\ntrace\n" not in render_human(report)
+    assert "\ntrace\n" in render_human(report, trace=True)
+    assert "trace" not in render_structured(report)
+    assert "trace" in render_structured(report, trace=True)
+
+
 def test_seed_env_variable(runner, fixtures_dir):
     result = runner.invoke(
         main,
@@ -433,6 +457,46 @@ def test_json_writer_matches_json_dumps(fixtures_dir):
     payloads = _structured_payloads(fixtures_dir)
     assert payloads[-5]["mechanism"] == 'café "q" a\\b'
     for payload in payloads:
+        assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "first, second", [([1], [True]), ([0], [False]), ([1, None], [True, None])]
+)
+def test_json_writer_keeps_equal_leaves_of_other_types_apart(first, second):
+    # 1 == True and hash(1) == hash(True), so a memo keyed by values alone
+    # would write whichever of the two lists came second as the first
+    for order in ((first, second), (second, first)):
+        _leaf_list.cache_clear()
+        for value in order:
+            for payload in (value, {"a": value}, [value, []]):
+                assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
+def test_row_text_keeps_equal_entries_of_other_types_apart():
+    rows = [((1, 0), "[1 0]"), ((True, 0), "[True 0]")]
+    for order in (rows, rows[::-1]):
+        _fmt_row.cache_clear()
+        assert [_fmt_row(*row) for row, _ in order] == [text for _, text in order]
+
+
+def _random_payload(rng: random.Random, depth: int = 0):
+    """A dict, list or leaf; leaves and keys come from small pools, so that
+    equal values of different types and repeated lists meet in one run."""
+    leaves = (0, 1, -7, 10**20, True, False, None, "", "a", 'q"\\', "caf\u00e9", "\n")
+    roll = rng.random()
+    if depth >= 4 or roll < 0.4:
+        return rng.choice(leaves)
+    size = rng.randrange(4)
+    if roll < 0.7:
+        return [_random_payload(rng, depth + 1) for _ in range(size)]
+    return {rng.choice("abc") + str(n): _random_payload(rng, depth + 1) for n in range(size)}
+
+
+def test_json_writer_matches_json_dumps_on_random_payloads():
+    rng = random.Random(31)
+    for _ in range(400):
+        payload = _random_payload(rng)
         assert _dumps(payload) == json.dumps(payload, indent=2)
 
 

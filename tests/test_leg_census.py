@@ -21,12 +21,12 @@ DISAGREEING = {
     "PPR": "102 120 122 124 125 142 152 302 320 322 324 325 342 352",
 }
 
+PINNED = {(letters, codes) for letters, line in DISAGREEING.items() for codes in line.split()}
+
 
 def test_three_joint_leg_census_is_pinned():
     analyzable, disagreeing, unsatisfiable = sweep(3, range(6))
     assert (analyzable, unsatisfiable) == (1632, 0)
     found = {(letters, "".join(map(str, combo))) for letters, combo in disagreeing}
-    assert found == {
-        (letters, codes) for letters, line in DISAGREEING.items() for codes in line.split()
-    }
+    assert found == PINNED
     assert len(disagreeing) == 71
