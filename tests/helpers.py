@@ -1,8 +1,9 @@
 """Shared test data and builders.
 
 Reference topology matrices for the four catalogued legs, small mechanism
-builders, random topology generators, and a numeric realization of symbolic
-direction descriptors used to cross-check the POC algebra.
+builders, random topology generators, a numeric realization of symbolic
+direction descriptors used to cross-check the POC algebra, and the
+structured report built as a dict, which the JSON writer is compared with.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from pmmobility import (
     parse_mechanism_file,
 )
 from pmmobility import oracle
-from pmmobility.oracle import GeometricInstance
+from pmmobility.mobility import MobilityReport, classify
+from pmmobility.oracle import GeometricInstance, OracleResult
 from pmmobility.poc import (
     AlongAxis,
     DirectionDescriptor,
@@ -41,6 +43,7 @@ from pmmobility.poc import (
     _axes_perpendicular,
 )
 from pmmobility.relations import _merge_codes
+from pmmobility.report import FORMAT_VERSION, _trace_steps
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -704,3 +707,57 @@ def numeric_union_dim(a: np.ndarray, b: np.ndarray) -> int:
 def numeric_intersection_dim(a: np.ndarray, b: np.ndarray) -> int:
     # dim(A) + dim(B) - dim(A + B)
     return numeric_rank(a) + numeric_rank(b) - numeric_union_dim(a, b)
+
+
+def reference_structured(
+    report: MobilityReport,
+    trace: bool = False,
+    oracle: OracleResult | None = None,
+) -> dict:
+    """The structured report as a dict built field by field: the document
+    that render_json must write as json.dumps(doc, indent=2) does."""
+    out: dict = {
+        "format_version": FORMAT_VERSION,
+        "mechanism": report.mechanism,
+        "joint_dof_total": report.total_joint_dof,
+        "dof": report.dof,
+        "class": report.classification,
+        "rigid": report.rigid,
+        "loops": [
+            {"xi_t": rank.xi_t, "xi_r": rank.xi_r, "xi": rank.xi}
+            for rank in report.loop_ranks
+        ],
+        "poc": {
+            "t": list(report.poc.t),
+            "r": list(report.poc.r),
+            "owners": list(report.poc.owners),
+            "translation_joints": list(report.translation_joints),
+            "rotation_joints": list(report.rotation_joints),
+        },
+        "legs": [
+            {
+                "leg": lp.leg.label,
+                "joints": lp.leg.signature,
+                "f": lp.leg.f,
+                "t": list(lp.matrix.t),
+                "r": list(lp.matrix.r),
+                "class": classify(lp.matrix),
+                "segments": [segment.kind.value for segment in lp.segments],
+            }
+            for lp in report.legs
+        ],
+    }
+    if trace:
+        out["trace"] = _trace_steps(report)
+    if oracle is not None:
+        out["oracle"] = {
+            "seeds": list(oracle.seeds),
+            "agreement": oracle.agreement,
+            "all_agree": oracle.all_agree,
+            "mismatches": [
+                {"seed": c.seed, "detail": c.detail}
+                for c in oracle.comparisons
+                if not c.agrees
+            ],
+        }
+    return out

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from helpers import labeled_random_mechanism, reference_structured
 from pmmobility import (
     analyze_mechanism,
     parse_mechanism_file,
     parse_mechanism_text,
     render_human,
+    render_json,
     render_structured,
 )
-from pmmobility.cli import _json, _leaf_list, main, run
-from pmmobility.report import _fmt_row
+from pmmobility.cli import main, run
+from pmmobility.report import _fmt_row, _leaf_list
 
 SKEW_PAIR = """mechanism skew-pair
 
@@ -420,44 +423,68 @@ def test_unsatisfiable_batch_still_reports_the_other_file(
     assert "mechanism imposs" not in result.stdout
 
 
-def _dumps(value) -> str:
-    out = []
-    _json(value, out)
-    return "".join(out)
-
-
-def _structured_payloads(fixtures_dir):
-    """Every shape of document the structured output writes."""
+def _structured_inputs(fixtures_dir):
+    """(report, render keyword arguments) for every shape of document the
+    structured output writes."""
     from pmmobility.oracle import verify_mechanism
 
-    payloads = []
+    inputs = []
     for path in sorted(fixtures_dir.glob("*.mech")):
         report = analyze_mechanism(parse_mechanism_file(path))
-        payloads.append(render_structured(report))
-        payloads.append(render_structured(report, trace=True))
+        inputs += [(report, {}), (report, {"trace": True})]
     for mech in (
         parse_mechanism_file(fixtures_dir / "tricept.mech"),
         parse_mechanism_file(fixtures_dir / "toy_hinge.mech"),
         parse_mechanism_text(SKEW_PAIR),  # with oracle mismatches
     ):
         report = analyze_mechanism(mech)
-        payloads.append(
-            render_structured(report, trace=True, oracle=verify_mechanism(mech, report, range(3)))
-        )
-    # the mechanism format requires two legs; a one-leg document has no loops
-    payloads.append(dict(payloads[0], legs=payloads[0]["legs"][:1], loops=[]))
-    odd_name = SKEW_PAIR.replace("mechanism skew-pair", 'mechanism café "q" a\\b')
-    payloads.append(render_structured(analyze_mechanism(parse_mechanism_text(odd_name)), trace=True))
-    payloads.append(list(payloads))  # a batch array
-    payloads.extend([{}, [], {"a": {}, "b": []}])
-    return payloads
+        oracle = verify_mechanism(mech, report, range(3))
+        inputs += [(report, {"oracle": oracle}), (report, {"trace": True, "oracle": oracle})]
+    # the mechanism format requires two legs; a one-leg report has no loops
+    report = inputs[0][0]
+    one_leg = dataclasses.replace(report, legs=report.legs[:1], loop_ranks=(), sub_pocs=())
+    inputs += [(one_leg, {}), (one_leg, {"trace": True})]
+    # quotes and a backslash, a control character, an astral-plane character
+    for name in ('café "q" a\\b', "bell\x07ring", "p\U0001d52dq"):
+        text = SKEW_PAIR.replace("mechanism skew-pair", f"mechanism {name}")
+        report = analyze_mechanism(parse_mechanism_text(text))
+        assert report.mechanism == name
+        inputs.append((report, {"trace": True}))
+    return inputs
 
 
-def test_json_writer_matches_json_dumps(fixtures_dir):
-    payloads = _structured_payloads(fixtures_dir)
-    assert payloads[-5]["mechanism"] == 'café "q" a\\b'
-    for payload in payloads:
-        assert _dumps(payload) == json.dumps(payload, indent=2)
+def _assert_matches_reference(report, kwargs):
+    expected = reference_structured(report, **kwargs)
+    assert render_json(report, **kwargs) == json.dumps(expected, indent=2)
+    assert render_structured(report, **kwargs) == expected
+
+
+def test_render_json_matches_reference(fixtures_dir):
+    inputs = _structured_inputs(fixtures_dir)
+    assert any(kwargs["oracle"].agreement < 3 for _, kwargs in inputs if "oracle" in kwargs)
+    for report, kwargs in inputs:
+        _assert_matches_reference(report, kwargs)
+
+
+def test_render_json_matches_reference_on_random_reports():
+    rng = random.Random(11)
+    for _ in range(500):
+        report = analyze_mechanism(labeled_random_mechanism(rng))
+        for kwargs in ({}, {"trace": True}):
+            _assert_matches_reference(report, kwargs)
+
+
+def test_structured_batch_matches_reference(runner, fixtures_dir):
+    paths = [fixtures_dir / "tricept.mech", fixtures_dir / "three_rrc.mech"]
+    result = runner.invoke(
+        main, ["analyze", "--format", "structured", "--trace", *map(str, paths)]
+    )
+    assert result.exit_code == 0
+    docs = [
+        reference_structured(analyze_mechanism(parse_mechanism_file(path)), trace=True)
+        for path in paths
+    ]
+    assert result.stdout == json.dumps(docs, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -469,8 +496,9 @@ def test_json_writer_keeps_equal_leaves_of_other_types_apart(first, second):
     for order in ((first, second), (second, first)):
         _leaf_list.cache_clear()
         for value in order:
-            for payload in (value, {"a": value}, [value, []]):
-                assert _dumps(payload) == json.dumps(payload, indent=2)
+            for indent in ("", "  ", "    "):
+                expected = json.dumps(value, indent=2).replace("\n", "\n" + indent)
+                assert _leaf_list(indent, *value) == expected
 
 
 def test_row_text_keeps_equal_entries_of_other_types_apart():
@@ -478,50 +506,6 @@ def test_row_text_keeps_equal_entries_of_other_types_apart():
     for order in (rows, rows[::-1]):
         _fmt_row.cache_clear()
         assert [_fmt_row(*row) for row, _ in order] == [text for _, text in order]
-
-
-def _random_payload(rng: random.Random, depth: int = 0):
-    """A dict, list or leaf; leaves and keys come from small pools, so that
-    equal values of different types and repeated lists meet in one run."""
-    leaves = (0, 1, -7, 10**20, True, False, None, "", "a", 'q"\\', "caf\u00e9", "\n")
-    roll = rng.random()
-    if depth >= 4 or roll < 0.4:
-        return rng.choice(leaves)
-    size = rng.randrange(4)
-    if roll < 0.7:
-        return [_random_payload(rng, depth + 1) for _ in range(size)]
-    return {rng.choice("abc") + str(n): _random_payload(rng, depth + 1) for n in range(size)}
-
-
-def test_json_writer_matches_json_dumps_on_random_payloads():
-    rng = random.Random(31)
-    for _ in range(400):
-        payload = _random_payload(rng)
-        assert _dumps(payload) == json.dumps(payload, indent=2)
-
-
-def test_json_writer_rejects_other_types():
-    for value in (1.5, {"a": {1, 2}}, [(1, 2)]):
-        with pytest.raises(TypeError):
-            _dumps(value)
-
-
-def test_structured_payloads_hold_only_json_writer_types(fixtures_dir):
-    seen = set()
-
-    def walk(value):
-        seen.add(type(value))
-        if isinstance(value, dict):
-            assert all(type(key) is str for key in value)
-            for item in value.values():
-                walk(item)
-        elif isinstance(value, list):
-            for item in value:
-                walk(item)
-
-    for payload in _structured_payloads(fixtures_dir):
-        walk(payload)
-    assert seen <= {dict, list, str, bool, type(None), int}
 
 
 def test_structured_batch_with_oracle_is_indented_json(runner, fixtures_dir, tmp_path):
