@@ -2,9 +2,9 @@
 
 Two output shapes: a fixed-width human text report and a JSON document.
 Both are deterministic functions of the report, so rendered output can be
-compared byte for byte.  The JSON text is written straight from the
-report, and each distinct POC row and list of plain values is formatted
-once per process, from bounded caches.
+compared byte for byte.  Both are written straight from the report, the
+--trace walkthrough too, and each distinct POC row and list of plain
+values is formatted once per process, from bounded caches.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .mobility import MobilityReport, classify
 from .poc import PocMatrix
 
 if TYPE_CHECKING:
+    from .legs import LegPoc
     from .oracle import OracleResult
 
 FORMAT_VERSION = 1
@@ -56,19 +57,6 @@ def _leaf_list(indent: str, *items: Any) -> str:
     return _block([_LEAVES[type(item)](item) for item in items], indent)
 
 
-def _leaf_dict(indent: str, data: dict[str, Any]) -> str:
-    """The JSON text at indent of a walkthrough step's data: a dict of leaves
-    and of such dicts."""
-    inner = indent + "  "
-    items = [
-        _quote(key)
-        + ": "
-        + (_leaf_dict(inner, value) if type(value) is dict else _LEAVES[type(value)](value))
-        for key, value in data.items()
-    ]
-    return _block(items, indent, "{}")
-
-
 def _join_names(labels: tuple[str, ...]) -> str:
     if len(labels) == 1:
         return labels[0]
@@ -100,51 +88,69 @@ def _describe_rotation(poc: PocMatrix, labels: tuple[str, ...]) -> str:
     return "rotation about " + _join_names(labels)
 
 
-def _trace_steps(report: MobilityReport) -> list[dict[str, Any]]:
-    """The analysis walkthrough, rebuilt from the report's results."""
-    topology = {f"leg {lp.leg.label}": f"{lp.leg.signature} (f={lp.leg.f})" for lp in report.legs}
+def _leg_entry(lp: LegPoc) -> str:
+    """A leg's walkthrough entry: its sub-chain kinds and its POC rows."""
     # an enum's stored _value_, as its .value is a Python-level property
-    leg_pocs = {
-        f"leg {lp.leg.label}": " + ".join([s.kind._value_ for s in lp.segments])
-        + f"; t={_fmt_row(*lp.matrix.t)} r={_fmt_row(*lp.matrix.r)}"
-        for lp in report.legs
-    }
-    sections: list[tuple[str, dict[str, Any]]] = [
-        ("topology", {"legs": topology}),
-        ("leg POC matrices", leg_pocs),
-        ("joint DOF total", {"sum": report.total_joint_dof}),
-    ]
-    for i, (rank, sub) in enumerate(zip(report.loop_ranks, report.sub_pocs), start=1):
-        loop = {
-            "xi_t": rank.xi_t,
-            "xi_r": rank.xi_r,
-            "xi": rank.xi,
-            "sub-PM t": _fmt_row(*sub.t),
-            "sub-PM r": _fmt_row(*sub.r),
-        }
-        sections.append((f"loop {i}: legs 1..{i} with leg {i + 1}", loop))
+    kinds = " + ".join([s.kind._value_ for s in lp.segments])
+    return f"{kinds}; t={_fmt_row(*lp.matrix.t)} r={_fmt_row(*lp.matrix.r)}"
+
+
+def _trace_text(report: MobilityReport) -> str:
+    """The analysis walkthrough as render_human prints it: a numbered line
+    per step, then a ``key: value`` line per result of the step."""
+    out = ["trace\n  1. topology"]
+    out += [f"\n     leg {lp.leg.label}: {lp.leg.signature} (f={lp.leg.f})" for lp in report.legs]
+    out.append("\n  2. leg POC matrices")
+    out += [f"\n     leg {lp.leg.label}: {_leg_entry(lp)}" for lp in report.legs]
+    out.append(f"\n  3. joint DOF total\n     sum: {report.total_joint_dof}")
+    n = 3
+    for n, (rank, sub) in enumerate(zip(report.loop_ranks, report.sub_pocs), start=4):
+        out.append(
+            f"\n  {n}. loop {n - 3}: legs 1..{n - 3} with leg {n - 2}\n     xi_t: {rank.xi_t}\n"
+            f"     xi_r: {rank.xi_r}\n     xi: {rank.xi}\n     sub-PM t: {_fmt_row(*sub.t)}\n"
+            f"     sub-PM r: {_fmt_row(*sub.r)}"
+        )
     xi_sum = sum(rank.xi for rank in report.loop_ranks)
-    poc = {
-        "t": _fmt_row(*report.poc.t),
-        "r": _fmt_row(*report.poc.r),
-        "class": report.classification,
-    }
-    sections.append(("DOF", {"F": f"{report.total_joint_dof} - {xi_sum} = {report.dof}"}))
-    sections.append(("moving platform POC", poc))
-    return [{"step": n, "title": t, "data": d} for n, (t, d) in enumerate(sections, start=1)]
+    out.append(
+        f"\n  {n + 1}. DOF\n     F: {report.total_joint_dof} - {xi_sum} = {report.dof}\n"
+        f"  {n + 2}. moving platform POC\n     t: {_fmt_row(*report.poc.t)}\n"
+        f"     r: {_fmt_row(*report.poc.r)}\n     class: {report.classification}"
+    )
+    return "".join(out)
 
 
-def _trace_lines(report: MobilityReport) -> list[str]:
-    lines = ["trace"]
-    for step in _trace_steps(report):
-        lines.append(f"  {step['step']}. {step['title']}")
-        for key, value in step["data"].items():
-            if isinstance(value, dict):
-                for sub_key, sub_value in value.items():
-                    lines.append(f"     {sub_key}: {sub_value}")
-            else:
-                lines.append(f"     {key}: {value}")
-    return lines
+def _trace_json(report: MobilityReport) -> str:
+    """The walkthrough as render_json writes its "trace" array at indent 2:
+    the steps of render_human's trace block, one object each."""
+    legs = report.legs
+    topology = [f'"leg {lp.leg.label}": {_quote(f"{lp.leg.signature} (f={lp.leg.f})")}' for lp in legs]
+    # sub-chain kinds and rows hold no character that JSON escapes
+    leg_pocs = [f'"leg {lp.leg.label}": "{_leg_entry(lp)}"' for lp in legs]
+    out = [
+        f'[\n    {{\n      "step": 1,\n      "title": "topology",\n      "data": {{\n'
+        f'        "legs": {_block(topology, "        ", "{}")}\n      }}\n    }},\n'
+        f'    {{\n      "step": 2,\n      "title": "leg POC matrices",\n'
+        f'      "data": {_block(leg_pocs, "      ", "{}")}\n    }},\n'
+        f'    {{\n      "step": 3,\n      "title": "joint DOF total",\n      "data": {{\n'
+        f'        "sum": {report.total_joint_dof}\n      }}\n    }}'
+    ]
+    n = 3
+    for n, (rank, sub) in enumerate(zip(report.loop_ranks, report.sub_pocs), start=4):
+        out.append(
+            f',\n    {{\n      "step": {n},\n      "title": "loop {n - 3}: legs 1..{n - 3} with leg {n - 2}",\n'
+            f'      "data": {{\n        "xi_t": {rank.xi_t},\n        "xi_r": {rank.xi_r},\n'
+            f'        "xi": {rank.xi},\n        "sub-PM t": "{_fmt_row(*sub.t)}",\n'
+            f'        "sub-PM r": "{_fmt_row(*sub.r)}"\n      }}\n    }}'
+        )
+    xi_sum = sum(rank.xi for rank in report.loop_ranks)
+    out.append(
+        f',\n    {{\n      "step": {n + 1},\n      "title": "DOF",\n      "data": {{\n'
+        f'        "F": "{report.total_joint_dof} - {xi_sum} = {report.dof}"\n      }}\n    }},\n'
+        f'    {{\n      "step": {n + 2},\n      "title": "moving platform POC",\n      "data": {{\n'
+        f'        "t": "{_fmt_row(*report.poc.t)}",\n        "r": "{_fmt_row(*report.poc.r)}",\n'
+        f'        "class": {_quote(report.classification)}\n      }}\n    }}\n  ]'
+    )
+    return "".join(out)
 
 
 def render_human(
@@ -194,8 +200,7 @@ def render_human(
             if not comparison.agrees:
                 lines.append(f"  seed {comparison.seed}: {comparison.detail}")
     if trace:
-        lines.append("")
-        lines.extend(_trace_lines(report))
+        lines += ["", _trace_text(report)]
     return "\n".join(lines) + "\n"
 
 
@@ -238,12 +243,7 @@ def render_json(
         f'  "legs": {_block(legs, "  ")}'
     ]
     if trace:
-        steps = [
-            f'{{\n      "step": {step["step"]},\n      "title": {_quote(step["title"])},\n'
-            f'      "data": {_leaf_dict("      ", step["data"])}\n    }}'
-            for step in _trace_steps(report)
-        ]
-        out.append(f',\n  "trace": {_block(steps, "  ")}')
+        out.append(f',\n  "trace": {_trace_json(report)}')
     if oracle is not None:
         mismatches = [
             f'{{\n        "seed": {c.seed},\n        "detail": {_quote(c.detail)}\n      }}'

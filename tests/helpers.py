@@ -3,7 +3,8 @@
 Reference topology matrices for the four catalogued legs, small mechanism
 builders, random topology generators, a numeric realization of symbolic
 direction descriptors used to cross-check the POC algebra, and the
-structured report built as a dict, which the JSON writer is compared with.
+structured report and its --trace walkthrough built as dicts, which both
+writers are compared with.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from pmmobility.poc import (
     _axes_perpendicular,
 )
 from pmmobility.relations import _merge_codes
-from pmmobility.report import FORMAT_VERSION, _trace_steps
+from pmmobility.report import FORMAT_VERSION
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -709,6 +710,61 @@ def numeric_intersection_dim(a: np.ndarray, b: np.ndarray) -> int:
     return numeric_rank(a) + numeric_rank(b) - numeric_union_dim(a, b)
 
 
+def _reference_row(row) -> str:
+    return "[" + " ".join(str(value) for value in row) + "]"
+
+
+def reference_trace(report: MobilityReport) -> list[dict]:
+    """The --trace walkthrough built as a list of step dicts, field by field:
+    the "trace" array of the structured report."""
+    legs = {}
+    leg_pocs = {}
+    for lp in report.legs:
+        legs[f"leg {lp.leg.label}"] = f"{lp.leg.signature} (f={lp.leg.f})"
+        kinds = " + ".join(segment.kind.value for segment in lp.segments)
+        rows = f"t={_reference_row(lp.matrix.t)} r={_reference_row(lp.matrix.r)}"
+        leg_pocs[f"leg {lp.leg.label}"] = f"{kinds}; {rows}"
+    sections = [
+        ("topology", {"legs": legs}),
+        ("leg POC matrices", leg_pocs),
+        ("joint DOF total", {"sum": report.total_joint_dof}),
+    ]
+    for i, (rank, sub) in enumerate(zip(report.loop_ranks, report.sub_pocs), start=1):
+        loop = {
+            "xi_t": rank.xi_t,
+            "xi_r": rank.xi_r,
+            "xi": rank.xi_t + rank.xi_r,
+            "sub-PM t": _reference_row(sub.t),
+            "sub-PM r": _reference_row(sub.r),
+        }
+        sections.append((f"loop {i}: legs 1..{i} with leg {i + 1}", loop))
+    xi_sum = sum(rank.xi_t + rank.xi_r for rank in report.loop_ranks)
+    sections.append(("DOF", {"F": f"{report.total_joint_dof} - {xi_sum} = {report.dof}"}))
+    platform = {
+        "t": _reference_row(report.poc.t),
+        "r": _reference_row(report.poc.r),
+        "class": report.classification,
+    }
+    sections.append(("moving platform POC", platform))
+    return [
+        {"step": n, "title": title, "data": data}
+        for n, (title, data) in enumerate(sections, start=1)
+    ]
+
+
+def reference_trace_lines(report: MobilityReport) -> list[str]:
+    """The trace block of render_human, flattened from reference_trace: a
+    line "  n. title" per step and a line "     key: value" per leaf, a
+    nested dict's items at the same indent."""
+    lines = ["trace"]
+    for step in reference_trace(report):
+        lines.append(f"  {step['step']}. {step['title']}")
+        for key, value in step["data"].items():
+            items = value.items() if isinstance(value, dict) else [(key, value)]
+            lines += [f"     {k}: {v}" for k, v in items]
+    return lines
+
+
 def reference_structured(
     report: MobilityReport,
     trace: bool = False,
@@ -748,7 +804,7 @@ def reference_structured(
         ],
     }
     if trace:
-        out["trace"] = _trace_steps(report)
+        out["trace"] = reference_trace(report)
     if oracle is not None:
         out["oracle"] = {
             "seeds": list(oracle.seeds),

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 
 import pytest
 
-from helpers import labeled_random_mechanism, reference_structured
+from helpers import (
+    labeled_random_mechanism,
+    random_mechanism,
+    reference_structured,
+    reference_trace_lines,
+)
 from pmmobility import (
+    InconsistentRelations,
     analyze_mechanism,
     parse_mechanism_file,
     parse_mechanism_text,
@@ -19,6 +26,7 @@ from pmmobility import (
 )
 from pmmobility.cli import main, run
 from pmmobility.report import _fmt_row, _leaf_list
+from pmmobility.subchains import SubchainKind
 
 SKEW_PAIR = """mechanism skew-pair
 
@@ -466,12 +474,63 @@ def test_render_json_matches_reference(fixtures_dir):
         _assert_matches_reference(report, kwargs)
 
 
+def _assert_human_trace_matches_reference(report, oracle=None):
+    # the trace block follows the rest of the text after one blank line
+    trace = "\n".join(reference_trace_lines(report))
+    expected = render_human(report, oracle=oracle) + "\n" + trace + "\n"
+    assert render_human(report, trace=True, oracle=oracle) == expected
+
+
+def test_render_human_trace_matches_reference(fixtures_dir):
+    for report, kwargs in _structured_inputs(fixtures_dir):
+        _assert_human_trace_matches_reference(report, kwargs.get("oracle"))
+
+
+@functools.lru_cache(maxsize=None)
+def _random_reports(generator, seed: int, count: int) -> tuple:
+    """The analyzable reports of count topologies that generator draws from
+    random.Random(seed)."""
+    rng = random.Random(seed)
+    reports = []
+    for _ in range(count):
+        try:
+            reports.append(analyze_mechanism(generator(rng)))
+        except InconsistentRelations:
+            continue
+    return tuple(reports)
+
+
 def test_render_json_matches_reference_on_random_reports():
-    rng = random.Random(11)
-    for _ in range(500):
-        report = analyze_mechanism(labeled_random_mechanism(rng))
+    reports = _random_reports(labeled_random_mechanism, 11, 500)
+    assert len(reports) == 500
+    for report in reports:
         for kwargs in ({}, {"trace": True}):
             _assert_matches_reference(report, kwargs)
+
+
+def test_render_human_trace_matches_reference_on_random_reports():
+    for report in _random_reports(labeled_random_mechanism, 11, 500):
+        _assert_human_trace_matches_reference(report)
+
+
+def test_writers_match_reference_on_raw_random_reports():
+    reports = _random_reports(random_mechanism, 1, 300)
+    # three-loop walkthroughs, which the labeled draw of at most three legs
+    # never reaches, as well as one-joint legs and full rows
+    assert len(reports) == 167
+    assert max(len(report.loop_ranks) for report in reports) == 3
+    assert any(lp.leg.f == 1 for report in reports for lp in report.legs)
+    assert any(sub.t == (3, 0, 0, 0, 0, 0) for report in reports for sub in report.sub_pocs)
+    for report in reports:
+        for kwargs in ({}, {"trace": True}):
+            _assert_matches_reference(report, kwargs)
+        _assert_human_trace_matches_reference(report)
+
+
+def test_subchain_kinds_need_no_json_escape():
+    # the trace writer puts them between quotes as they are
+    for kind in SubchainKind:
+        assert json.dumps(kind.value) == f'"{kind.value}"'
 
 
 def test_structured_batch_matches_reference(runner, fixtures_dir):
