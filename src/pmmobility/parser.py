@@ -35,13 +35,15 @@ accept ``R``/``P`` or 8/9.  Because ``#`` opens a comment at the start of
 a line, a coplanar relation in the first column of a matrix row must be
 written as the numeric code 4.
 
-The parser makes one pass over the lines.  Each line is split once into
-whitespace-separated words and dispatched on its first word; statement
-lines (``mechanism``, ``leg``, ``rel``, ``platform``) read their words
-directly, and a matrix block keeps its rows as word lists and decodes each
-block at once.  An error names word k of its line, and only then is that
-word's column found, from the same split words: each word starts at the
-first match of its text after the end of the word before it.
+The parser makes one pass over the lines and splits each once into
+whitespace-separated words.  A first word is read up to any ``:`` and
+looked up as a statement (``mechanism``, ``leg``, ``rel``, ``platform``) only
+when it starts with one of their first letters, ``m``, ``l``, ``r`` or ``p``,
+which no matrix cell does; any other line goes, as its word list, to the
+open block, which is decoded at once when it closes.  An error names
+word k of its line, and only then is that word's column found, from the
+same split words: each word starts at the first match of its text after
+the end of the word before it.
 """
 
 from __future__ import annotations
@@ -119,30 +121,27 @@ _KIND_CELLS = {
     "8": JointKind.REVOLUTE,
     "9": JointKind.PRISMATIC,
 }
-_SIDES = {side.value: side for side in PlatformSide}
+# each side word: its PlatformSide, the index of the leg joint its diagonal
+# names, and the verb that says which end of the leg that joint is
+_SIDES = {side.value: (side, *_LEG_END[side]) for side in PlatformSide}
 _NO_MECHANISM = "a mechanism file starts with 'mechanism NAME'"
 _Matrix = tuple[tuple[RelationCode, ...], ...]
 
 
-class _Draft:
-    """The open block, from its header on line ``line``: a leg, or a
-    platform when side is set.
+class _JointString:
+    """A joint-string leg, from its header on line ``line``: its joint kinds
+    and the pair relations its header and ``rel`` lines state."""
 
-    A joint-string leg collects kinds and sparse pair relations from its
-    header and ``rel`` lines; a matrix leg and a platform collect their rows
-    as word lists.
-    """
+    __slots__ = ("line", "label", "kinds", "pairs")
 
-    def __init__(self, line: int, label: int = 0, side: PlatformSide | None = None):
-        self.label = label
+    def __init__(self, line: int, label: int):
         self.line = line
-        self.side = side
+        self.label = label
         self.kinds: list[JointKind] = []
         self.pairs: dict[tuple[int, int], RelationCode] = {}
-        self.rows: list[list[str]] = []
 
     def build(self, on_warning: Callable[[str], None]) -> LegTopology:
-        """The joint-string leg, warning about pairs no line relates."""
+        """The leg, warning about pairs no line relates."""
         f = len(self.kinds)
         rels = [[RelationCode.ARBITRARY] * f for _ in range(f)]
         missing: list[tuple[int, int]] = []
@@ -171,8 +170,12 @@ class _Parser:
         self.name: str | None = None
         self.name_line = 0
         self.legs: list[LegTopology] = []
-        self.platforms: dict[PlatformSide, PlatformRelations] = {}
-        self.draft: _Draft | None = None
+        self.platforms: dict[str, PlatformRelations] = {}
+        # the open block: a joint-string leg, or the rows of a matrix leg or
+        # a platform with its (header line, leg label, side word or None)
+        self.joint_string: _JointString | None = None
+        self.rows: list[list[str]] | None = None
+        self.block: tuple[int, int, str | None] = (0, 0, None)
         self.last_line = max(len(self.lines), 1)
 
     def _column(self, number: int, k: int = 0) -> int:
@@ -199,118 +202,108 @@ class _Parser:
         except ValueError as e:
             raise self._error(str(e), number, k) from None
 
-    def _row_line(self, draft: _Draft, i: int) -> int:
-        """The number of the line that holds row i of a block: its i-th
+    def _row_line(self, header: int, i: int) -> int:
+        """The line of row i of the block headed on line ``header``: its i-th
         content line after the header.  Only errors ask."""
         content = (
             number
-            for number, raw in enumerate(self.lines[draft.line :], start=draft.line + 1)
+            for number, raw in enumerate(self.lines[header:], start=header + 1)
             if (words := raw.split()) and words[0][0] != "#"
         )
         return next(islice(content, i, None))
 
     # -- block completion ---------------------------------------------------
 
-    def _finish_open_block(self) -> None:
-        draft, self.draft = self.draft, None
-        if draft is None:
+    def _close_block(self) -> None:
+        """Build the open block, if any, into a leg or a platform.  A block of
+        rows is decoded at once by the usual spellings; only one that is not
+        square or has a cell spelled unlike its mirror is walked row by row,
+        and only that or another spelling goes cell by cell (_decode_cells)."""
+        rows, self.rows = self.rows, None
+        if rows is None:
+            draft, self.joint_string = self.joint_string, None
+            if draft is not None:
+                self.legs.append(draft.build(self.on_warning))
             return
-        if draft.side is not None:
-            self.platforms[draft.side] = self._finish_platform(draft)
-        elif draft.rows:
-            self._finish_matrix_leg(draft)
-        elif not draft.kinds:
-            raise self._error(f"leg {draft.label} has no joints", draft.line)
-        else:
-            self.legs.append(draft.build(self.on_warning))
-
-    def _check_square(self, draft: _Draft) -> int:
-        size = len(draft.rows)
-        for i, words in enumerate(draft.rows):
-            if len(words) != size:
+        header, label, word = self.block
+        size = len(rows)
+        if not size:
+            if word is None:
+                raise self._error(f"leg {label} has no joints", header)
+            raise self._error(f"platform {word} block has no rows", header)
+        words = [*chain.from_iterable(rows)]
+        # square, with every cell spelled as its mirror: one test
+        mirrored = len(words) == size * size and words == [*chain.from_iterable(zip(*rows))]
+        if not mirrored:
+            for i, row in enumerate(rows):
+                if len(row) != size:
+                    message = f"matrix row has {len(row)} entries, expected {size}"
+                    raise self._error(message, self._row_line(header, i))
+        if word is None:
+            if size > MAX_LEG_JOINTS:
                 raise self._error(
-                    f"matrix row has {len(words)} entries, expected {size}",
-                    self._row_line(draft, i),
+                    f"leg {label} has {size} joints, maximum is {MAX_LEG_JOINTS}", header
                 )
-        return size
-
-    def _decode(self, draft: _Draft) -> tuple[tuple[JointKind, ...], _Matrix]:
-        """The diagonal kinds and the relation matrix of a square block.
-
-        The block's words are decoded at once, each by its usual spelling.
-        Only a block with another spelling or an asymmetry is walked cell by
-        cell, in row-major order, to decode the rest or raise at the first
-        bad cell: for a leg, that is also the first cell below the diagonal
-        that differs from its mirror; a platform then names the first pair
-        above the diagonal that differs.
-        """
-        size = len(draft.rows)
-        words = list(chain.from_iterable(draft.rows))
-        kinds = tuple(map(_KIND_CELLS.get, words[:: size + 1]))
-        if None in kinds:
-            kinds = tuple(
-                kind or self._cell(_kind_code, draft.rows[i][i], self._row_line(draft, i), i)
-                for i, kind in enumerate(kinds)
+        elif size != len(self.legs):
+            raise self._error(
+                f"platform {word} matrix is {size}x{size} but there are {len(self.legs)} legs",
+                header,
             )
+        kinds = tuple(map(_KIND_CELLS.get, words[:: size + 1]))
         # the diagonal decodes as ARBITRARY; zip groups the cells in rows
         words[:: size + 1] = ["0"] * size
         rels = tuple(zip(*[map(_RELATION_CELLS.get, words)] * size))
-        if _RELATION_SPELLINGS.issuperset(words) and rels == tuple(zip(*rels)):
-            return kinds, rels
+        if not mirrored or None in kinds or not _RELATION_SPELLINGS.issuperset(words):
+            kinds, rels = self._decode_cells(rows, header, word, kinds, rels)
+        if word is None:
+            self.legs.append(LegTopology(label=label, joints=kinds, relations=rels))
+            return
+        side, end, verb = _SIDES[word]
+        for i, leg in enumerate(self.legs):
+            if kinds[i] is not leg.joints[end]:
+                raise self._error(
+                    f"platform {word} diagonal {i + 1} is {kinds[i].value} "
+                    f"but leg {leg.label} {verb} with {leg.joints[end].value}",
+                    self._row_line(header, i),
+                    i,
+                )
+        self.platforms[word] = PlatformRelations(side=side, diagonal=kinds, matrix=rels)
+
+    def _decode_cells(
+        self, rows: list[list[str]], header: int, side: str | None, kinds: tuple, rels: tuple
+    ) -> tuple[tuple[JointKind, ...], _Matrix]:
+        """The kinds and matrix of a square block from the usual spellings'
+        decode: each cell left None is decoded alone, the diagonal first, then
+        row by row, and the first bad cell raises; for a leg, so does the first
+        cell below the diagonal unlike its mirror.  A platform then names the
+        first pair above the diagonal that differs."""
+        kinds = tuple(
+            kind or self._cell(_kind_code, rows[i][i], self._row_line(header, i), i)
+            for i, kind in enumerate(kinds)
+        )
         matrix = [list(row) for row in rels]
         for i, row in enumerate(matrix):
             for j, code in enumerate(row):
                 if code is None:
                     code = row[j] = self._cell(
-                        _relation_code, draft.rows[i][j], self._row_line(draft, i), j
+                        _relation_code, rows[i][j], self._row_line(header, i), j
                     )
-                if draft.side is None and j < i and code is not matrix[j][i]:
+                if side is None and j < i and code is not matrix[j][i]:
                     raise self._error(
                         f"entry ({i + 1},{j + 1}) = {SYMBOL_OF_RELATION[code]} conflicts "
                         f"with ({j + 1},{i + 1}) = {SYMBOL_OF_RELATION[matrix[j][i]]}",
-                        self._row_line(draft, i),
+                        self._row_line(header, i),
                         j,
                     )
         for i, row in enumerate(matrix):
-            for j in range(i + 1, size):
+            for j in range(i + 1, len(row)):
                 if row[j] is not matrix[j][i]:
                     raise self._error(
                         f"platform entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ",
-                        self._row_line(draft, i),
+                        self._row_line(header, i),
                         j,
                     )
         return kinds, tuple(map(tuple, matrix))
-
-    def _finish_matrix_leg(self, draft: _Draft) -> None:
-        f = self._check_square(draft)
-        if f > MAX_LEG_JOINTS:
-            raise self._error(
-                f"leg {draft.label} has {f} joints, maximum is {MAX_LEG_JOINTS}", draft.line
-            )
-        kinds, rels = self._decode(draft)
-        self.legs.append(LegTopology(label=draft.label, joints=kinds, relations=rels))
-
-    def _finish_platform(self, draft: _Draft) -> PlatformRelations:
-        side = draft.side
-        if not draft.rows:
-            raise self._error(f"platform {side.value} block has no rows", draft.line)
-        k = self._check_square(draft)
-        if k != len(self.legs):
-            raise self._error(
-                f"platform {side.value} matrix is {k}x{k} but there are {len(self.legs)} legs",
-                draft.line,
-            )
-        diagonal, matrix = self._decode(draft)
-        end, verb = _LEG_END[side]
-        for i, leg in enumerate(self.legs):
-            if diagonal[i] is not leg.joints[end]:
-                raise self._error(
-                    f"platform {side.value} diagonal {i + 1} is {diagonal[i].value} "
-                    f"but leg {leg.label} {verb} with {leg.joints[end].value}",
-                    self._row_line(draft, i),
-                    i,
-                )
-        return PlatformRelations(side=side, diagonal=diagonal, matrix=matrix)
 
     # -- statements ---------------------------------------------------------
 
@@ -333,7 +326,7 @@ class _Parser:
         self.name_line = number
 
     def _stmt_leg(self, words: list[str], number: int) -> None:
-        self._finish_open_block()
+        self._close_block()
         if len(words) < 2:
             raise self._error("leg needs a number", number)
         head, rest = self._split_colon(words, number)
@@ -348,11 +341,13 @@ class _Parser:
                 number,
                 1,
             )
-        draft = self.draft = _Draft(number, label)
         if rest < len(words):
-            self._parse_joint_string(draft, words, rest)
+            self.joint_string = _JointString(number, label)
+            self._parse_joint_string(self.joint_string, words, rest)
+        else:
+            self.rows, self.block = [], (number, label, None)
 
-    def _parse_joint_string(self, draft: _Draft, words: list[str], start: int) -> None:
+    def _parse_joint_string(self, draft: _JointString, words: list[str], start: int) -> None:
         """Joint letters at even offsets from start, pair symbols between."""
         for k in range(start, len(words)):
             word, m = words[k], (k - start) // 2 + 1
@@ -377,8 +372,8 @@ class _Parser:
             )
 
     def _stmt_rel(self, words: list[str], number: int) -> None:
-        draft = self.draft
-        if draft is None or draft.rows or not draft.kinds:
+        draft = self.joint_string
+        if draft is None:
             raise self._error("rel lines must follow a joint-string leg header", number)
         if len(words) != 4:
             raise self._error("expected: rel I J SYMBOL", number)
@@ -399,20 +394,19 @@ class _Parser:
         draft.pairs[min(i, j), max(i, j)] = self._cell(_relation_code, words[3], number, 3)
 
     def _stmt_platform(self, words: list[str], number: int) -> None:
-        self._finish_open_block()
+        self._close_block()
         if len(words) < 2:
             raise self._error("expected 'platform moving:' or 'platform fixed:'", number)
         head, rest = self._split_colon(words, number)
-        side = _SIDES.get(head)
-        if side is None:
+        if head not in _SIDES:
             raise self._error(f"platform side must be 'moving' or 'fixed', got {head!r}", number, 1)
         if rest < len(words):
             raise self._error("platform rows start on the next line", number, rest)
-        if side in self.platforms:
-            raise self._error(f"duplicate platform {side.value} block", number)
+        if head in self.platforms:
+            raise self._error(f"duplicate platform {head} block", number)
         if not self.legs:
             raise self._error("platform blocks must come after the legs", number)
-        self.draft = _Draft(number, side=side)
+        self.rows, self.block = [], (number, 0, head)
 
     # the statement of each first word, read up to any ':'
     _STATEMENTS = {
@@ -421,44 +415,50 @@ class _Parser:
         "rel": _stmt_rel,
         "platform": _stmt_platform,
     }
+    # their first letters, which no matrix cell has: a line whose first
+    # word starts otherwise is a row of the open block
+    _LEADS = frozenset(word[0] for word in _STATEMENTS)
 
     # -- driver -------------------------------------------------------------
 
     def parse(self) -> MechanismTopology:
         statements = self._STATEMENTS
-        draft = None
+        leads = self._LEADS
+        rows = None
         for number, raw in enumerate(self.lines, start=1):
             words = raw.split()
-            if not words or words[0][0] == "#":
+            if not words or (lead := words[0][0]) == "#":
                 continue
-            head = words[0].partition(":")[0]
-            if head in statements:
-                if self.name is None and head != "mechanism":
-                    raise self._error(_NO_MECHANISM, number)
-                if len(words[0]) > len(head) + 1:
-                    glued = words[0][len(head) + 1 :]
-                    col = self._column(number) + len(head) + 1
-                    raise ParseError(f"unexpected {glued!r} after '{head}:'", number, col)
-                statements[head](self, words, number)
-                draft = self.draft
-            elif draft is None:
-                message = _NO_MECHANISM if self.name is None else f"unexpected {words[0]!r}"
+            if lead in leads:
+                head, _, glued = words[0].partition(":")
+                statement = statements.get(head)
+                if statement is not None:
+                    if self.name is None and head != "mechanism":
+                        raise self._error(_NO_MECHANISM, number)
+                    if glued:
+                        col = self._column(number) + len(head) + 1
+                        raise ParseError(f"unexpected {glued!r} after '{head}:'", number, col)
+                    statement(self, words, number)
+                    rows = self.rows
+                    continue
+            if rows is None:
+                if self.joint_string is not None:
+                    message = f"unexpected {words[0]!r} after an inline leg"
+                else:
+                    message = _NO_MECHANISM if self.name is None else f"unexpected {words[0]!r}"
                 raise self._error(message, number)
-            elif draft.kinds:
-                raise self._error(f"unexpected {words[0]!r} after an inline leg", number)
-            else:
-                draft.rows.append(words)
-        self._finish_open_block()
+            rows.append(words)
+        self._close_block()
         if self.name is None:
             raise ParseError(_NO_MECHANISM, self.last_line)
-        for side in PlatformSide:
-            if side not in self.platforms:
-                raise ParseError(f"missing platform {side.value} block", self.last_line)
+        for word in _SIDES:
+            if word not in self.platforms:
+                raise ParseError(f"missing platform {word} block", self.last_line)
         mech = MechanismTopology(
             name=self.name,
             legs=tuple(self.legs),
-            moving=self.platforms[PlatformSide.MOVING],
-            fixed=self.platforms[PlatformSide.FIXED],
+            moving=self.platforms["moving"],
+            fixed=self.platforms["fixed"],
         )
         # the blocks checked the labels, sizes and diagonals as they closed:
         # only the leg count, or a leg after a platform block, is left over

@@ -383,6 +383,60 @@ def test_error_locations_in_rows(text, line, col, reason):
     assert (err.value.line, err.value.col, err.value.reason) == (line, col, reason)
 
 
+# a line put as the second row of a 2x2 block: leg 1's (row on line 4) and
+# the moving platform's (row on line 7); each outcome is a parse (None) or
+# the (line, col, reason) of the ParseError.  Only a first word that is a
+# statement word, read up to any ':', opens a statement; any other word,
+# even one starting like one or holding a ':', is a row cell
+_DIAGONAL_3 = "diagonal entry 3 is not a joint code (8, 9, R or P)"
+_DIAGONAL_1 = "diagonal entry 1 is not a joint code (8, 9, R or P)"
+_RULE = "rel lines must follow a joint-string leg header"
+_SHORT = "matrix row has 2 entries, expected 1"
+_NARROW = "matrix row has 1 entries, expected 2"
+_DIFFER = "platform entries (1,2) and (2,1) differ"
+LINES_IN_A_BLOCK = [
+    ("rel 1 2 ||", (4, 3, _RULE), (7, 3, _RULE)),
+    ("rel", (4, 3, _RULE), (7, 3, _RULE)),
+    ("leg", (3, 3, _SHORT), (6, 3, _SHORT)),
+    ("leg 3: R", (3, 3, _SHORT), (6, 3, _SHORT)),
+    ("legs 3", (4, 8, _DIAGONAL_3), (7, 8, _DIAGONAL_3)),
+    ("mechanism x", (4, 3, "duplicate mechanism line"), (7, 3, "duplicate mechanism line")),
+    ("platform moving:", (3, 3, _SHORT), (6, 3, _SHORT)),
+    ("platform", (3, 3, _SHORT), (6, 3, _SHORT)),
+    ("lr 8", (4, 3, "'lr' is not a relation"), (7, 3, "'lr' is not a relation")),
+    ("p:x 8", (4, 3, "'p:x' is not a relation"), (7, 3, "'p:x' is not a relation")),
+    ("lr:1 8", (4, 3, "'lr:1' is not a relation"), (7, 3, "'lr:1' is not a relation")),
+    ("r 1", (4, 5, _DIAGONAL_1), (7, 5, _DIAGONAL_1)),
+    ("p", (4, 3, _NARROW), (7, 3, _NARROW)),
+    ("p:", (4, 3, _NARROW), (7, 3, _NARROW)),
+    ("m", (4, 3, _NARROW), (7, 3, _NARROW)),
+    ("R 8", (4, 3, "'R' is not a relation"), (7, 3, "'R' is not a relation")),
+    ("P 8", (4, 3, "'P' is not a relation"), (7, 3, "'P' is not a relation")),
+    ("- 8", None, None),
+    ("|| 8", (4, 3, "entry (2,1) = || conflicts with (1,2) = -"), (6, 5, _DIFFER)),
+    ("_|_ 8", (4, 3, "entry (2,1) = _|_ conflicts with (1,2) = -"), (6, 5, _DIFFER)),
+    ("/ 8", (4, 3, "entry (2,1) = / conflicts with (1,2) = -"), (6, 5, _DIFFER)),
+    ("* 8", (4, 3, "entry (2,1) = * conflicts with (1,2) = -"), (6, 5, _DIFFER)),
+    ("4 8", (4, 3, "entry (2,1) = # conflicts with (1,2) = -"), (6, 5, _DIFFER)),
+    ("# 8", (3, 3, _SHORT), (6, 3, _SHORT)),
+]
+
+
+@pytest.mark.parametrize("line,in_leg,in_platform", LINES_IN_A_BLOCK)
+def test_lines_inside_a_matrix_block(line, in_leg, in_platform):
+    docs = (
+        (lambda row: _two_leg_doc(f"leg 1:\n  8 0\n  {row}"), "0 8", in_leg),
+        (lambda row: _two_leg_doc("leg 1: R", f"8 -\n  {row}"), "- 8", in_platform),
+    )
+    for doc, plain_row, outcome in docs:
+        if outcome is None:
+            assert parse_mechanism_text(doc(line)) == parse_mechanism_text(doc(plain_row))
+            continue
+        with pytest.raises(ParseError) as err:
+            parse_mechanism_text(doc(line))
+        assert (err.value.line, err.value.col, err.value.reason) == outcome
+
+
 def test_statement_colon_with_nothing_glued_is_accepted():
     mech, _ = parse(_two_leg_doc("leg 1: R").replace("mechanism m", "mechanism: door"))
     assert mech.name == "door"
