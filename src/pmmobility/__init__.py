@@ -6,9 +6,10 @@ plus coded axis relations, no coordinates.  A seeded numeric screw-space
 oracle provides an independent cross-check on sampled geometries.
 
 The oracle is the only part that needs numpy.  Its names (verify_mechanism,
-instantiate_geometry, numeric_loop_and_platform, GeometricInstance,
 NumericMobility, OracleResult) resolve on first use, so ``import
-pmmobility`` and an analysis without the oracle never load numpy.
+pmmobility`` and an analysis without the oracle never load numpy.  The
+one-seed entry points (instantiate_geometry, numeric_loop_and_platform,
+GeometricInstance) live in pmmobility.oracle.
 Unsatisfiable lives in the numpy-free relations module.
 """
 
@@ -34,7 +35,6 @@ from .relations import (
 from .report import FORMAT_VERSION, render_human, render_json, render_structured
 from .subchains import (
     Segment,
-    SubchainFamily,
     SubchainKind,
     catalogue_poc_matrices,
     extract_subchains,
@@ -54,14 +54,7 @@ from .topology import (
     validate_mechanism,
 )
 
-_ORACLE_NAMES = (
-    "GeometricInstance",
-    "NumericMobility",
-    "OracleResult",
-    "instantiate_geometry",
-    "numeric_loop_and_platform",
-    "verify_mechanism",
-)
+_ORACLE_NAMES = ("NumericMobility", "OracleResult", "verify_mechanism")
 
 
 def __getattr__(name: str):
@@ -77,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AxisRef",
     "FORMAT_VERSION",
-    "GeometricInstance",
     "InconsistentRelations",
     "InvalidMechanism",
     "JointKind",
@@ -95,7 +87,6 @@ __all__ = [
     "RelationCode",
     "RelationGraph",
     "Segment",
-    "SubchainFamily",
     "SubchainKind",
     "TopologyError",
     "UnknownAxis",
@@ -108,11 +99,9 @@ __all__ = [
     "decode_leg",
     "encode_leg",
     "extract_subchains",
-    "instantiate_geometry",
     "intersect_rotation",
     "intersect_translation",
     "normalize",
-    "numeric_loop_and_platform",
     "parse_mechanism_file",
     "parse_mechanism_text",
     "render_human",

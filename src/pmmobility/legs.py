@@ -27,14 +27,6 @@ class LegPoc:
     matrix: PocMatrix
     segments: tuple[Segment, ...]
 
-    @property
-    def xi_t(self) -> int:
-        return self.matrix.xi_t
-
-    @property
-    def xi_r(self) -> int:
-        return self.matrix.xi_r
-
 
 def analyze_leg(leg: LegTopology, g: RelationGraph, ledger: list[str] | None = None) -> LegPoc:
     """Compute the POC matrix of a leg.

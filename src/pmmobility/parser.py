@@ -165,7 +165,13 @@ class _JointString:
 
 class _Parser:
     def __init__(self, text: str, on_warning: Callable[[str], None] | None):
-        self.lines = text.splitlines()
+        # lines break at \r\n, \r and \n only, as editors count them;
+        # str.splitlines would also break at form feeds and the like
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        self.lines = text.split("\n")
+        if not self.lines[-1]:
+            self.lines.pop()
         self.on_warning = on_warning or (lambda message: None)
         self.name: str | None = None
         self.name_line = 0

@@ -195,17 +195,13 @@ def render_human(
     lines.append(f"  class = {report.classification}")
     if oracle is not None:
         lines.append("")
-        lines.append(oracle_summary(oracle))
+        lines.append(f"oracle: {oracle.agreement}/{len(oracle.comparisons)} agree")
         for comparison in oracle.comparisons:
             if not comparison.agrees:
                 lines.append(f"  seed {comparison.seed}: {comparison.detail}")
     if trace:
         lines += ["", _trace_text(report)]
     return "\n".join(lines) + "\n"
-
-
-def oracle_summary(result: OracleResult) -> str:
-    return f"oracle: {result.agreement}/{len(result.comparisons)} agree"
 
 
 def render_json(

@@ -34,14 +34,6 @@ ARB = RelationCode.ARBITRARY
 CPT = RelationCode.COMMON_POINT
 
 
-class SubchainFamily(Enum):
-    G3 = "G3"
-    G2 = "G2"
-    S3 = "S3"
-    S2 = "S2"
-    SINGLE = "single"
-
-
 class SubchainKind(Enum):
     """Catalogued sub-chain kinds, named by joint pattern."""
 
@@ -67,7 +59,6 @@ class SubchainKind(Enum):
 @dataclass(frozen=True)
 class _Pattern:
     kind: SubchainKind
-    family: SubchainFamily
     joints: tuple[JointKind, ...]
     tests: tuple[tuple[int, int, RelationCode], ...]  # (i, j, relation), 1-based
     t_cells: tuple[tuple[int, int], ...]  # (relative column, value)
@@ -77,54 +68,54 @@ class _Pattern:
 # listed longest first, then G3, S3, G2, S2, single, for the reader only:
 # recognition looks patterns up in _BY_KEY, whose keys never tie
 _CATALOG: tuple[_Pattern, ...] = (
-    _Pattern(SubchainKind.G3_RRR_PARALLEL, SubchainFamily.G3, (R, R, R),
+    _Pattern(SubchainKind.G3_RRR_PARALLEL, (R, R, R),
              ((1, 2, PAR), (1, 3, PAR), (2, 3, PAR)),
              ((1, 2),), ((1, 1),)),
-    _Pattern(SubchainKind.G3_RRP, SubchainFamily.G3, (R, R, P),
+    _Pattern(SubchainKind.G3_RRP, (R, R, P),
              ((1, 2, PAR), (1, 3, PERP), (2, 3, PERP)),
              ((1, 2),), ((1, 1),)),
-    _Pattern(SubchainKind.G3_PRR, SubchainFamily.G3, (P, R, R),
+    _Pattern(SubchainKind.G3_PRR, (P, R, R),
              ((1, 2, PERP), (1, 3, PERP), (2, 3, PAR)),
              ((2, 2),), ((2, 1),)),
-    _Pattern(SubchainKind.G3_RPR, SubchainFamily.G3, (R, P, R),
+    _Pattern(SubchainKind.G3_RPR, (R, P, R),
              ((1, 2, PERP), (1, 3, PAR), (2, 3, PERP)),
              ((1, 2),), ((1, 1),)),
-    _Pattern(SubchainKind.G3_RPP, SubchainFamily.G3, (R, P, P),
+    _Pattern(SubchainKind.G3_RPP, (R, P, P),
              ((1, 2, PERP), (1, 3, PERP), (2, 3, PERP)),
              ((1, 2),), ((1, 1),)),
-    _Pattern(SubchainKind.G3_PPR, SubchainFamily.G3, (P, P, R),
+    _Pattern(SubchainKind.G3_PPR, (P, P, R),
              ((1, 2, PERP), (1, 3, PERP), (2, 3, PERP)),
              ((3, 2),), ((3, 1),)),
-    _Pattern(SubchainKind.G3_PRP, SubchainFamily.G3, (P, R, P),
+    _Pattern(SubchainKind.G3_PRP, (P, R, P),
              ((1, 2, PERP), (1, 3, PERP), (2, 3, PERP)),
              ((2, 2),), ((2, 1),)),
-    _Pattern(SubchainKind.S3_RRR_SKEW, SubchainFamily.S3, (R, R, R),
+    _Pattern(SubchainKind.S3_RRR_SKEW, (R, R, R),
              ((1, 2, ARB), (1, 3, ARB), (2, 3, ARB)),
              (), ((1, 1), (2, 1), (3, 1))),
-    _Pattern(SubchainKind.S3_RRR_CONCURRENT, SubchainFamily.S3, (R, R, R),
+    _Pattern(SubchainKind.S3_RRR_CONCURRENT, (R, R, R),
              ((1, 2, CPT), (1, 3, CPT), (2, 3, CPT)),
              (), ((1, 1), (2, 1), (3, 1))),
-    _Pattern(SubchainKind.S3_RRR_PERP, SubchainFamily.S3, (R, R, R),
+    _Pattern(SubchainKind.S3_RRR_PERP, (R, R, R),
              ((1, 2, PERP), (1, 3, PERP), (2, 3, PERP)),
              (), ((1, 1), (2, 1), (3, 1))),
-    _Pattern(SubchainKind.G2_RR_PARALLEL, SubchainFamily.G2, (R, R),
+    _Pattern(SubchainKind.G2_RR_PARALLEL, (R, R),
              ((1, 2, PAR),),
              ((1, 1),), ((1, 1),)),
-    _Pattern(SubchainKind.G2_RP_PERP, SubchainFamily.G2, (R, P),
+    _Pattern(SubchainKind.G2_RP_PERP, (R, P),
              ((1, 2, PERP),),
              ((1, 1),), ((1, 1),)),
-    _Pattern(SubchainKind.G2_PR_PERP, SubchainFamily.G2, (P, R),
+    _Pattern(SubchainKind.G2_PR_PERP, (P, R),
              ((1, 2, PERP),),
              ((2, 1),), ((2, 1),)),
-    _Pattern(SubchainKind.S2_RR_SKEW, SubchainFamily.S2, (R, R),
+    _Pattern(SubchainKind.S2_RR_SKEW, (R, R),
              ((1, 2, ARB),),
              (), ((1, 1), (2, 1))),
-    _Pattern(SubchainKind.S2_RR_PERP, SubchainFamily.S2, (R, R),
+    _Pattern(SubchainKind.S2_RR_PERP, (R, R),
              ((1, 2, PERP),),
              (), ((1, 1), (2, 1))),
-    _Pattern(SubchainKind.SINGLE_R, SubchainFamily.SINGLE, (R,),
+    _Pattern(SubchainKind.SINGLE_R, (R,),
              (), (), ((1, 1),)),
-    _Pattern(SubchainKind.SINGLE_P, SubchainFamily.SINGLE, (P,),
+    _Pattern(SubchainKind.SINGLE_P, (P,),
              (), ((1, 1),), ()),
 )
 
@@ -145,14 +136,6 @@ class Segment:
     kind: SubchainKind
     start: int
     stop: int
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start + 1
-
-    @property
-    def family(self) -> SubchainFamily:
-        return _BY_KIND[self.kind].family
 
 
 def extract_subchains(leg: LegTopology, g: RelationGraph) -> tuple[Segment, ...]:

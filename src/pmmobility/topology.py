@@ -135,10 +135,6 @@ class LegTopology:
         """Joint DOF of the leg (one per single-DOF joint)."""
         return len(self.joints)
 
-    def relation(self, i: int, j: int) -> RelationCode:
-        """Seeded relation between joints i and j (1-based)."""
-        return self.relations[i - 1][j - 1]
-
 
 def encode_leg(leg: LegTopology) -> list[list[int]]:
     """Encode a leg as its symmetric integer topology matrix."""
@@ -235,18 +231,13 @@ class MechanismTopology:
         """Sum of joint DOF over all legs."""
         return sum(leg.f for leg in self.legs)
 
-    @property
-    def loop_count(self) -> int:
-        """Independent loops of the closed mechanism (legs minus one)."""
-        return max(len(self.legs) - 1, 0)
-
 
 def validate_mechanism(mech: MechanismTopology) -> list[str]:
     """Check mechanism-level consistency, returning a list of violations.
 
     An empty list means the mechanism is well formed.  Violations cover leg
-    count and labels, platform matrix sizes and the agreement between the
-    platform diagonals and the legs' end joints.
+    count and labels, platform sides and matrix sizes, and the agreement
+    between the platform diagonals and the legs' end joints.
     """
     problems: list[str] = []
     k = mech.leg_count
@@ -259,6 +250,8 @@ def validate_mechanism(mech: MechanismTopology) -> list[str]:
             problems.append(f"leg labels must be 1..{k} in order, got {leg.label} at position {idx}")
     sides = ((PlatformSide.MOVING, mech.moving), (PlatformSide.FIXED, mech.fixed))
     for side, plat in sides:
+        if plat.side is not side:
+            problems.append(f"{side.value} platform relations are marked {plat.side.value}")
         if plat.size != k:
             problems.append(f"platform matrix size mismatch: {side.value} is {plat.size}x{plat.size} for {k} legs")
     for side, plat in sides:

@@ -63,7 +63,7 @@ def sweep(joints: int, codes) -> tuple[int, list[tuple[str, tuple[int, ...]]], i
                 direction[:, plan._axis_class], point[:, plan._axis_anchor], plan._revolute
             )
             leg = report.legs[0]
-            if any(space != (leg.xi_t, leg.xi_r) for space in oracle_leg_spaces(twists[:, :joints])):
+            if any(space != (leg.matrix.xi_t, leg.matrix.xi_r) for space in oracle_leg_spaces(twists[:, :joints])):
                 disagreeing.append((letters, combo))
     return analyzable, disagreeing, unsatisfiable
 

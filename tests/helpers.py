@@ -337,7 +337,7 @@ def _reference_seed_edges(mech: MechanismTopology):
     for leg in mech.legs:
         for i in range(1, leg.f + 1):
             for j in range(i + 1, leg.f + 1):
-                yield AxisRef(leg.label, i), AxisRef(leg.label, j), leg.relation(i, j)
+                yield AxisRef(leg.label, i), AxisRef(leg.label, j), leg.relations[i - 1][j - 1]
     k = mech.leg_count
     for i in range(k):
         for j in range(i + 1, k):

@@ -39,6 +39,7 @@ TIMEOUT_S = 300
 # the fast ones first, as -x stops at the first failure
 SYMBOLIC_TESTS = (
     "tests/test_parser.py",
+    "tests/test_topology.py",
     "tests/test_poc_algebra.py",
     "tests/test_mobility.py",
     "tests/test_legs.py",

@@ -76,14 +76,14 @@ def test_coaxial_revolute_pair_adds_nothing():
     mech = make_mechanism("coax", [coaxial, leg_from_relations(2, "RR", {(1, 2): 3})])
     g = build_relation_graph(mech)
     result = analyze_leg(coaxial, g)
-    assert (result.xi_t, result.xi_r) == (0, 1)
+    assert (result.matrix.xi_t, result.matrix.xi_r) == (0, 1)
 
     parallel = leg_from_relations(1, "RR", {(1, 2): 1})
     mech = make_mechanism("par", [parallel, leg_from_relations(2, "RR", {(1, 2): 1})])
     g = build_relation_graph(mech)
     result = analyze_leg(parallel, g)
     # distinct parallel axes do generate the relative translation
-    assert (result.xi_t, result.xi_r) == (1, 1)
+    assert (result.matrix.xi_t, result.matrix.xi_r) == (1, 1)
 
 
 def test_leg_rank_never_exceeds_joint_count():
@@ -115,8 +115,8 @@ def test_reference_legs_match_numeric_twists(name):
     for seed in range(20):
         inst = instantiate_geometry(mech, g, seed=seed)
         rank, angular = _numeric_leg_ranks(mech, 0, inst)
-        assert rank == result.xi_t + result.xi_r, (name, seed)
-        assert angular == result.xi_r, (name, seed)
+        assert rank == result.matrix.xi_t + result.matrix.xi_r, (name, seed)
+        assert angular == result.matrix.xi_r, (name, seed)
 
 
 def test_random_legs_match_numeric_twists():
@@ -135,8 +135,8 @@ def test_random_legs_match_numeric_twists():
             result = analyze_leg(leg, g)
             for inst in instances:
                 rank, angular = _numeric_leg_ranks(mech, i, inst)
-                assert rank == result.xi_t + result.xi_r, (mech.name, leg.label)
-                assert angular == result.xi_r, (mech.name, leg.label)
+                assert rank == result.matrix.xi_t + result.matrix.xi_r, (mech.name, leg.label)
+                assert angular == result.matrix.xi_r, (mech.name, leg.label)
             checked += 1
 
 
@@ -155,4 +155,4 @@ def test_catalogue_pattern_matches_the_oracle_leg_twist_space(pattern):
     for seed in (0, 1, 2):
         inst = instantiate_geometry(mech, g, seed=seed)
         [space] = oracle_leg_spaces(_twists(*_one_seed_leg(leg, inst)))
-        assert (result.xi_t, result.xi_r) == space, seed
+        assert (result.matrix.xi_t, result.matrix.xi_r) == space, seed

@@ -78,8 +78,8 @@ def test_classification_matches_poc(reports):
 def test_platform_poc_bounded_by_legs(reports):
     # the platform output is an intersection, so no leg can be exceeded
     for report in reports.values():
-        assert report.poc.xi_t <= min(lp.xi_t for lp in report.legs)
-        assert report.poc.xi_r <= min(lp.xi_r for lp in report.legs)
+        assert report.poc.xi_t <= min(lp.matrix.xi_t for lp in report.legs)
+        assert report.poc.xi_r <= min(lp.matrix.xi_r for lp in report.legs)
 
 
 def test_sub_pocs_follow_the_loops(reports):

@@ -373,6 +373,41 @@ LOCATED_ERRORS = [
         4, 11, "unexpected 'x' after 'platform:'",
         id="text-glued-to-platform-colon",
     ),
+    # lines break at \r\n, \r and \n only, as editors and grep -n count
+    # them: a form feed, vertical tab, \x1c-\x1e, NEL or U+2028/9 is
+    # whitespace inside a line, and a text that ends in a line break has no
+    # empty last line
+    *(
+        pytest.param(
+            f"mechanism m{c}leg 1: R\nleg 2: Q\n",
+            2, 5, "leg numbers must run 1, 2, ... in order; expected 1, got 2",
+            id=f"u{ord(c):04x}-inside-a-line",
+        )
+        for c in "\x0c\x0b\x1c\x1d\x1e\x85\u2028\u2029"
+    ),
+    pytest.param(
+        "mechanism m\nleg 1:\n  8\x850\n  0 8\n", 4, 1, "missing platform moving block",
+        id="nel-inside-a-row",
+    ),
+    *(
+        pytest.param(
+            f"mechanism m{eol}leg 1: R{eol}leg 2: Q{eol}",
+            3, 8, "expected a joint letter (R or P), got 'Q'", id=name,
+        )
+        for eol, name in (("\r", "cr-lines"), ("\r\n", "crlf-lines"))
+    ),
+    pytest.param(
+        "mechanism m\nleg 1: R\nleg 2: R", 3, 1, "missing platform moving block",
+        id="no-final-line-break",
+    ),
+    pytest.param(
+        "mechanism m\rleg 1: R\rleg 2: R\r\r", 4, 1, "missing platform moving block",
+        id="cr-blank-last-line",
+    ),
+    pytest.param(
+        "mechanism m\r\n\r\n", 2, 1, "missing platform moving block",
+        id="crlf-blank-last-line",
+    ),
 ]
 
 

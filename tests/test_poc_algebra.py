@@ -188,7 +188,7 @@ def test_normalize_parallel_rotations_become_planar_translations():
         g = build_relation_graph(mech)
         lp = analyze_leg(leg, g)
         # translations stay inside the common normal plane: rank 2, not 3
-        assert (lp.xi_t, lp.xi_r) == (2, 1), f
+        assert (lp.matrix.xi_t, lp.matrix.xi_r) == (2, 1), f
 
 
 def test_normalize_is_fixed_point_on_reference_legs():

@@ -45,7 +45,7 @@ def brute_force_relations(mech):
             axes.append(AxisRef(leg.label, i))
         for i in range(1, leg.f + 1):
             for j in range(i + 1, leg.f + 1):
-                code = leg.relation(i, j)
+                code = leg.relations[i - 1][j - 1]
                 if code is not RelationCode.ARBITRARY:
                     seeds[frozenset((AxisRef(leg.label, i), AxisRef(leg.label, j)))] = code
     k = mech.leg_count

@@ -9,7 +9,6 @@ from pmmobility import (
     AxisRef,
     InconsistentRelations,
     PocMatrix,
-    SubchainFamily,
     SubchainKind,
     TopologyError,
     build_relation_graph,
@@ -133,17 +132,12 @@ def test_greedy_longest_match_wins():
 def test_catalogue_is_listed_in_match_order():
     # extract_subchains looks windows up in a table derived from the
     # catalogue, longest first; keys never tie, so the listed order (planar
-    # before spherical on equal length, singles last) is for the reader
-    families = (
-        SubchainFamily.G3,
-        SubchainFamily.S3,
-        SubchainFamily.G2,
-        SubchainFamily.S2,
-        SubchainFamily.SINGLE,
-    )
-    keys = [(-len(p.joints), families.index(p.family)) for p in _CATALOG]
+    # before spherical on equal length, singles last) is for the reader.
+    # The family is the first word of a kind's value; a single's is its letter
+    families = ("G3", "S3", "G2", "S2", "R", "P")
+    keys = [(-len(p.joints), families.index(p.kind.value.split()[0])) for p in _CATALOG]
     assert keys == sorted(keys)
-    assert [p.family for p in _CATALOG[-2:]] == [SubchainFamily.SINGLE] * 2
+    assert [p.kind for p in _CATALOG[-2:]] == [SubchainKind.SINGLE_R, SubchainKind.SINGLE_P]
 
 
 def test_spherical_triples():
@@ -173,10 +167,11 @@ def test_two_joint_kinds():
 def test_segment_properties():
     leg, g = leg_and_graph(UPS_MATRIX)
     segments = extract_subchains(leg, g)
-    assert segments[0].size == 2
-    assert segments[0].family is SubchainFamily.S2
-    assert segments[1].family is SubchainFamily.SINGLE
-    assert segments[2].family is SubchainFamily.S3
+    assert [(s.kind, s.start, s.stop) for s in segments] == [
+        (SubchainKind.S2_RR_PERP, 1, 2),
+        (SubchainKind.SINGLE_P, 3, 3),
+        (SubchainKind.S3_RRR_PERP, 4, 6),
+    ]
 
 
 def test_segmentation_covers_every_joint_once():

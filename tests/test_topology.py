@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -10,8 +11,10 @@ from pmmobility import (
     LegTopology,
     RelationCode,
     TopologyError,
+    analyze_mechanism,
     decode_leg,
     encode_leg,
+    parse_mechanism_file,
     validate_mechanism,
 )
 from pmmobility.topology import Asymmetric, InvalidDiagonal, InvalidRelation, TooLarge
@@ -42,15 +45,15 @@ def test_decode_up_leg():
     leg = decode_leg(UP_MATRIX, label=1)
     assert leg.signature == "RRP"
     assert leg.f == 3
-    assert leg.relation(1, 2) is RelationCode.PERPENDICULAR
-    assert leg.relation(2, 3) is RelationCode.PERPENDICULAR
+    assert leg.relations[0][1] is RelationCode.PERPENDICULAR
+    assert leg.relations[1][2] is RelationCode.PERPENDICULAR
 
 
 def test_decode_rrc_leg():
     leg = decode_leg(RRC_MATRIX)
     assert leg.signature == "RRRP"
     assert all(
-        leg.relation(i, j) is RelationCode.PARALLEL
+        leg.relations[i - 1][j - 1] is RelationCode.PARALLEL
         for i in range(1, 5)
         for j in range(i + 1, 5)
     )
@@ -95,7 +98,7 @@ def test_leg_topology_accepts_list_rows():
     A, P, S = RelationCode.ARBITRARY, RelationCode.PARALLEL, RelationCode.PERPENDICULAR
     rels = [[A, P, S], [P, A, A], [S, A, A]]
     leg = LegTopology(label=1, joints=(JointKind.REVOLUTE,) * 3, relations=rels)
-    assert leg.relation(1, 3) is S
+    assert leg.relations[0][2] is S
 
 
 def test_asymmetric_names_the_first_differing_pair():
@@ -166,7 +169,14 @@ def test_mechanism_counts():
     mech = pair_mechanism(UPS_MATRIX)
     assert mech.leg_count == 2
     assert mech.total_joint_dof == 12
-    assert mech.loop_count == 1
+    assert len(analyze_mechanism(mech).loop_ranks) == 1
+
+
+def test_mechanism_topology_is_a_frozen_value():
+    mech = pair_mechanism(UP_MATRIX)
+    assert hash(mech) == hash(pair_mechanism(UP_MATRIX))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mech.name = "other"
 
 
 def test_validate_accepts_pair():
@@ -224,6 +234,21 @@ def test_validate_reports_sizes_before_diagonals():
         "platform matrix size mismatch: fixed is 3x3 for 2 legs",
         "moving platform diagonal 1 is R, leg 1 ends with P",
         "moving platform diagonal 2 is R, leg 2 ends with P",
+    ]
+
+
+def test_validate_rejects_a_platform_block_in_the_wrong_slot(fixtures_dir):
+    # the parser cannot build such a block; a topology built in code can
+    mech = parse_mechanism_file(fixtures_dir / "toy_hinge.mech")
+    moving = dataclasses.replace(mech.moving, side=PlatformSide.FIXED)
+    bad = dataclasses.replace(mech, moving=moving)
+    assert validate_mechanism(bad) == ["moving platform relations are marked fixed"]
+    with pytest.raises(InvalidMechanism, match="moving platform relations are marked fixed"):
+        analyze_mechanism(bad)
+    swapped = dataclasses.replace(mech, moving=mech.fixed, fixed=mech.moving)
+    assert validate_mechanism(swapped) == [
+        "moving platform relations are marked fixed",
+        "fixed platform relations are marked moving",
     ]
 
 
