@@ -63,12 +63,24 @@ class _Settings(NamedTuple):
     seeds: int
 
 
+def _read(path: str) -> bytes:
+    """The bytes of the file at path, read by one loop of os.read, without
+    the buffered reader that open() builds around the descriptor."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
+
+
 def _analyze_file(path: str, settings: _Settings, messages: list[str]) -> tuple[int, Any]:
     """The exit code and rendered report (None when there is none) of one
     file; its warnings and errors go onto messages."""
     try:
-        with open(path, "rb") as file:
-            text = file.read().decode("utf-8")
+        text = _read(path).decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         messages.append(f"{path}: {getattr(err, 'strerror', None) or err}")
         return PARSE_ERROR, None

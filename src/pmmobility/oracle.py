@@ -39,8 +39,14 @@ without a copy.  A loop union with an empty operand or one of all six
 dimensions has a closed form; any other factors only the smaller of its
 two bases projected off the larger, whose singular values (the sines of
 the principal angles) alone give the union rank and whose left singular
-vectors give the intersection.  verify_mechanism draws again only the
-seeds whose singular values fell near the rank threshold.  The two
+vectors give the intersection, in a reduced SVD, as its right singular
+vectors are never read.  A stack of one row is never factored: its one
+singular value is the row's norm and its one singular vector the row over
+that norm, which ranks a one-joint leg, a one-row union operand and the
+split of a one-dimensional platform.  The seeds of a fold group that share
+an answer and a near flag share one frozen NumericMobility, and
+verify_mechanism judges each distinct result once.  It draws again only
+the seeds whose singular values fell near the rank threshold.  The two
 one-seed entry points, instantiate_geometry (one seed's geometry) and
 numeric_loop_and_platform (one geometry's ranks), call into the same code,
 and a stacked seed gives bit for bit the result of its one-seed call.
@@ -106,11 +112,16 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    """Normalise the last axis of v."""
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The norms of v over its last axis."""
     # sqrt(vecdot) rounds like the norm of one vector does, where a stacked
     # np.linalg.norm(v, axis=-1) can differ in the last bit
-    return v / np.sqrt(np.vecdot(v, v))[..., None]
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """Normalise the last axis of v."""
+    return v / _norms(v)[..., None]
 
 
 @dataclass
@@ -324,9 +335,19 @@ def _twists(d: np.ndarray, p: np.ndarray, revolute: np.ndarray) -> np.ndarray:
 def _leg_spaces(legs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per leg, the ranks, right singular vectors and near flags of its
     stack of twist matrices (seeds x f x 6), each ranked against its own
-    largest singular value."""
+    largest singular value.
+
+    A one-joint leg has the closed form of one row: its one singular value
+    is the row's norm, 1 / RANK_RTOL times its own threshold, so it ranks 1
+    unless it is zero and is never near, and its right singular vector is
+    the row over its norm."""
     spaces = []
     for leg in legs:
+        if leg.shape[-2] == 1:
+            s = _norms(leg)
+            vh = np.divide(leg, s[..., None], out=np.zeros_like(leg), where=s[..., None] > 0)
+            spaces.append(((s > 0).sum(-1), vh, np.zeros(len(leg), bool)))
+            continue
         _, s, vh = np.linalg.svd(leg, full_matrices=False)
         rank, near = _cutoff(s, s[..., :1])
         spaces.append((rank, vh, near))
@@ -373,7 +394,8 @@ def _unions(
     whose eigenvalues are 1 + cos and 1 - cos for each cosine of C and 1
     for each of the m - k rows left over.  The part of a off the span of b,
     rest = a - C b, has rest rest^T = I - C C^T, so one SVD of the k x 6
-    matrix rest = u sine vh gives the sines, and cos = sqrt(1 - sine^2),
+    matrix rest = u sine vh gives the sines (one row has its norm as its
+    sine and u = [[1]]; vh is never read), and cos = sqrt(1 - sine^2),
     taken as 0 where rounding lifts a sine past 1.  In descending order,
     the singular values of [a; b] are sqrt(1 + cos), then m - k ones, then
     sine / sqrt(1 + cos), which is sqrt(1 - cos) without its cancellation;
@@ -392,16 +414,21 @@ def _unions(
     if k == 0 or m == 6:
         return [(min(k + m, 6), _ALL, a)], np.zeros(len(a), bool)
     # a stacked @ rounds like the one-pair product
-    u, sine, _ = np.linalg.svd(a - (a @ b.mT) @ b)
+    rest = a - (a @ b.mT) @ b
+    if k == 1:
+        sine, u = _norms(rest), np.ones((len(a), 1, 1))
+    else:
+        u, sine, _ = np.linalg.svd(rest, full_matrices=False)
     wide = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - sine * sine, 0.0)))
     extra, near = _cutoff((sine / wide)[..., : 6 - m], wide[..., -1:])
     meets = [(m + e, members, u[members, :, e:].mT @ a[members]) for e, members in _split(extra)]
     return meets, near
 
 
-@dataclass
+@dataclass(frozen=True)
 class NumericMobility:
-    """Numeric analysis of one geometric instance."""
+    """Numeric analysis of one geometric instance; seeds of one stack with
+    the same answer and near flag share one."""
 
     loop_ranks: tuple[int, ...]
     platform_dim: int
@@ -446,19 +473,27 @@ def _numeric_mobility(total_dof: int, legs: list[np.ndarray]) -> list[NumericMob
         if dim:
             # the basis rows are orthonormal, so the angular block is measured
             # against 1: against its own largest value, a block of rounding
-            # noise would count as full rank
-            split, split_near = _cutoff(np.linalg.svd(current[..., :3], compute_uv=False), 1.0)
+            # noise would count as full rank.  One row's singular value is
+            # its norm
+            angular = current[..., :3]
+            s = _norms(angular) if dim == 1 else np.linalg.svd(angular, compute_uv=False)
+            split, split_near = _cutoff(s, 1.0)
             near[index] |= split_near
             xi_r = split.tolist()
+        # the seeds of a group that share a split and a near flag share one result
+        shared: dict[tuple[int, bool], NumericMobility] = {}
         for i, r, flag in zip(np.arange(n)[index].tolist(), xi_r, near[index].tolist()):
-            mobility[i] = NumericMobility(
-                loop_ranks=loops,
-                platform_dim=dim,
-                platform_xi_t=dim - r,
-                platform_xi_r=r,
-                dof=dof,
-                near_threshold=flag,
-            )
+            result = shared.get((r, flag))
+            if result is None:
+                result = shared[r, flag] = NumericMobility(
+                    loop_ranks=loops,
+                    platform_dim=dim,
+                    platform_xi_t=dim - r,
+                    platform_xi_r=r,
+                    dof=dof,
+                    near_threshold=flag,
+                )
+            mobility[i] = result
     return mobility
 
 
@@ -530,20 +565,24 @@ def verify_mechanism(mech: MechanismTopology, report, seeds) -> OracleResult:
         report.poc.xi_r,
         report.dof,
     )
-    # seeds mostly give one answer, so each distinct answer is compared once
-    verdicts: dict[tuple, tuple[bool, str]] = {symbolic: (True, "ok")}
+    # seeds with one answer mostly share one result, and each distinct
+    # result is judged once; the results list keeps every id alive
+    verdicts: dict[int, tuple[bool, str]] = {}
     comparisons = []
     for seed, result in zip(seeds, results):
-        numeric = (
-            result.loop_ranks,
-            result.platform_dim,
-            result.platform_xi_t,
-            result.platform_xi_r,
-            result.dof,
-        )
-        if numeric not in verdicts:
-            verdicts[numeric] = False, _mismatches(numeric, symbolic)
-        agrees, detail = verdicts[numeric]
+        verdict = verdicts.get(id(result))
+        if verdict is None:
+            numeric = (
+                result.loop_ranks,
+                result.platform_dim,
+                result.platform_xi_t,
+                result.platform_xi_r,
+                result.dof,
+            )
+            agrees = numeric == symbolic
+            detail = "ok" if agrees else _mismatches(numeric, symbolic)
+            verdict = verdicts[id(result)] = agrees, detail
+        agrees, detail = verdict
         comparisons.append(OracleComparison(seed=seed, agrees=agrees, detail=detail))
     return OracleResult(seeds=seeds, comparisons=tuple(comparisons))
 

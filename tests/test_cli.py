@@ -189,6 +189,19 @@ def test_unreadable_file_messages_are_exact(runner, tmp_path):
     assert result.stdout == ""
 
 
+def test_a_file_longer_than_one_read_is_read_whole(runner, fixtures_dir, tmp_path):
+    # the mechanism starts past the first 64 KiB read, and a two-byte
+    # character straddles the boundary, so only the joined bytes decode
+    tricept = fixtures_dir / "tricept.mech"
+    long = tmp_path / "tricept.mech"
+    comment = "# " + "x" * ((1 << 16) - 3) + "\u00e9" + "x" * (1 << 16) + "\n"
+    long.write_text(comment + tricept.read_text(encoding="utf-8"), encoding="utf-8")
+    assert long.read_bytes()[(1 << 16) - 1 : (1 << 16) + 1] == "\u00e9".encode()
+    result = runner.invoke(main, ["analyze", str(long)])
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == runner.invoke(main, ["analyze", str(tricept)]).stdout
+
+
 def test_missing_file_exit_code(runner, tmp_path):
     result = runner.invoke(main, ["analyze", str(tmp_path / "absent.mech")])
     assert result.exit_code == 2
@@ -375,13 +388,19 @@ def test_run_helper_exit_codes(fixtures_dir, capsys):
 
 # Four mutually perpendicular revolute axes: the symbolic analysis runs, but
 # no direction is left for the fourth axis when the oracle samples geometry.
-FOUR_PERPENDICULAR = """mechanism imposs
+# two perpendicular triads, 1.1-1.2-1.3 and 1.4-1.5-1.6, linked by three
+# cross perpendiculars: realizable (1.4 || 1.3, 1.5 || 1.1, 1.6 || 1.2),
+# but with no generic instance, so the graph accepts it and the oracle's
+# draw leaves 1.6 no direction
+TWO_TRIADS = """mechanism imposs
 
 leg 1:
-  8 2 2 2
-  2 8 2 2
-  2 2 8 2
-  2 2 2 8
+  8 2 2 0 0 2
+  2 8 2 2 0 0
+  2 2 8 0 2 0
+  0 2 0 8 2 2
+  0 0 2 2 8 2
+  2 0 0 2 2 8
 
 leg 2:
   8
@@ -397,35 +416,33 @@ platform fixed:
 
 
 @pytest.fixture()
-def four_perpendicular(tmp_path):
+def two_triads(tmp_path):
     path = tmp_path / "imposs.mech"
-    path.write_text(FOUR_PERPENDICULAR, encoding="utf-8")
+    path.write_text(TWO_TRIADS, encoding="utf-8")
     return path
 
 
-def test_unsatisfiable_oracle_is_an_analysis_error(runner, four_perpendicular):
-    result = runner.invoke(main, ["analyze", "--oracle", str(four_perpendicular)])
+def test_unsatisfiable_oracle_is_an_analysis_error(runner, two_triads):
+    result = runner.invoke(main, ["analyze", "--oracle", str(two_triads)])
     assert result.exit_code == 1
     assert result.stderr == (
-        f"{four_perpendicular}: error: parallel class 1.4 has no direction perpendicular "
-        "to all of 1.1, 1.2, 1.3\n"
+        f"{two_triads}: error: parallel class 1.6 has no direction perpendicular "
+        "to all of 1.1, 1.4, 1.5\n"
     )
     assert result.stdout == ""
 
 
-def test_unsatisfiable_geometry_is_not_sampled_without_oracle(runner, four_perpendicular):
-    result = runner.invoke(main, ["analyze", str(four_perpendicular)])
+def test_unsatisfiable_geometry_is_not_sampled_without_oracle(runner, two_triads):
+    result = runner.invoke(main, ["analyze", str(two_triads)])
     assert result.exit_code == 0
     assert "mechanism imposs" in result.stdout
 
 
-def test_unsatisfiable_batch_still_reports_the_other_file(
-    runner, fixtures_dir, four_perpendicular
-):
+def test_unsatisfiable_batch_still_reports_the_other_file(runner, fixtures_dir, two_triads):
     hinge = fixtures_dir / "toy_hinge.mech"
-    result = runner.invoke(main, ["analyze", "--oracle", str(four_perpendicular), str(hinge)])
+    result = runner.invoke(main, ["analyze", "--oracle", str(two_triads), str(hinge)])
     assert result.exit_code == 1
-    assert "class 1.4 has no direction perpendicular to all of 1.1, 1.2, 1.3" in result.stderr
+    assert "class 1.6 has no direction perpendicular to all of 1.1, 1.4, 1.5" in result.stderr
     assert "mechanism toy-hinge" in result.stdout
     assert "oracle: 20/20 agree" in result.stdout
     assert "mechanism imposs" not in result.stdout

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -42,6 +43,7 @@ from pmmobility.oracle import (
     _cutoff,
     _leg_spaces,
     _line_distance,
+    _numeric_mobility,
     _one_seed_leg,
     _twists,
     _unions,
@@ -184,14 +186,41 @@ def test_rank_uses_caller_scale_for_blocks():
     assert _cutoff(s, 1.0)[0][0] == 0
 
 
-def test_four_mutually_perpendicular_axes_unsatisfiable():
-    legs = [
-        leg_from_relations(1, "RRRR", {p: 2 for p in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]}),
-        leg_from_relations(2, "R", {}),
-    ]
-    mech = make_mechanism("imposs", legs)
+# two perpendicular triads, 1.1-1.2-1.3 and 1.4-1.5-1.6, linked by three
+# cross perpendiculars.  It is realizable (1.4 || 1.3, 1.5 || 1.1 and
+# 1.6 || 1.2), but the three cross perpendiculars are three equations on the
+# rotation between the triads, so it has no generic instance: the graph
+# accepts it and no draw order gives every class a direction
+TWO_TRIADS = [(1, 2), (1, 3), (2, 3), (1, 6), (2, 4), (3, 5), (4, 5), (4, 6), (5, 6)]
+
+
+def _six_joint_perpendiculars(pairs):
+    """One all-R six-joint leg with the perpendicular pairs, beside a
+    one-joint leg."""
+    legs = [leg_from_relations(1, "RRRRRR", {p: 2 for p in pairs}), leg_from_relations(2, "R", {})]
+    return make_mechanism("imposs", legs)
+
+
+def test_two_linked_perpendicular_triads_unsatisfiable():
     with pytest.raises(Unsatisfiable):
-        instantiate_geometry(mech, seed=0)
+        instantiate_geometry(_six_joint_perpendiculars(TWO_TRIADS), seed=0)
+
+
+def test_greedy_draw_order_gives_a_false_unsatisfiable():
+    # pinned as found: 1.6 _|_ 1.2, 1.3 and 1.4 forces those three into one
+    # plane, and 1.1 (_|_ 1.2, 1.4) and 1.5 (_|_ 1.2, 1.3) are then parallel
+    # to 1.6 unless 1.2 lies along 1.4 or 1.3.  So the shape is realizable
+    # only with parallels the graph does not hold (a disjunction and a forced
+    # coincidence), and other draw orders succeed; the most-constrained-first
+    # order leaves 1.6 no direction
+    mech = _six_joint_perpendiculars(
+        [(1, 2), (1, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 6)]
+    )
+    with pytest.raises(Unsatisfiable) as raised:
+        verify_mechanism(mech, analyze_mechanism(mech), range(20))
+    assert str(raised.value) == (
+        "parallel class 1.6 has no direction perpendicular to all of 1.2, 1.3, 1.4"
+    )
 
 
 def test_coplanar_axes_are_anchored_to_meet():
@@ -403,6 +432,118 @@ def test_empty_and_full_space_unions_factor_nothing(monkeypatch):
             # the smaller operand lies in the larger, so it is the intersection
             assert meet.shape == small.shape
             assert np.allclose(meet.mT @ meet, small.mT @ small, atol=1e-12)
+
+
+def _one_rows(rng, n):
+    """n one-row stacks (n x 1 x 6) of random directions and norms over
+    twenty decades, the first of them zero."""
+    rows = rng.normal(size=(n, 1, 6)) * 10.0 ** rng.uniform(-10, 10, size=(n, 1, 1))
+    rows[0] = 0.0
+    return rows
+
+
+def _projectors(vh, rank):
+    """Per seed, the projector onto the span of the first rank rows of vh."""
+    return [basis.T @ basis for basis in (rows[:r] for rows, r in zip(vh, rank.tolist()))]
+
+
+def test_one_row_stacks_match_their_svd():
+    rng = np.random.default_rng(36)
+    # a one-joint leg, ranked against its own singular value: a zero row
+    # ranks 0 and has no basis, any other ranks 1 and is never near
+    rows = _one_rows(rng, 40)
+    [(rank, vh, near)] = _leg_spaces([rows])
+    _, s, want_vh = np.linalg.svd(rows, full_matrices=False)
+    want_rank, want_near = _cutoff(s, s[..., :1])
+    assert rank.tolist() == want_rank.tolist() == [0] + [1] * 39
+    assert near.tolist() == want_near.tolist()
+    assert not vh[0].any()
+    for got, want in zip(_projectors(vh, rank), _projectors(want_vh, want_rank)):
+        assert np.allclose(got, want, atol=1e-12)
+
+    # a one-row union operand, on either side, against one SVD of [a; b]
+    for m in range(1, 6):
+        one, other = _tilted_pairs(rng, 1, m, 40)
+        for a, b in ((one, other), (other, one)):
+            meets, near = _unions(a, b)
+            want_meets, want_near = reference_unions(one, other)
+            assert near.tolist() == want_near.tolist(), m
+            for (r, got), (want_r, want) in zip(_per_seed(40, meets), _per_seed(40, want_meets)):
+                assert r == want_r, m
+                assert np.allclose(got, want, atol=1e-8), m
+
+    # a one-dimensional platform, whose angular part is measured against 1:
+    # angular parts from 1e-10 to 1e-6 of the row fall below, near and
+    # above the threshold, and a prismatic row has none
+    angular = rng.normal(size=(60, 1, 3)) * 10.0 ** rng.uniform(-10, -6, size=(60, 1, 1))
+    rows = np.concatenate([angular, rng.normal(size=(60, 1, 3))], axis=-1)
+    rows[0, 0, :3] = 0.0
+    results = _numeric_mobility(1, [rows])
+    _, _, vh = np.linalg.svd(rows, full_matrices=False)
+    xi_r, split_near = _cutoff(np.linalg.svd(vh[..., :3], compute_uv=False), 1.0)
+    assert [r.platform_xi_r for r in results] == xi_r.tolist()
+    assert [r.near_threshold for r in results] == split_near.tolist()
+    assert 0 < sum(xi_r.tolist()) < 59 and 0 < sum(split_near.tolist()) < 60
+
+
+def test_one_row_stacks_factor_nothing(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape, args, kwargs))
+        return svd(a, *args, **kwargs)
+
+    rng = np.random.default_rng(23)
+    rows = _one_rows(rng, 20)
+    one, three = _tilted_pairs(rng, 1, 3, 20)
+    two, four = _tilted_pairs(rng, 2, 4, 20)
+    monkeypatch.setattr(oracle.np.linalg, "svd", spy)
+    _leg_spaces([rows])
+    _unions(one, three)
+    _unions(three, one)
+    # one one-joint leg: its basis is the platform, of one dimension
+    assert _numeric_mobility(1, [rows[1:]])[0].platform_dim == 1
+    assert calls == []
+    # two or more rows are factored, without the 6 x 6 vh no one reads
+    _unions(four, two)
+    assert calls == [((20, 2, 6), (), {"full_matrices": False})]
+
+
+def test_seeds_with_one_answer_share_one_frozen_result(monkeypatch, fixtures_dir):
+    mechs = [parse_mechanism_file(fixtures_dir / f"{name}.mech") for name in ALL_FIXTURES]
+    plans = [OraclePlan(mech, build_relation_graph(mech)) for mech in mechs]
+    for name, plan in zip(ALL_FIXTURES, plans):
+        results = plan.rank(plan.sample(range(20)))
+        assert all(result is results[0] for result in results), name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        results[0].dof = 0
+    # a coarse threshold splits the seeds' answers and near flags; within a
+    # fold group, the seeds with one answer and one flag share one result
+    monkeypatch.setattr(oracle, "RANK_RTOL", 0.3)
+    monkeypatch.setattr(oracle, "NEAR_FACTOR", 1.1)
+    for name in ("prrrr_pair", "ups_ups_up"):
+        plan = plans[ALL_FIXTURES.index(name)]
+        results = plan.rank(plan.sample(range(20)))
+        assert len(set(results)) > 1, name
+        for a, b in itertools.combinations(results, 2):
+            assert (a is b) == (a == b), name
+
+
+def test_verify_judges_each_shared_result_once(monkeypatch):
+    mismatches = oracle._mismatches
+    calls = []
+
+    def spy(numeric, symbolic):
+        calls.append(numeric)
+        return mismatches(numeric, symbolic)
+
+    monkeypatch.setattr(oracle, "_mismatches", spy)
+    mech = _skew_pair()
+    result = verify_mechanism(mech, analyze_mechanism(mech), range(20))
+    assert result.agreement == 0
+    assert len(calls) == 1
+    assert len({c.detail for c in result.comparisons}) == 1
 
 
 def test_leg_spaces_rank_each_leg_against_its_own_scale():
@@ -636,18 +777,14 @@ def test_writing_into_a_sample_leaves_later_samples_alone(fixtures_dir, name):
 
 
 def test_unsatisfiable_shape_raises_on_every_call():
-    legs = [
-        leg_from_relations(1, "RRRR", {p: 2 for p in itertools.combinations(range(1, 5), 2)}),
-        leg_from_relations(2, "R", {}),
-    ]
-    mech = make_mechanism("imposs", legs)
+    mech = _six_joint_perpendiculars(TWO_TRIADS)
     plan = OraclePlan(mech, build_relation_graph(mech))
     messages = []
     for _ in range(2):
         with pytest.raises(Unsatisfiable) as raised:
             plan.sample(range(3))
         messages.append(str(raised.value))
-    assert messages == ["parallel class 1.4 has no direction perpendicular to all of 1.1, 1.2, 1.3"] * 2
+    assert messages == ["parallel class 1.6 has no direction perpendicular to all of 1.1, 1.4, 1.5"] * 2
 
 
 def test_concurrent_verification_matches_sequential(monkeypatch, fixtures_dir):
@@ -855,11 +992,7 @@ def test_partly_flagged_batch_matches_one_seed_calls(monkeypatch, fixtures_dir):
         assert verify_mechanism(mech, settled, range(20)).comparisons[seed].agrees, seed
 
 
-def test_verify_raises_on_four_mutually_perpendicular_axes():
-    legs = [
-        leg_from_relations(1, "RRRR", {p: 2 for p in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]}),
-        leg_from_relations(2, "R", {}),
-    ]
-    mech = make_mechanism("imposs", legs)
+def test_verify_raises_on_two_linked_perpendicular_triads():
+    mech = _six_joint_perpendiculars(TWO_TRIADS)
     with pytest.raises(Unsatisfiable):
         verify_mechanism(mech, analyze_mechanism(mech), range(20))
